@@ -224,7 +224,7 @@ func (l *LWP) LWPStatus() ProcStatus {
 		Pgrp:    p.Pgrp,
 		Sid:     p.Sid,
 		LWPID:   l.ID,
-		NLWP:    len(p.LiveLWPs()),
+		NLWP:    p.NLiveLWPs(),
 		SigPend: p.SigPend,
 		SigHold: l.SigHold,
 		Reg:     l.CPU.Regs,
@@ -332,7 +332,7 @@ func (p *Proc) PSInfo() PSInfo {
 		Time:  p.Usage.UserTicks + p.Usage.SysTicks,
 		Start: p.Start,
 		Comm:  p.Comm,
-		NLWP:  len(p.LiveLWPs()),
+		NLWP:  p.NLiveLWPs(),
 	}
 	if p.Parent != nil {
 		info.PPid = p.Parent.Pid

@@ -337,6 +337,17 @@ func (p *Proc) LiveLWPs() []*LWP {
 	return out
 }
 
+// NLiveLWPs counts the non-zombie LWPs without building LiveLWPs' slice.
+func (p *Proc) NLiveLWPs() int {
+	n := 0
+	for _, l := range p.LWPs {
+		if l.state != LZombie {
+			n++
+		}
+	}
+	return n
+}
+
 // VirtSize is the total virtual memory size (0 for system processes).
 func (p *Proc) VirtSize() int64 {
 	if p.AS == nil {

@@ -579,7 +579,7 @@ func sysLwpCreate(k *Kernel, l *LWP) sysResult {
 
 func sysLwpExit(k *Kernel, l *LWP) sysResult {
 	l.setSchedState(LZombie)
-	if len(l.Proc.LiveLWPs()) == 0 {
+	if l.Proc.NLiveLWPs() == 0 {
 		k.exitProc(l.Proc, statusExited(0))
 	}
 	return sysResult{NoReturn: true}

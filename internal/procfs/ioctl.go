@@ -110,6 +110,20 @@ type PrUsage struct {
 	StackGrows   int64
 }
 
+// UsageOf assembles p's PIOCUSAGE record: the kernel's accounting plus the
+// address space's page-event counts.
+func UsageOf(p *kernel.Proc) PrUsage {
+	u := PrUsage{Usage: p.Usage}
+	if p.AS != nil {
+		st := p.AS.StatsSnap()
+		u.MinorFaults = st.MinorFaults
+		u.COWFaults = st.COWFaults
+		u.WatchRecover = st.WatchRecover
+		u.StackGrows = st.GrowStack
+	}
+	return u
+}
+
 // PageData is one entry of the PIOCPGD result: which mappings have private
 // (modified) pages — the page-level modified information of the proposed
 // performance-monitor interface.
@@ -523,15 +537,7 @@ func (h *Handle) HIoctl(cmd int, arg interface{}) error {
 		if !ok {
 			return vfs.ErrInval
 		}
-		u := PrUsage{Usage: p.Usage}
-		if p.AS != nil {
-			st := p.AS.StatsSnap()
-			u.MinorFaults = st.MinorFaults
-			u.COWFaults = st.COWFaults
-			u.WatchRecover = st.WatchRecover
-			u.StackGrows = st.GrowStack
-		}
-		*out = u
+		*out = UsageOf(p)
 		return nil
 
 	case PIOCSWATCH:

@@ -3,6 +3,7 @@ package procfs2
 import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/procfs"
 	"repro/internal/types"
 	"repro/internal/vfs"
 )
@@ -149,15 +150,7 @@ func (h *fileHandle) snapshot() ([]byte, error) {
 	case FileCred:
 		return EncodeCred(p.Credentials()), nil
 	case FileUsage:
-		var minor, cow, watch, grow int64
-		if p.AS != nil {
-			st := p.AS.StatsSnap()
-			minor = st.MinorFaults
-			cow = st.COWFaults
-			watch = st.WatchRecover
-			grow = st.GrowStack
-		}
-		return EncodeUsage(p.Usage, minor, cow, watch, grow), nil
+		return EncodeUsage(procfs.UsageOf(p)), nil
 	}
 	return nil, vfs.ErrInval
 }

@@ -197,7 +197,7 @@ func (d *lwpDir) VAttr() (vfs.Attr, error) {
 	}()
 	return vfs.Attr{Type: vfs.VDIR, Mode: 0o555,
 		UID: d.p.Cred.RUID, GID: d.p.Cred.RGID,
-		Size: int64(len(d.p.LiveLWPs())), MTime: d.fs.K.Now(), Nlink: 2}, nil
+		Size: int64(d.p.NLiveLWPs()), MTime: d.fs.K.Now(), Nlink: 2}, nil
 }
 
 // VOpen implements vfs.Vnode.

@@ -53,15 +53,7 @@ func (h *rootSnapHandle) HRead(b []byte, off int64) (int, error) {
 		if err := procfs.Snapshot(h.fs.K, h.cred, &sn); err != nil {
 			return 0, err
 		}
-		recs := make([]SnapRec, len(sn.Procs))
-		for i, r := range sn.Procs {
-			recs[i] = SnapRec{Info: r.Info, Usage: UsageRecord{
-				Usage:       r.Usage.Usage,
-				MinorFaults: r.Usage.MinorFaults, COWFaults: r.Usage.COWFaults,
-				WatchRecover: r.Usage.WatchRecover, StackGrows: r.Usage.StackGrows,
-			}}
-		}
-		h.buf = EncodeSnap(sn.Rev, sn.Churned, recs)
+		h.buf = AppendSnap(h.buf[:0], &sn)
 	}
 	if off >= int64(len(h.buf)) {
 		return 0, vfs.EOF

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/procfs"
 	"repro/internal/procfs2"
 	"repro/internal/types"
 	"repro/internal/vfs"
@@ -63,7 +64,9 @@ func TestSnapshotChurnUnderRead(t *testing.T) {
 		buf = append(buf, chunk[:n]...)
 	}
 
-	rev, _, recs, err := procfs2.DecodeSnap(buf)
+	var sn procfs.PrSnap
+	err = procfs2.DecodeSnapInto(buf, &sn)
+	rev, recs := sn.Rev, sn.Procs
 	if err != nil {
 		t.Fatalf("paged snapshot does not decode (sweeps mixed): %v", err)
 	}
@@ -86,7 +89,9 @@ func TestSnapshotChurnUnderRead(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rewind read: %v", err)
 	}
-	rev2, _, recs2, err := procfs2.DecodeSnap(buf2[:n])
+	var sn2 procfs.PrSnap
+	err = procfs2.DecodeSnapInto(buf2[:n], &sn2)
+	rev2, recs2 := sn2.Rev, sn2.Procs
 	if err != nil {
 		t.Fatalf("rewound snapshot does not decode: %v", err)
 	}

@@ -16,8 +16,10 @@ package procfs2
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"repro/internal/kernel"
+	"repro/internal/procfs"
 	"repro/internal/types"
 	"repro/internal/vcpu"
 )
@@ -193,7 +195,7 @@ func DecodeStatus(b []byte) (kernel.ProcStatus, error) {
 	return st, w.err
 }
 
-func (w *wire) putPSInfo(info kernel.PSInfo) {
+func (w *wire) putPSInfo(info *kernel.PSInfo) {
 	w.putI32(int32(info.Pid))
 	w.putI32(int32(info.PPid))
 	w.putI32(int32(info.Pgrp))
@@ -210,8 +212,7 @@ func (w *wire) putPSInfo(info kernel.PSInfo) {
 	w.putStr(info.Args)
 }
 
-func (w *wire) psInfo() kernel.PSInfo {
-	var info kernel.PSInfo
+func (w *wire) psInfo(info *kernel.PSInfo) {
 	info.Pid = int(w.i32())
 	info.PPid = int(w.i32())
 	info.Pgrp = int(w.i32())
@@ -226,20 +227,24 @@ func (w *wire) psInfo() kernel.PSInfo {
 	info.NLWP = int(w.i32())
 	info.Comm = w.str()
 	info.Args = w.str()
-	return info
 }
+
+// psInfoFixed is the encoded size of a psinfo record with empty strings:
+// nine 32-bit fields, three 64-bit fields and two string lengths.
+const psInfoFixed = 9*4 + 3*8 + 2*4
 
 // EncodePSInfo serializes a PSInfo for the psinfo file.
 func EncodePSInfo(info kernel.PSInfo) []byte {
 	w := &wire{}
-	w.putPSInfo(info)
+	w.putPSInfo(&info)
 	return w.b
 }
 
 // DecodePSInfo parses the psinfo file contents.
 func DecodePSInfo(b []byte) (kernel.PSInfo, error) {
 	w := &wire{b: b}
-	info := w.psInfo()
+	var info kernel.PSInfo
+	w.psInfo(&info)
 	return info, w.err
 }
 
@@ -274,6 +279,10 @@ func EncodeMap(entries []MapEntry) []byte {
 	return w.b
 }
 
+// mapEntryFixed is the encoded size of a map entry with an empty name:
+// six 32-bit fields, the name's length among them, and one 64-bit field.
+const mapEntryFixed = 6*4 + 8
+
 // DecodeMap parses the map file contents.
 func DecodeMap(b []byte) ([]MapEntry, error) {
 	w := &wire{b: b}
@@ -281,7 +290,9 @@ func DecodeMap(b []byte) ([]MapEntry, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	if n < 0 || n > 1<<20 {
+	// The count is untrusted: one the remaining bytes cannot hold is
+	// rejected before the entries are allocated.
+	if n < 0 || n > (len(b)-w.off)/mapEntryFixed {
 		return nil, errors.New("procfs2: unreasonable map size")
 	}
 	out := make([]MapEntry, 0, n)
@@ -333,24 +344,14 @@ func DecodeCred(b []byte) (types.Cred, error) {
 }
 
 // EncodeUsage serializes resource usage for the usage file.
-func EncodeUsage(u kernel.Usage, minor, cow, watch, grow int64) []byte {
+func EncodeUsage(u procfs.PrUsage) []byte {
 	w := &wire{}
-	w.putUsage(UsageRecord{Usage: u, MinorFaults: minor, COWFaults: cow,
-		WatchRecover: watch, StackGrows: grow})
+	w.putUsage(&u)
 	return w.b
 }
 
-// UsageRecord is the decoded usage file.
-type UsageRecord struct {
-	kernel.Usage
-	MinorFaults  int64
-	COWFaults    int64
-	WatchRecover int64
-	StackGrows   int64
-}
-
-func (w *wire) putUsage(u UsageRecord) {
-	for _, v := range []int64{
+func (w *wire) putUsage(u *procfs.PrUsage) {
+	for _, v := range [...]int64{
 		u.UserTicks, u.SysTicks, u.Syscalls, u.Faults, u.Signals,
 		u.ForkedKids, u.VolCtx, u.InvolCtx,
 		u.MinorFaults, u.COWFaults, u.WatchRecover, u.StackGrows,
@@ -359,67 +360,89 @@ func (w *wire) putUsage(u UsageRecord) {
 	}
 }
 
-func (w *wire) usage() UsageRecord {
-	var u UsageRecord
-	fields := []*int64{
+func (w *wire) usage(u *procfs.PrUsage) {
+	for _, f := range [...]*int64{
 		&u.UserTicks, &u.SysTicks, &u.Syscalls, &u.Faults, &u.Signals,
 		&u.ForkedKids, &u.VolCtx, &u.InvolCtx,
 		&u.MinorFaults, &u.COWFaults, &u.WatchRecover, &u.StackGrows,
-	}
-	for _, f := range fields {
+	} {
 		*f = int64(w.u64())
 	}
-	return u
 }
 
+// usageSize is the encoded size of a usage record.
+const usageSize = 12 * 8
+
 // DecodeUsage parses the usage file contents.
-func DecodeUsage(b []byte) (UsageRecord, error) {
+func DecodeUsage(b []byte) (procfs.PrUsage, error) {
 	w := &wire{b: b}
-	u := w.usage()
+	var u procfs.PrUsage
+	w.usage(&u)
 	return u, w.err
 }
 
-// SnapRec is one process of an encoded table snapshot: the psinfo record
-// plus (optionally meaningful) resource usage.
-type SnapRec struct {
-	Info  kernel.PSInfo
-	Usage UsageRecord
-}
+// snapHeader is the encoded size of a snapshot's revision, churn flag and
+// record count; every record after it is at least minSnapRec bytes.
+const (
+	snapHeader = 8 + 4 + 4
+	minSnapRec = psInfoFixed + usageSize
+)
 
-// EncodeSnap serializes a whole-table snapshot — the revision token, the
-// churn flag, and one record per process — for the snapshot file and the
-// remote PIOCSNAP result.
-func EncodeSnap(rev uint64, churned bool, recs []SnapRec) []byte {
-	w := &wire{}
-	w.putU64(rev)
-	if churned {
+// AppendSnap appends the wire encoding of a whole-table snapshot — the
+// revision token, the churn flag, and one psinfo-plus-usage record per
+// process — to dst, for the snapshot file and the remote PIOCSNAP result.
+// dst grows once, to the exact encoded size, so a caller encoding into a
+// response frame copies the table exactly once.
+func AppendSnap(dst []byte, sn *procfs.PrSnap) []byte {
+	size := snapHeader + len(sn.Procs)*minSnapRec
+	for i := range sn.Procs {
+		size += len(sn.Procs[i].Info.Comm) + len(sn.Procs[i].Info.Args)
+	}
+	w := wire{b: slices.Grow(dst, size)}
+	w.putU64(sn.Rev)
+	if sn.Churned {
 		w.putU32(1)
 	} else {
 		w.putU32(0)
 	}
-	w.putU32(uint32(len(recs)))
-	for _, r := range recs {
-		w.putPSInfo(r.Info)
-		w.putUsage(r.Usage)
+	w.putU32(uint32(len(sn.Procs)))
+	for i := range sn.Procs {
+		w.putPSInfo(&sn.Procs[i].Info)
+		w.putUsage(&sn.Procs[i].Usage)
 	}
 	return w.b
 }
 
-// DecodeSnap parses an encoded table snapshot.
-func DecodeSnap(b []byte) (rev uint64, churned bool, recs []SnapRec, err error) {
-	w := &wire{b: b}
-	rev = w.u64()
-	churned = w.u32() != 0
+// DecodeSnapInto parses an encoded snapshot into sn's outputs (Rev,
+// Churned, Procs), decoding each record straight into sn.Procs and reusing
+// its capacity. The record count is untrusted: a count the remaining bytes
+// cannot hold is rejected before anything is allocated. On error sn.Procs
+// is left empty.
+func DecodeSnapInto(b []byte, sn *procfs.PrSnap) error {
+	w := wire{b: b}
+	rev := w.u64()
+	churned := w.u32() != 0
 	n := int(w.u32())
+	sn.Procs = sn.Procs[:0]
 	if w.err != nil {
-		return 0, false, nil, w.err
+		return w.err
 	}
-	if n < 0 || n > 1<<20 {
-		return 0, false, nil, errors.New("procfs2: unreasonable snapshot size")
+	if n < 0 || n > (len(b)-w.off)/minSnapRec {
+		return errShortWire
 	}
-	recs = make([]SnapRec, 0, n)
-	for i := 0; i < n && w.err == nil; i++ {
-		recs = append(recs, SnapRec{Info: w.psInfo(), Usage: w.usage()})
+	if cap(sn.Procs) < n {
+		sn.Procs = make([]procfs.PrSnapRec, n)
+	} else {
+		sn.Procs = sn.Procs[:n]
 	}
-	return rev, churned, recs, w.err
+	for i := range sn.Procs {
+		w.psInfo(&sn.Procs[i].Info)
+		w.usage(&sn.Procs[i].Usage)
+	}
+	if w.err != nil {
+		sn.Procs = sn.Procs[:0]
+		return w.err
+	}
+	sn.Rev, sn.Churned = rev, churned
+	return nil
 }

@@ -152,7 +152,7 @@ func (h *remoteHandle) HRead(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	data := resp.bytes()
+	data := resp.view()
 	if resp.err != nil {
 		return 0, resp.err
 	}
@@ -204,7 +204,9 @@ func (h *remoteHandle) HIoctl(cmd int, arg interface{}) error {
 	if cerr != nil {
 		return cerr
 	}
-	res := resp.bytes()
+	// The response frame belongs to this call, so the result decodes from
+	// a view of it rather than a copy.
+	res := resp.view()
 	if resp.err != nil {
 		return resp.err
 	}

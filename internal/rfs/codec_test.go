@@ -15,7 +15,7 @@ import (
 )
 
 // Round-trip every registered codec: encodeArg → decodeArg reconstructs the
-// argument; encodeResult → decodeResult reproduces the out-value.
+// argument; appendResult → decodeResult reproduces the out-value.
 func TestCodecRoundTrips(t *testing.T) {
 	var sigs types.SigSet
 	sigs.Add(types.SIGINT)
@@ -69,7 +69,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	// Out-results: encode server-side, decode into the caller's variable.
 	t.Run("status", func(t *testing.T) {
 		codec := ioctlCodecs[procfs.PIOCSTATUS]
-		b, err := codec.encodeResult(&status)
+		b, err := codec.appendResult(nil, &status)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("psinfo", func(t *testing.T) {
 		codec := ioctlCodecs[procfs.PIOCPSINFO]
-		b, _ := codec.encodeResult(&info)
+		b, _ := codec.appendResult(nil, &info)
 		var out kernel.PSInfo
 		if err := codec.decodeResult(b, &out); err != nil || out != info {
 			t.Fatalf("%+v %v", out, err)
@@ -95,7 +95,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("cred", func(t *testing.T) {
 		codec := ioctlCodecs[procfs.PIOCCRED]
-		b, _ := codec.encodeResult(&cred)
+		b, _ := codec.appendResult(nil, &cred)
 		var out types.Cred
 		if err := codec.decodeResult(b, &out); err != nil {
 			t.Fatal(err)
@@ -106,7 +106,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("map", func(t *testing.T) {
 		codec := ioctlCodecs[procfs.PIOCMAP]
-		b, _ := codec.encodeResult(&maps)
+		b, _ := codec.appendResult(nil, &maps)
 		var out []procfs.PrMap
 		if err := codec.decodeResult(b, &out); err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("usage", func(t *testing.T) {
 		codec := ioctlCodecs[procfs.PIOCUSAGE]
-		b, _ := codec.encodeResult(&usage)
+		b, _ := codec.appendResult(nil, &usage)
 		var out procfs.PrUsage
 		if err := codec.decodeResult(b, &out); err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("regsOut", func(t *testing.T) {
 		codec := ioctlCodecs[procfs.PIOCGREG]
-		b, _ := codec.encodeResult(&regs)
+		b, _ := codec.appendResult(nil, &regs)
 		var out vcpu.Regs
 		if err := codec.decodeResult(b, &out); err != nil || out != regs {
 			t.Fatalf("%+v %v", out, err)
@@ -136,7 +136,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 	t.Run("sigsetOut", func(t *testing.T) {
 		codec := ioctlCodecs[procfs.PIOCGTRACE]
-		b, _ := codec.encodeResult(&sigs)
+		b, _ := codec.appendResult(nil, &sigs)
 		var out types.SigSet
 		if err := codec.decodeResult(b, &out); err != nil || out != sigs {
 			t.Fatalf("%+v %v", out, err)
@@ -145,7 +145,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	t.Run("intOut", func(t *testing.T) {
 		codec := ioctlCodecs[procfs.PIOCMAXSIG]
 		n := 128
-		b, _ := codec.encodeResult(&n)
+		b, _ := codec.appendResult(nil, &n)
 		var out int
 		if err := codec.decodeResult(b, &out); err != nil || out != 128 {
 			t.Fatalf("%d %v", out, err)
@@ -333,8 +333,8 @@ func TestServerGarbageRequests(t *testing.T) {
 	reqs := [][]byte{
 		nil,
 		{},
-		{opOpen},                               // op with no credential
-		{opOpen, 0, 0, 0, 1},                   // credential cut short
+		{opOpen},             // op with no credential
+		{opOpen, 0, 0, 0, 1}, // credential cut short
 		{opRead, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1}, // args missing
 		{0xEE, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1},   // unknown op
 		bytes.Repeat([]byte{0xA5}, 300),

@@ -16,26 +16,31 @@ import (
 // knows the operand's size, direction and layout. Contrast with read/write,
 // which forward as plain bytes — precisely the paper's argument for the
 // restructured interface.
+//
+// The result half is append-style: the server encodes the out-value straight
+// onto the response frame it is building, so a large result (a PIOCSNAP
+// table) is written once rather than encoded and then copied behind the
+// headers.
 type ioctlCodec struct {
 	encodeArg    func(arg interface{}) ([]byte, error)
 	decodeArg    func(b []byte) (interface{}, error)
-	encodeResult func(arg interface{}) ([]byte, error)
+	appendResult func(dst []byte, arg interface{}) ([]byte, error)
 	decodeResult func(b []byte, arg interface{}) error
 }
 
 var errBadArg = errors.New("rfs: ioctl argument has the wrong type")
 
 // nothing is the codec piece for absent halves.
-func nothingIn(arg interface{}) ([]byte, error)     { return nil, nil }
-func nothingOut(b []byte, arg interface{}) error    { return nil }
-func makeNothing(b []byte) (interface{}, error)     { return nil, nil }
-func resultNothing(arg interface{}) ([]byte, error) { return nil, nil }
+func nothingIn(arg interface{}) ([]byte, error)                 { return nil, nil }
+func nothingOut(b []byte, arg interface{}) error                { return nil }
+func makeNothing(b []byte) (interface{}, error)                 { return nil, nil }
+func resultNothing(dst []byte, arg interface{}) ([]byte, error) { return dst, nil }
 
 // noArgCodec: commands with no operand at all (PIOCSFORK etc.).
 var noArgCodec = ioctlCodec{
 	encodeArg:    nothingIn,
 	decodeArg:    makeNothing,
-	encodeResult: resultNothing,
+	appendResult: resultNothing,
 	decodeResult: nothingOut,
 }
 
@@ -58,7 +63,7 @@ var intInCodec = ioctlCodec{
 		}
 		return &v, nil
 	},
-	encodeResult: resultNothing,
+	appendResult: resultNothing,
 	decodeResult: nothingOut,
 }
 
@@ -69,12 +74,12 @@ var intOutCodec = ioctlCodec{
 		v := 0
 		return &v, nil
 	},
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		v, ok := arg.(*int)
 		if !ok {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
-		m := &buf{}
+		m := &buf{b: dst}
 		m.putU32(uint32(*v))
 		return m.b, nil
 	},
@@ -96,12 +101,12 @@ var statusOutCodec = ioctlCodec{
 	decodeArg: func(b []byte) (interface{}, error) {
 		return &kernel.ProcStatus{}, nil
 	},
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		st, ok := arg.(*kernel.ProcStatus)
 		if !ok {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
-		return procfs2.EncodeStatus(*st), nil
+		return append(dst, procfs2.EncodeStatus(*st)...), nil
 	},
 	decodeResult: func(b []byte, arg interface{}) error {
 		if arg == nil {
@@ -143,19 +148,19 @@ var sigSetInCodec = ioctlCodec{
 		}
 		return &s, nil
 	},
-	encodeResult: resultNothing,
+	appendResult: resultNothing,
 	decodeResult: nothingOut,
 }
 
 var sigSetOutCodec = ioctlCodec{
 	encodeArg: nothingIn,
 	decodeArg: func(b []byte) (interface{}, error) { return &types.SigSet{}, nil },
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		s, ok := arg.(*types.SigSet)
 		if !ok {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
-		m := &buf{}
+		m := &buf{b: dst}
 		m.putU64(s[0])
 		m.putU64(s[1])
 		return m.b, nil
@@ -190,7 +195,7 @@ var fltSetInCodec = ioctlCodec{
 		}
 		return &s, nil
 	},
-	encodeResult: resultNothing,
+	appendResult: resultNothing,
 	decodeResult: nothingOut,
 }
 
@@ -217,12 +222,12 @@ var sysSetInCodec = ioctlCodec{
 		}
 		return &s, nil
 	},
-	encodeResult: resultNothing,
+	appendResult: resultNothing,
 	decodeResult: nothingOut,
 }
 
-func encodeRegs(r *vcpu.Regs) []byte {
-	m := &buf{}
+func appendRegs(dst []byte, r *vcpu.Regs) []byte {
+	m := &buf{b: dst}
 	for _, v := range r.R {
 		m.putU32(v)
 	}
@@ -250,7 +255,7 @@ var regsInCodec = ioctlCodec{
 		if !ok || r == nil {
 			return nil, errBadArg
 		}
-		return encodeRegs(r), nil
+		return appendRegs(nil, r), nil
 	},
 	decodeArg: func(b []byte) (interface{}, error) {
 		r, err := decodeRegs(b)
@@ -259,19 +264,19 @@ var regsInCodec = ioctlCodec{
 		}
 		return &r, nil
 	},
-	encodeResult: resultNothing,
+	appendResult: resultNothing,
 	decodeResult: nothingOut,
 }
 
 var regsOutCodec = ioctlCodec{
 	encodeArg: nothingIn,
 	decodeArg: func(b []byte) (interface{}, error) { return &vcpu.Regs{}, nil },
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		r, ok := arg.(*vcpu.Regs)
 		if !ok {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
-		return encodeRegs(r), nil
+		return appendRegs(dst, r), nil
 	},
 	decodeResult: func(b []byte, arg interface{}) error {
 		r, ok := arg.(*vcpu.Regs)
@@ -336,19 +341,19 @@ var runCodec = ioctlCodec{
 			SetSig:     setSig,
 		}, nil
 	},
-	encodeResult: resultNothing,
+	appendResult: resultNothing,
 	decodeResult: nothingOut,
 }
 
 var psinfoCodec = ioctlCodec{
 	encodeArg: nothingIn,
 	decodeArg: func(b []byte) (interface{}, error) { return &kernel.PSInfo{}, nil },
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		info, ok := arg.(*kernel.PSInfo)
 		if !ok {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
-		return procfs2.EncodePSInfo(*info), nil
+		return append(dst, procfs2.EncodePSInfo(*info)...), nil
 	},
 	decodeResult: func(b []byte, arg interface{}) error {
 		info, ok := arg.(*kernel.PSInfo)
@@ -367,12 +372,12 @@ var psinfoCodec = ioctlCodec{
 var credCodec = ioctlCodec{
 	encodeArg: nothingIn,
 	decodeArg: func(b []byte) (interface{}, error) { return &types.Cred{}, nil },
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		c, ok := arg.(*types.Cred)
 		if !ok {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
-		return procfs2.EncodeCred(*c), nil
+		return append(dst, procfs2.EncodeCred(*c)...), nil
 	},
 	decodeResult: func(b []byte, arg interface{}) error {
 		c, ok := arg.(*types.Cred)
@@ -391,10 +396,10 @@ var credCodec = ioctlCodec{
 var mapCodec = ioctlCodec{
 	encodeArg: nothingIn,
 	decodeArg: func(b []byte) (interface{}, error) { return &[]procfs.PrMap{}, nil },
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		maps, ok := arg.(*[]procfs.PrMap)
 		if !ok {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
 		entries := make([]procfs2.MapEntry, len(*maps))
 		for i, pm := range *maps {
@@ -404,7 +409,7 @@ var mapCodec = ioctlCodec{
 				Kind: int32(pm.Kind), Name: pm.Name,
 			}
 		}
-		return procfs2.EncodeMap(entries), nil
+		return append(dst, procfs2.EncodeMap(entries)...), nil
 	},
 	decodeResult: func(b []byte, arg interface{}) error {
 		maps, ok := arg.(*[]procfs.PrMap)
@@ -431,27 +436,23 @@ var mapCodec = ioctlCodec{
 var usageCodec = ioctlCodec{
 	encodeArg: nothingIn,
 	decodeArg: func(b []byte) (interface{}, error) { return &procfs.PrUsage{}, nil },
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		u, ok := arg.(*procfs.PrUsage)
 		if !ok {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
-		return procfs2.EncodeUsage(u.Usage, u.MinorFaults, u.COWFaults, u.WatchRecover, u.StackGrows), nil
+		return append(dst, procfs2.EncodeUsage(*u)...), nil
 	},
 	decodeResult: func(b []byte, arg interface{}) error {
 		u, ok := arg.(*procfs.PrUsage)
 		if !ok || u == nil {
 			return errBadArg
 		}
-		rec, err := procfs2.DecodeUsage(b)
+		got, err := procfs2.DecodeUsage(b)
 		if err != nil {
 			return err
 		}
-		u.Usage = rec.Usage
-		u.MinorFaults = rec.MinorFaults
-		u.COWFaults = rec.COWFaults
-		u.WatchRecover = rec.WatchRecover
-		u.StackGrows = rec.StackGrows
+		*u = got
 		return nil
 	},
 }
@@ -476,13 +477,15 @@ var watchInCodec = ioctlCodec{
 		}
 		return &w, nil
 	},
-	encodeResult: resultNothing,
+	appendResult: resultNothing,
 	decodeResult: nothingOut,
 }
 
 // snapCodec carries PIOCSNAP: the filter and prior revision travel out, the
 // whole record batch travels back in one frame — the round trip the batched
-// ioctl exists to save multiplied across the table.
+// ioctl exists to save multiplied across the table. The result is encoded
+// straight onto the response frame and decoded straight into the caller's
+// PrSnap.Procs, so the table is copied once per hop.
 var snapCodec = ioctlCodec{
 	encodeArg: func(arg interface{}) ([]byte, error) {
 		sn, ok := arg.(*procfs.PrSnap)
@@ -509,54 +512,32 @@ var snapCodec = ioctlCodec{
 		if m.err != nil {
 			return nil, m.err
 		}
-		if n < 0 || n > 1<<20 {
-			return nil, errBadArg
+		// The pid count is untrusted: one the remaining bytes cannot hold
+		// is rejected before the filter is allocated.
+		if n > (len(b)-m.off)/4 {
+			return nil, errShort
 		}
 		if n > 0 {
-			sn.Pids = make([]int, 0, n)
-			for i := 0; i < n && m.err == nil; i++ {
-				sn.Pids = append(sn.Pids, int(int32(m.u32())))
+			sn.Pids = make([]int, n)
+			for i := range sn.Pids {
+				sn.Pids[i] = int(int32(m.u32()))
 			}
-		}
-		if m.err != nil {
-			return nil, m.err
 		}
 		return sn, nil
 	},
-	encodeResult: func(arg interface{}) ([]byte, error) {
+	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		sn, ok := arg.(*procfs.PrSnap)
 		if !ok || sn == nil {
-			return nil, errBadArg
+			return dst, errBadArg
 		}
-		recs := make([]procfs2.SnapRec, len(sn.Procs))
-		for i, r := range sn.Procs {
-			recs[i] = procfs2.SnapRec{Info: r.Info, Usage: procfs2.UsageRecord{
-				Usage:       r.Usage.Usage,
-				MinorFaults: r.Usage.MinorFaults, COWFaults: r.Usage.COWFaults,
-				WatchRecover: r.Usage.WatchRecover, StackGrows: r.Usage.StackGrows,
-			}}
-		}
-		return procfs2.EncodeSnap(sn.Rev, sn.Churned, recs), nil
+		return procfs2.AppendSnap(dst, sn), nil
 	},
 	decodeResult: func(b []byte, arg interface{}) error {
 		sn, ok := arg.(*procfs.PrSnap)
 		if !ok || sn == nil {
 			return errBadArg
 		}
-		rev, churned, recs, err := procfs2.DecodeSnap(b)
-		if err != nil {
-			return err
-		}
-		sn.Rev, sn.Churned = rev, churned
-		sn.Procs = make([]procfs.PrSnapRec, len(recs))
-		for i, r := range recs {
-			sn.Procs[i] = procfs.PrSnapRec{Info: r.Info, Usage: procfs.PrUsage{
-				Usage:       r.Usage.Usage,
-				MinorFaults: r.Usage.MinorFaults, COWFaults: r.Usage.COWFaults,
-				WatchRecover: r.Usage.WatchRecover, StackGrows: r.Usage.StackGrows,
-			}}
-		}
-		return nil
+		return procfs2.DecodeSnapInto(b, sn)
 	},
 }
 

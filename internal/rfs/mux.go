@@ -353,6 +353,10 @@ type muxFrame struct {
 	body []byte
 }
 
+// muxFrameHint is the initial capacity of a response frame: enough for the
+// tag, the header and a small result, so most responses never regrow.
+const muxFrameHint = 64
+
 // muxBatchLimit caps how many queued read-mostly requests one worker will
 // serve under a single Server.Lock acquisition.
 const muxBatchLimit = 16
@@ -510,16 +514,16 @@ func (s *Server) muxWorker(reqs <-chan muxFrame, resps chan<- []byte) {
 				}
 			}
 		}
+		// Each response is built behind its tag, in the frame the writer
+		// sends, so nothing is copied after the dispatch.
 		out := make([][]byte, len(batch))
 		s.Lock.Lock()
 		for i, q := range batch {
-			out[i] = s.handleLocked(q.body)
+			frame := binary.BigEndian.AppendUint32(make([]byte, 0, muxFrameHint), q.tag)
+			out[i] = s.appendResponse(frame, q.body)
 		}
 		s.Lock.Unlock()
-		for i, q := range batch {
-			frame := make([]byte, 4+len(out[i]))
-			binary.BigEndian.PutUint32(frame, q.tag)
-			copy(frame[4:], out[i])
+		for _, frame := range out {
 			resps <- frame
 		}
 	}

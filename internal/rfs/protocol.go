@@ -201,14 +201,16 @@ func (m *buf) str() string {
 	return s
 }
 
-func (m *buf) bytes() []byte {
+// view returns the next length-prefixed byte string as a subslice of the
+// message, without copying: the caller must own the message for as long as
+// it holds the view.
+func (m *buf) view() []byte {
 	n := int(m.u32())
 	if m.err != nil || n < 0 || m.off+n > len(m.b) {
 		m.err = errShort
 		return nil
 	}
-	p := make([]byte, n)
-	copy(p, m.b[m.off:])
+	p := m.b[m.off : m.off+n : m.off+n]
 	m.off += n
 	return p
 }

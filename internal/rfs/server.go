@@ -1,6 +1,7 @@
 package rfs
 
 import (
+	"encoding/binary"
 	"io"
 	"sync"
 
@@ -106,13 +107,21 @@ func (s *Server) LoadState(st *ServerState) {
 func (s *Server) Handle(req []byte) []byte {
 	s.Lock.Lock()
 	defer s.Lock.Unlock()
-	return s.handleLocked(req)
+	return s.appendResponse(nil, req)
 }
 
-// handleLocked processes one request body with the server lock already
+// successHeader is the response header of a success: error code errNone and an
+// empty message.
+var successHeader [8]byte
+
+// appendResponse processes one request body with the server lock already
 // held by the caller — the multiplexed path batches several requests under
-// one acquisition.
-func (s *Server) handleLocked(req []byte) []byte {
+// one acquisition — and appends the response to dst, which may already hold
+// a frame prefix such as the mux tag. The success header is reserved up
+// front and the body encoded behind it, so a result is written once, into
+// the frame that goes on the wire; only a failure rewrites the header, and
+// it discards whatever body the failed operation had begun.
+func (s *Server) appendResponse(dst, req []byte) []byte {
 	in := &buf{b: req}
 	op := in.u8()
 	cred := types.Cred{
@@ -120,22 +129,22 @@ func (s *Server) handleLocked(req []byte) []byte {
 		RGID: int(in.u32()), EGID: int(in.u32()),
 	}
 	cred.SUID, cred.SGID = cred.EUID, cred.EGID
-	out := &buf{}
-	var err error
-	if in.err != nil {
-		err = in.err
-	} else {
+	hdr := len(dst)
+	out := &buf{b: append(dst, successHeader[:]...)}
+	err := in.err
+	if err == nil {
 		err = s.dispatch(op, cred, in, out)
 	}
-	code, msg := encodeErr(err)
-	resp := &buf{}
-	resp.putU32(code)
-	resp.putStr(msg)
-	resp.b = append(resp.b, out.b...)
-	if s.Tap != nil {
-		s.Tap(req, resp.b)
+	if err != nil {
+		code, msg := encodeErr(err)
+		out.b = out.b[:hdr]
+		out.putU32(code)
+		out.putStr(msg)
 	}
-	return resp.b
+	if s.Tap != nil {
+		s.Tap(req, out.b[hdr:])
+	}
+	return out.b
 }
 
 func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
@@ -197,7 +206,7 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 	case opWrite:
 		fd := in.u32()
 		off := in.i64()
-		data := in.bytes()
+		data := in.view()
 		if in.err != nil {
 			return in.err
 		}
@@ -243,7 +252,7 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 	case opIoctl:
 		fd := in.u32()
 		cmd := int(in.u32())
-		argBytes := in.bytes()
+		argBytes := in.view()
 		if in.err != nil {
 			return in.err
 		}
@@ -264,11 +273,14 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 		if err := f.Ioctl(cmd, arg); err != nil {
 			return err
 		}
-		res, err := codec.encodeResult(arg)
-		if err != nil {
+		// The result goes straight onto the response behind a length word
+		// patched once the encoding is done.
+		at := len(out.b)
+		out.putU32(0)
+		if out.b, err = codec.appendResult(out.b, arg); err != nil {
 			return err
 		}
-		out.putBytes(res)
+		binary.BigEndian.PutUint32(out.b[at:], uint32(len(out.b)-at-4))
 		return nil
 
 	case opPoll:

@@ -10,6 +10,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/kernel"
 	"repro/internal/procfs"
@@ -37,15 +38,54 @@ func Snapshot(cl ProcClient, sn *procfs.PrSnap) error {
 	return f.Ioctl(procfs.PIOCSNAP, sn)
 }
 
-func psHeader(w io.Writer) {
-	fmt.Fprintf(w, "%5s %5s %4s %4s %2s %8s %6s %s\n",
-		"PID", "PPID", "UID", "GID", "S", "VSZ", "TIME", "COMD")
+// The sweeps render their listings with strconv appends into one buffer
+// and make a single Write: fmt's per-argument formatting would be most of
+// a large sweep's client time. Each line is byte-identical to the format
+// string quoted above its append function.
+
+// psHeader is the ps column header.
+const psHeader = "  PID  PPID  UID  GID  S      VSZ   TIME COMD\n"
+
+// lineHint is a typical rendered line's length, for presizing a listing.
+const lineHint = 64
+
+// appendPSLine appends one ps line:
+// "%5d %5d %4d %4d %2c %8d %6d %s\n" of Pid, PPid, UID, GID, State,
+// VSize, Time, Comm.
+func appendPSLine(b []byte, info *kernel.PSInfo) []byte {
+	b = appendCol(b, int64(info.Pid), 5)
+	b = appendCol(b, int64(info.PPid), 5)
+	b = appendCol(b, int64(info.UID), 4)
+	b = appendCol(b, int64(info.GID), 4)
+	b = append(b, ' ') // %2c: one rune, padded to two
+	b = utf8.AppendRune(b, rune(info.State))
+	b = append(b, ' ')
+	b = appendCol(b, info.VSize, 8)
+	b = appendCol(b, info.Time, 6)
+	b = append(b, info.Comm...)
+	return append(b, '\n')
 }
 
-func psLine(w io.Writer, info kernel.PSInfo) {
-	fmt.Fprintf(w, "%5d %5d %4d %4d %2c %8d %6d %s\n",
-		info.Pid, info.PPid, info.UID, info.GID, info.State,
-		info.VSize, info.Time, info.Comm)
+// appendCol appends v right-aligned in width columns and a separating
+// space: fmt's "%<width>d ".
+func appendCol(b []byte, v int64, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], v, 10)
+	for n := len(digits); n < width; n++ {
+		b = append(b, ' ')
+	}
+	b = append(b, digits...)
+	return append(b, ' ')
+}
+
+// appendLeftCol appends s left-aligned in width columns, counted in runes,
+// and a separating space: fmt's "%-<width>s ".
+func appendLeftCol(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return append(b, ' ')
 }
 
 // PS implements ps(1) over the batched snapshot: one open of the /proc
@@ -57,11 +97,13 @@ func PS(cl ProcClient, w io.Writer) error {
 	if err := Snapshot(cl, &sn); err != nil {
 		return err
 	}
-	psHeader(w)
-	for _, rec := range sn.Procs {
-		psLine(w, rec.Info)
+	b := make([]byte, 0, len(psHeader)+len(sn.Procs)*lineHint)
+	b = append(b, psHeader...)
+	for i := range sn.Procs {
+		b = appendPSLine(b, &sn.Procs[i].Info)
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
 // PSLegacy implements the SVR4 ps(1) logic the paper describes: read the
@@ -75,16 +117,18 @@ func PSLegacy(cl ProcClient, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	psHeader(w)
+	b := make([]byte, 0, len(psHeader)+len(ents)*lineHint)
+	b = append(b, psHeader...)
 	for _, e := range ents {
 		info, err := PSInfoOf(cl, e.Name)
 		if err != nil {
 			// The process may have exited between readdir and open.
 			continue
 		}
-		psLine(w, info)
+		b = appendPSLine(b, &info)
 	}
-	return nil
+	_, err = w.Write(b)
+	return err
 }
 
 // PSInfoOf fetches one process's PIOCPSINFO by directory entry name.

@@ -40,15 +40,25 @@ func (s UsageSample) ModifiedPages() int {
 	return n
 }
 
-func usageHeader(w io.Writer) {
-	fmt.Fprintf(w, "%5s %-12s %6s %6s %8s %6s %6s %5s %5s %5s\n",
-		"PID", "COMD", "UTIME", "STIME", "SYSCALLS", "FAULTS", "MINFLT", "COW", "VCTX", "ICTX")
-}
+// usageHeader is the fleet-usage column header.
+const usageHeader = "  PID COMD          UTIME  STIME SYSCALLS FAULTS MINFLT   COW  VCTX  ICTX\n"
 
-func usageLine(w io.Writer, info kernel.PSInfo, u procfs.PrUsage) {
-	fmt.Fprintf(w, "%5d %-12s %6d %6d %8d %6d %6d %5d %5d %5d\n",
-		info.Pid, info.Comm, u.UserTicks, u.SysTicks, u.Syscalls,
-		u.Faults, u.MinorFaults, u.COWFaults, u.VolCtx, u.InvolCtx)
+// appendUsageLine appends one fleet-usage line:
+// "%5d %-12s %6d %6d %8d %6d %6d %5d %5d %5d\n" of Pid, Comm, UserTicks,
+// SysTicks, Syscalls, Faults, MinorFaults, COWFaults, VolCtx, InvolCtx.
+func appendUsageLine(b []byte, info *kernel.PSInfo, u *procfs.PrUsage) []byte {
+	b = appendCol(b, int64(info.Pid), 5)
+	b = appendLeftCol(b, info.Comm, 12)
+	b = appendCol(b, u.UserTicks, 6)
+	b = appendCol(b, u.SysTicks, 6)
+	b = appendCol(b, u.Syscalls, 8)
+	b = appendCol(b, u.Faults, 6)
+	b = appendCol(b, u.MinorFaults, 6)
+	b = appendCol(b, u.COWFaults, 5)
+	b = appendCol(b, u.VolCtx, 5)
+	b = appendCol(b, u.InvolCtx, 5)
+	b[len(b)-1] = '\n' // the last column's separator ends the line
+	return b
 }
 
 // FleetUsage prints one resource-usage line per live process using the
@@ -59,16 +69,19 @@ func FleetUsage(cl ProcClient, w io.Writer) error {
 	if err := Snapshot(cl, &sn); err != nil {
 		return err
 	}
-	usageHeader(w)
-	for _, rec := range sn.Procs {
+	b := make([]byte, 0, len(usageHeader)+len(sn.Procs)*lineHint)
+	b = append(b, usageHeader...)
+	for i := range sn.Procs {
+		rec := &sn.Procs[i]
 		if rec.Info.State == 'Z' {
 			// The per-pid path skips zombies: PIOCUSAGE fails once the
 			// process has exited.
 			continue
 		}
-		usageLine(w, rec.Info, rec.Usage)
+		b = appendUsageLine(b, &rec.Info, &rec.Usage)
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
 // FleetUsageLegacy is the per-pid sweep: readdir /proc, then one open and
@@ -78,7 +91,8 @@ func FleetUsageLegacy(cl ProcClient, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	usageHeader(w)
+	b := make([]byte, 0, len(usageHeader)+len(ents)*lineHint)
+	b = append(b, usageHeader...)
 	for _, e := range ents {
 		f, err := cl.Open("/proc/"+e.Name, vfs.ORead)
 		if err != nil {
@@ -94,9 +108,10 @@ func FleetUsageLegacy(cl ProcClient, w io.Writer) error {
 		if err != nil {
 			continue // became a zombie under the open handle
 		}
-		usageLine(w, info, u)
+		b = appendUsageLine(b, &info, &u)
 	}
-	return nil
+	_, err = w.Write(b)
+	return err
 }
 
 // UsageMonitor samples a process at intervals, driving the simulation
