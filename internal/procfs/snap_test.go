@@ -215,6 +215,10 @@ func TestSnapshotPidFilter(t *testing.T) {
 	if len(sn.Procs) != 1 || sn.Procs[0].Info.Pid != a.Pid {
 		t.Fatalf("filtered snapshot = %+v", sn.Procs)
 	}
+	// The record slice is sized by the filter, not the whole table.
+	if cap(sn.Procs) != 1 {
+		t.Fatalf("filtered snapshot reserved %d records for one pid", cap(sn.Procs))
+	}
 }
 
 // TestSnapshotHandleErrno pins the error surface of the /proc root handle:
