@@ -115,13 +115,13 @@ replay-smoke:
 bench-json-pr9:
 	$(GO) run ./cmd/benchjson -bench 'BenchmarkKernelStep(Traced|Recorded)$$' -label after -o BENCH_PR9.json
 
-# crash-smoke is the crash-consistency gate: the every-ordinal crash storm
-# and the EIO matrix under the race detector (-short trims the storm to one
-# seed), then one real-binary pass — format a file-backed image, kill it at
+# crash-smoke is the crash-consistency gate: the every-ordinal crash storm,
+# the EIO matrix and the golden device-write stream under the race detector
+# (-short trims the storm to one seed), then one real-binary pass — format a file-backed image, kill it at
 # a seeded write ordinal, and prove fsck mounts it, replays the journal and
 # finds a clean image.
 crash-smoke:
-	$(GO) test -race -short -count=1 -run 'TestCrashStorm|TestCrashDuringCheckpoint|TestEIO' ./internal/blockfs/
+	$(GO) test -race -short -count=1 -run 'TestCrashStorm|TestCrashDuringCheckpoint|TestEIO|TestGoldenDeviceStream' ./internal/blockfs/
 	$(GO) run ./cmd/bfs -img .crash-smoke.img mkfs -blocks 1024
 	$(GO) run ./cmd/bfs -img .crash-smoke.img crash -seed 7 -ops 40
 	$(GO) run ./cmd/bfs -img .crash-smoke.img fsck

@@ -1088,6 +1088,7 @@ func BenchmarkBlockFSWrite(b *testing.B) {
 		data[i] = byte(i)
 	}
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := cl.Open("/disk/bench", vfs.OWrite|vfs.OCreat|vfs.OTrunc)

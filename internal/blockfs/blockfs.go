@@ -27,9 +27,12 @@ type FS struct {
 	jpos  uint32
 	jseq  uint64
 
-	// Open-transaction state (journal.go).
-	tx      map[uint32]*txEntry
-	txOrder []uint32
+	// Open-transaction state (journal.go): whether one is open, its
+	// modified blocks in first-touch order, and the scratch block its
+	// descriptor and commit record are built in.
+	txOpen bool
+	tx     []txEntry
+	jbuf   []byte
 
 	// nodes interns one bnode per live inode so vnode identity is stable;
 	// gen counts reuses of each inode number so handles opened before an
@@ -80,6 +83,7 @@ func Mount(dev Dev, opts ...MountOptions) (*FS, error) {
 		epoch: epoch,
 		jpos:  sb.jStart + 1,
 		jseq:  1,
+		jbuf:  make([]byte, BlockSize),
 		nodes: make(map[uint32]*bnode),
 		gen:   make(map[uint32]uint64),
 	}

@@ -2,7 +2,7 @@ package blockfs
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/vfs"
 )
@@ -27,24 +27,29 @@ var errCacheBusy = errors.New("blockfs: buffer cache exhausted (all slots pinned
 // that modified it. A dirty buffer with an uncommitted modification is
 // always pinned, which is the mechanism that keeps uncommitted data off the
 // device: eviction only ever writes back unpinned buffers, and by then the
-// journal has the block's committed image.
+// journal has the block's committed image. inTx marks a buffer already in
+// the open transaction's slot list, so bmod's membership test is O(1).
 type cbuf struct {
 	no    uint32
 	data  []byte
 	dirty bool
+	inTx  bool
 	pins  int
 
 	prev, next *cbuf // LRU list; head is most recently used
 }
 
 // cache is the LRU write-back buffer cache. It is not internally locked:
-// every caller holds FS.mu.
+// every caller holds FS.mu. Once the cache is full it recycles: an evicted
+// buffer, data slice and all, becomes the buffer of the block that needed
+// its slot, and flushAll reuses one block-number list across checkpoints.
 type cache struct {
 	dev   Dev
 	slots int
 	m     map[uint32]*cbuf
 	head  *cbuf
 	tail  *cbuf
+	nos   []uint32 // flushAll's dirty list, kept for reuse
 }
 
 func newCache(dev Dev, slots int) *cache {
@@ -85,7 +90,8 @@ func (c *cache) pushFront(b *cbuf) {
 // get returns the buffer for block no with one pin added; callers release it
 // with put. fill=false skips the device read for blocks about to be fully
 // overwritten (freshly allocated zones) and returns a zeroed buffer — which
-// is also the zero-fill a grown file's unwritten tail must read as.
+// is also the zero-fill a grown file's unwritten tail must read as. A
+// recycled buffer still holds its old block's bytes, so it is cleared here.
 func (c *cache) get(no uint32, fill bool) (*cbuf, error) {
 	if b, ok := c.m[no]; ok {
 		b.pins++
@@ -93,12 +99,20 @@ func (c *cache) get(no uint32, fill bool) (*cbuf, error) {
 		c.pushFront(b)
 		return b, nil
 	}
+	var b *cbuf
 	if len(c.m) >= c.slots {
-		if err := c.evictOne(); err != nil {
+		old, err := c.evictOne()
+		if err != nil {
 			return nil, err
 		}
+		*old = cbuf{no: no, data: old.data}
+		if !fill {
+			clear(old.data)
+		}
+		b = old
+	} else {
+		b = &cbuf{no: no, data: make([]byte, BlockSize)}
 	}
-	b := &cbuf{no: no, data: make([]byte, BlockSize)}
 	if fill {
 		if siteRead.Hit(0) {
 			return nil, vfs.ErrIO
@@ -129,36 +143,38 @@ func (c *cache) writeBack(b *cbuf) error {
 }
 
 // evictOne frees the least-recently-used unpinned slot, writing it back
-// first if dirty. Only committed data can reach this path (uncommitted
-// modifications hold a transaction pin).
-func (c *cache) evictOne() error {
+// first if dirty, and returns the evicted buffer for get to reuse. Only
+// committed data can reach this path (uncommitted modifications hold a
+// transaction pin).
+func (c *cache) evictOne() (*cbuf, error) {
 	for b := c.tail; b != nil; b = b.prev {
 		if b.pins > 0 {
 			continue
 		}
 		if b.dirty {
 			if err := c.writeBack(b); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		c.unlink(b)
 		delete(c.m, b.no)
-		return nil
+		return b, nil
 	}
-	return errCacheBusy
+	return nil, errCacheBusy
 }
 
 // flushAll writes every dirty buffer home in ascending block order — sorted
 // so the device-write ordinal sequence (the crash storm's clock) is a pure
 // function of the cache contents, not map iteration order.
 func (c *cache) flushAll() error {
-	var nos []uint32
+	nos := c.nos[:0]
 	for no, b := range c.m {
 		if b.dirty {
 			nos = append(nos, no)
 		}
 	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
+	slices.Sort(nos)
+	c.nos = nos
 	for _, no := range nos {
 		if err := c.writeBack(c.m[no]); err != nil {
 			return err

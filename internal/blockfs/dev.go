@@ -11,7 +11,8 @@ import (
 // Dev is a block device: a fixed array of BlockSize-byte blocks addressed by
 // absolute block number. WriteBlock is all-or-nothing at block granularity —
 // the journal's torn-write detection is per block, not per byte — and Sync is
-// the durability barrier the journal orders its records around.
+// the durability barrier the journal orders its records around. A device
+// must not keep p past the call: the file system reuses its block buffers.
 type Dev interface {
 	ReadBlock(no uint32, p []byte) error
 	WriteBlock(no uint32, p []byte) error

@@ -29,6 +29,10 @@ import (
 // dirty+cached until checkpoint, and a checkpoint invalidates the journal
 // only after the flush and sync succeed.
 
+// txEntry is one block modified by the open transaction. FS.tx keeps its
+// slots across transactions, and each slot keeps its pre-image buffer, so
+// a transaction allocates nothing once the slots have reached the size of
+// the largest transaction seen.
 type txEntry struct {
 	b        *cbuf
 	pre      []byte // pre-image for rollback
@@ -40,7 +44,7 @@ type txEntry struct {
 // checkpoint is always valid here — which is why the space check lives at
 // begin and not mid-commit.
 func (fs *FS) begin() error {
-	if fs.tx != nil {
+	if fs.txOpen {
 		panic("blockfs: nested transaction")
 	}
 	if fs.sb.jStart+fs.sb.jBlocks-fs.jpos < journalReserve {
@@ -48,21 +52,30 @@ func (fs *FS) begin() error {
 			return err
 		}
 	}
-	fs.tx = make(map[uint32]*txEntry)
-	fs.txOrder = fs.txOrder[:0]
+	fs.txOpen = true
 	return nil
 }
 
 // bmod registers b as modified by the open transaction: first touch saves
-// the pre-image and adds the transaction pin that blocks eviction until
-// commit or rollback. Callers mutate b.data after (or between) bmod calls.
+// the pre-image into the next transaction slot and adds the transaction pin
+// that blocks eviction until commit or rollback. Callers mutate b.data
+// after (or between) bmod calls.
 func (fs *FS) bmod(b *cbuf) {
-	if fs.tx == nil {
+	if !fs.txOpen {
 		panic("blockfs: bmod outside transaction")
 	}
-	if _, ok := fs.tx[b.no]; !ok {
-		fs.tx[b.no] = &txEntry{b: b, pre: append([]byte(nil), b.data...), preDirty: b.dirty}
-		fs.txOrder = append(fs.txOrder, b.no)
+	if !b.inTx {
+		n := len(fs.tx)
+		if n < cap(fs.tx) {
+			fs.tx = fs.tx[:n+1]
+		} else {
+			fs.tx = append(fs.tx, txEntry{})
+		}
+		e := &fs.tx[n]
+		e.b = b
+		e.pre = append(e.pre[:0], b.data...)
+		e.preDirty = b.dirty
+		b.inTx = true
 		b.pins++
 	}
 	b.dirty = true
@@ -76,15 +89,24 @@ func (fs *FS) journalWrite(no uint32, p []byte) error {
 	return fs.dev.WriteBlock(no, p)
 }
 
+// scratch returns the FS-owned journal scratch block, zeroed: the
+// descriptor, the commit block and the checkpoint header are each built in
+// it just before their device write, so every byte not explicitly set is
+// zero exactly as in a freshly allocated block.
+func (fs *FS) scratch() []byte {
+	clear(fs.jbuf)
+	return fs.jbuf
+}
+
 // commit writes the transaction's record and makes it durable. On any write
 // failure the transaction rolls back completely — in-memory buffers restore
 // their pre-images and the journal cursor rewinds, so a failed operation
 // leaves no trace in memory or on disk.
 func (fs *FS) commit() error {
-	if fs.tx == nil {
+	if !fs.txOpen {
 		panic("blockfs: commit outside transaction")
 	}
-	n := uint32(len(fs.txOrder))
+	n := uint32(len(fs.tx))
 	if n == 0 {
 		fs.endTx()
 		return nil
@@ -99,31 +121,33 @@ func (fs *FS) commit() error {
 		fs.rollback()
 		return vfs.ErrNoSpace
 	}
-	desc := make([]byte, BlockSize)
+	desc := fs.scratch()
 	put32(desc, 0, jDescMagic)
 	put64(desc, 4, fs.epoch)
 	put64(desc, 12, fs.jseq)
 	put32(desc, 20, n)
-	for i, no := range fs.txOrder {
-		put32(desc, 28+8*i, no)
-		put32(desc, 28+8*i+4, crc32.ChecksumIEEE(fs.tx[no].b.data))
+	for i := range fs.tx {
+		b := fs.tx[i].b
+		put32(desc, 28+8*i, b.no)
+		put32(desc, 28+8*i+4, crc32.ChecksumIEEE(b.data))
 	}
+	descCRC := crc32.ChecksumIEEE(desc[28 : 28+8*n])
 	if err := fs.journalWrite(fs.jpos, desc); err != nil {
 		fs.rollback()
 		return err
 	}
-	for i, no := range fs.txOrder {
-		if err := fs.journalWrite(fs.jpos+1+uint32(i), fs.tx[no].b.data); err != nil {
+	for i := range fs.tx {
+		if err := fs.journalWrite(fs.jpos+1+uint32(i), fs.tx[i].b.data); err != nil {
 			fs.rollback()
 			return err
 		}
 	}
-	cmt := make([]byte, BlockSize)
+	cmt := fs.scratch()
 	put32(cmt, 0, jCommitMagic)
 	put64(cmt, 4, fs.epoch)
 	put64(cmt, 12, fs.jseq)
 	put32(cmt, 20, n)
-	put32(cmt, 24, crc32.ChecksumIEEE(desc[28:28+8*n]))
+	put32(cmt, 24, descCRC)
 	if err := fs.journalWrite(fs.jpos+n+1, cmt); err != nil {
 		fs.rollback()
 		return err
@@ -134,26 +158,28 @@ func (fs *FS) commit() error {
 	return nil
 }
 
-// endTx releases the transaction pins, keeping the buffers dirty.
+// endTx releases the transaction pins, keeping the buffers dirty, and
+// empties the slot list for the next transaction.
 func (fs *FS) endTx() {
-	for _, no := range fs.txOrder {
-		fs.tx[no].b.pins--
+	for i := range fs.tx {
+		e := &fs.tx[i]
+		e.b.inTx = false
+		e.b.pins--
+		e.b = nil
 	}
-	fs.tx = nil
-	fs.txOrder = fs.txOrder[:0]
+	fs.tx = fs.tx[:0]
+	fs.txOpen = false
 }
 
 // rollback restores every modified buffer's pre-image and dirty state and
 // rewinds the journal cursor past any partial record.
 func (fs *FS) rollback() {
-	for _, no := range fs.txOrder {
-		e := fs.tx[no]
+	for i := range fs.tx {
+		e := &fs.tx[i]
 		copy(e.b.data, e.pre)
 		e.b.dirty = e.preDirty
-		e.b.pins--
 	}
-	fs.tx = nil
-	fs.txOrder = fs.txOrder[:0]
+	fs.endTx()
 }
 
 // run executes fn inside a transaction: rollback on error, commit on
@@ -185,7 +211,7 @@ func (fs *FS) checkpoint() error {
 	if err := fs.dev.Sync(); err != nil {
 		return err
 	}
-	hdr := make([]byte, BlockSize)
+	hdr := fs.scratch()
 	put32(hdr, 0, jMagic)
 	put64(hdr, 4, fs.epoch+1)
 	if err := fs.journalWrite(fs.sb.jStart, hdr); err != nil {

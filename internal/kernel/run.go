@@ -293,9 +293,13 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 		case phRetUser:
 			// Just before returning to user level:
 			//	if (issig()) psig();
+			// gated, as at the other natural points of control, on there
+			// being a directive or a signal for issig to act on.
 			if w == nil {
-				if k.issig(l, false) {
-					k.psig(l)
+				if l.dstop || l.CurSig != 0 || !p.SigPend.IsEmpty() {
+					if k.issig(l, false) {
+						k.psig(l)
+					}
 				}
 				if l.state == LZombie || !p.Alive() || l.Stopped() {
 					return ran

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"math/bits"
+
 	"repro/internal/types"
 	"repro/internal/vcpu"
 )
@@ -88,8 +90,14 @@ func (l *LWP) promote() {
 		return // a current signal already exists; do not promote another
 	}
 	p := l.Proc
-	for _, sig := range p.SigPend.Members() {
-		if !l.SigHold.Has(sig) || sig == types.SIGKILL {
+	// Deliverable: pending and not held, where SIGKILL is never held.
+	d := p.SigPend.Minus(l.SigHold)
+	if p.SigPend.Has(types.SIGKILL) {
+		d.Add(types.SIGKILL)
+	}
+	for i, w := range d {
+		if w != 0 {
+			sig := 64*i + bits.TrailingZeros64(w) + 1
 			p.SigPend.Del(sig)
 			l.CurSig = sig
 			return
