@@ -16,11 +16,13 @@ vet:
 
 # bench-smoke proves the pipelined-RFS benchmark still runs (one iteration,
 # no timing claims) so a protocol change cannot silently rot it, and pins
-# the SMP scheduler's per-pass allocation budget (steady-state passes must
-# not allocate; see TestSMPStepAllocBudget).
+# two allocation budgets: the SMP scheduler's per pass (steady-state passes
+# must not allocate; see TestSMPStepAllocBudget) and the brk mill's per
+# iteration (the one materialized page plus a small constant, so TLB refills
+# stay allocation-free; see TestBrkMillAllocBudget).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRFSPipelined' -benchtime 1x .
-	$(GO) test -count=1 -run 'TestSMPStepAllocBudget' .
+	$(GO) test -count=1 -run 'TestSMPStepAllocBudget|TestBrkMillAllocBudget' .
 
 # bench-json records the key memory-pipeline and /proc benchmarks as JSON:
 # one run under the NoTLB reference interpreter labeled "before", one with

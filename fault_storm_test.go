@@ -461,8 +461,41 @@ scratch:	.space 4096
 end:	.space 4
 `
 
+// brkProg is a bounded brk mill: 64 times, grow the break to two pages,
+// store to the fresh one (a zero-fill fault) and shrink back to one. Each
+// iteration moves the address-space generation three times, so the TLB is
+// reset and refilled around the injected faults, and a refused brk is
+// survived (the store is skipped) so the process keeps running past the
+// injection that triggers the invariant check. The break never shrinks to
+// zero length.
+const brkProg = `
+	la r6, heap
+	addi r6, 4095
+	li r3, 0xFFFFF000
+	and r6, r3		; r6 = the first page at or above the break base
+	movi r7, 64
+loop:	movi r0, SYS_brk
+	mov r1, r6
+	addi r1, 4096
+	addi r1, 4096
+	syscall			; grow the break to two pages
+	cmpi r0, 0
+	jne next		; refused (ENOMEM): no fresh page to store to
+	st r7, [r6+4096]	; a store to the fresh page
+next:	movi r0, SYS_brk
+	mov r1, r6
+	addi r1, 4096
+	syscall			; shrink back to one page
+	addi r7, -1
+	cmpi r7, 0
+	jne loop
+` + exitOK + `
+.bss
+heap:	.space 4
+`
+
 // TestFaultStorm arms every registered site with a seeded probabilistic plan
-// and drives mixed process/file workloads through the storm, running the
+// and drives mixed process/file/brk workloads through the storm, running the
 // kernel-wide invariant checker after every injected fault. Nothing may
 // panic, leak or corrupt — processes may only fail with sane errnos or die
 // by signal.
@@ -480,6 +513,9 @@ func TestFaultStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := s.Install("/bin/io", ioProg, 0o755, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Install("/bin/brk", brkProg, 0o755, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.FS.WriteFile("/data", []byte("payload"), 0o644, 0, 0); err != nil {
@@ -500,6 +536,11 @@ func TestFaultStorm(t *testing.T) {
 			}
 			procs = append(procs, p)
 		}
+		p, err := s.Spawn("/bin/brk", []string{"stormbrk"}, types.UserCred(104, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs = append(procs, p)
 		// Arm the whole catalog: distinct seeds per site per round, a small
 		// per-mill rate, and a budget so the drain can finish.
 		plan := ""

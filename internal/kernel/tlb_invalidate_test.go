@@ -170,3 +170,75 @@ spin:	jmp spin
 		t.Fatalf("status = %#x, want exit 5 (still spinning means the fetch TLB kept the pre-poke instruction)", status)
 	}
 }
+
+// The two images of one program, identical but for the instruction at spin:
+// the first spins forever, the second falls through to exit 5. The text is
+// shorter than a page, so its page straddles the end of the executable file
+// and the fetch translation is the address space's memoized padded copy.
+const (
+	spinText = `
+spin:	jmp spin
+	movi r0, SYS_exit
+	movi r1, 5
+	syscall
+`
+	nopText = `
+spin:	nop
+	movi r0, SYS_exit
+	movi r1, 5
+	syscall
+`
+)
+
+// Overwriting a running program's executable through the file system moves
+// the file's revision without touching the address space's generation. The
+// padded text page memoized at the old revision must not be served again:
+// the process escapes its jmp-to-self only if the next fetch sees the new
+// instruction.
+func TestTLBInvalidateExecutableOverwrite(t *testing.T) {
+	f := boot(t)
+	p := f.spawn("tlbover", spinText, user())
+	f.K.Run(20) // warm the fetch translation and the padded-page memo
+	if !p.Alive() {
+		t.Fatal("spinner exited before the overwrite")
+	}
+	f.install("/bin/tlbover", nopText, 0o755, 0, 0)
+	status := f.runToExit(p)
+	if ok, code := kernel.WIfExited(status); !ok || code != 5 {
+		t.Fatalf("status = %#x, want exit 5 (still spinning means a stale padded text page was fetched)", status)
+	}
+}
+
+// The same check across a checkpoint rewind: restoring the file system puts
+// the spinning image back under a fresh revision, so after the restore the
+// process spins again (a padded copy of the overwritten image would let it
+// exit), and overwriting the file once more releases it.
+func TestTLBInvalidateExecutableRestore(t *testing.T) {
+	f := boot(t)
+	p := f.spawn("tlbrest", spinText, user())
+	f.K.Run(20)
+	sn, err := f.K.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsSt := f.FS.SaveState()
+
+	f.install("/bin/tlbrest", nopText, 0o755, 0, 0)
+	if ok, code := kernel.WIfExited(f.runToExit(p)); !ok || code != 5 {
+		t.Fatal("overwrite before the rewind did not release the spinner")
+	}
+
+	if err := f.K.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+	f.FS.RestoreState(fsSt)
+	f.K.Run(20)
+	if !p.Alive() {
+		t.Fatalf("status = %#x after the rewind, want a live spinner (the overwritten image was fetched)", p.ExitStatus)
+	}
+	f.install("/bin/tlbrest", nopText, 0o755, 0, 0)
+	status := f.runToExit(p)
+	if ok, code := kernel.WIfExited(status); !ok || code != 5 {
+		t.Fatalf("status = %#x, want exit 5 (still spinning means a stale padded text page was fetched)", status)
+	}
+}

@@ -100,6 +100,7 @@ type Seg struct {
 	Kind    SegKind
 
 	priv map[uint32][]byte // page base -> private page (copy-on-write state)
+	tail *tailPage         // memoized padded page straddling Obj's end (frame.go)
 }
 
 // End returns the first address past the mapping.
@@ -158,7 +159,7 @@ type AS struct {
 	owner    int // pid charged for fault-injection hits (0: unattributed)
 
 	gen  atomic.Uint64 // translation generation (see frame.go)
-	zero []byte        // shared read-only zero page for unmaterialized anon reads
+	zero []byte        // the package's read-only zero page of this page size
 }
 
 // DefaultPageSize is the page size used unless overridden; "a small multiple
@@ -171,7 +172,8 @@ func NewAS(pagesize int) *AS {
 	if pagesize <= 0 {
 		pagesize = DefaultPageSize
 	}
-	return &AS{pagesize: uint32(pagesize), watchPgs: make(map[uint32]bool), refs: 1}
+	return &AS{pagesize: uint32(pagesize), watchPgs: make(map[uint32]bool), refs: 1,
+		zero: zeroPage(uint32(pagesize))}
 }
 
 // PageSize returns the address space's page size.
@@ -554,6 +556,7 @@ func (as *AS) Dup() *AS {
 			Base: s.Base, Len: s.Len, Prot: s.Prot, MaxProt: s.MaxProt,
 			Shared: s.Shared, Obj: s.Obj, Off: s.Off, Kind: s.Kind,
 			priv: make(map[uint32][]byte, len(s.priv)),
+			tail: s.tail, // immutable and never exposed writable
 		}
 		for pb, pg := range s.priv {
 			cp := make([]byte, len(pg))

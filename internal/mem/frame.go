@@ -1,5 +1,7 @@
 package mem
 
+import "sync"
+
 // This file is the frame-exposure side of the address space's fast-path /
 // slow-path split (the UVM-style division of labor): the vCPU keeps a small
 // software TLB of page translations, and the address space exposes the
@@ -20,8 +22,9 @@ package mem
 //     can move or change underneath the mapping (a write to the mapped
 //     file) without the address space hearing about it. Such frames carry
 //     the object's revision counter; users must revalidate Obj.ObjRev()
-//     == Rev before every use. Frames backed by private pages or the zero
-//     page have Obj == nil and need no revalidation.
+//     == Rev before every use. Frames backed by private pages or by an
+//     anonymous mapping's zero page have Obj == nil and need no
+//     revalidation.
 //
 // Pages that are watched, shared, or private-but-unmaterialized with no
 // stable backing bytes are never exposed: accesses to them must take the
@@ -33,7 +36,10 @@ package mem
 // out direct page frames over the object's storage. ObjBytes returns the
 // current slice and a revision counter; the slice may be aliased only while
 // ObjRev still returns the same revision. Implementations must change the
-// revision on every content or size change (in-place or reallocating).
+// revision on every content or size change (in-place or reallocating), and
+// a revision must never repeat for different contents — not even across a
+// rewind to saved contents: the address space memoizes padded copies keyed
+// by revision (tailPage), and that memo outlives translation generations.
 type RevBytes interface {
 	Object
 	// ObjBytes returns the current backing bytes and their revision.
@@ -48,9 +54,9 @@ type RevBytes interface {
 // and writes through it are immediately visible to the slow path and vice
 // versa — the cache holds translations, never data.
 type Frame struct {
-	Data     []byte // one page of live storage
-	Prot     Prot   // effective permissions of the mapping
-	Writable bool   // stores may write Data directly (materialized private page)
+	Data     []byte   // one page of live storage
+	Prot     Prot     // effective permissions of the mapping
+	Writable bool     // stores may write Data directly (materialized private page)
 	Obj      RevBytes // non-nil: revalidate ObjRev() == Rev before every use
 	Rev      uint64
 }
@@ -62,9 +68,9 @@ type Frame struct {
 // backing bytes. The frame is valid until Gen() changes; object-backed
 // frames additionally require ObjRev() revalidation per use.
 //
-// PageFrame itself has no side effects on the address space beyond the lazy
-// allocation of the shared zero page: it never grows the stack, never
-// materializes a page, and never counts a fault.
+// PageFrame has no side effects on the address space beyond the padded-page
+// memo (see tailPage): it never grows the stack, never materializes a page,
+// and never counts a fault.
 func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -87,9 +93,6 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 		// Private anonymous, never written: reads see zeros. The shared
 		// zero page serves reads; the first store must take the slow path
 		// to materialize (and count) the page.
-		if as.zero == nil {
-			as.zero = make([]byte, as.pagesize)
-		}
 		return Frame{Data: as.zero, Prot: s.Prot}, true
 	}
 	if rb, ok := s.Obj.(RevBytes); ok {
@@ -98,26 +101,70 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 		if off < 0 {
 			return Frame{}, false
 		}
-		if off+int64(as.pagesize) <= int64(len(data)) {
-			return Frame{
-				Data: data[off : off+int64(as.pagesize) : off+int64(as.pagesize)],
-				Prot: s.Prot, Obj: rb, Rev: rev,
-			}, true
+		f := Frame{Prot: s.Prot, Obj: rb, Rev: rev}
+		switch {
+		case off+int64(as.pagesize) <= int64(len(data)):
+			f.Data = data[off : off+int64(as.pagesize) : off+int64(as.pagesize)]
+		case off >= int64(len(data)):
+			// Wholly past the object: reads see zeros until it grows,
+			// which moves the revision.
+			f.Data = as.zero
+		default:
+			// The page straddles the object's end: reads zero-fill beyond
+			// its size, so alias-by-slice is impossible. Serve a
+			// zero-padded copy, memoized per mapping until the revision
+			// moves. This is the common case for small programs, whose
+			// whole text is shorter than a page, and every TLB reset
+			// (each brk, each fresh-page store) refills it.
+			t := s.tail
+			if t == nil || t.obj != rb || t.off != off || t.rev != rev {
+				cp := make([]byte, as.pagesize)
+				copy(cp, data[off:])
+				t = &tailPage{obj: rb, off: off, rev: rev, data: cp}
+				s.tail = t
+			}
+			f.Data = t.data
 		}
-		// The page extends past the object: reads zero-fill beyond its
-		// size, so alias-by-slice is impossible. Expose a zero-padded
-		// snapshot instead; the revision check invalidates it the moment
-		// the object changes (including growing into the padding), and
-		// the fill cost amortizes over the hits until then. This is the
-		// common case for small programs, whose whole text is shorter
-		// than a page.
-		cp := make([]byte, as.pagesize)
-		if off < int64(len(data)) {
-			copy(cp, data[off:])
-		}
-		return Frame{Data: cp, Prot: s.Prot, Obj: rb, Rev: rev}, true
+		return f, true
 	}
 	return Frame{}, false
+}
+
+// tailPage memoizes the zero-padded copy of the page of a private object
+// mapping that straddles the object's end. The record is immutable and its
+// data is only ever exposed read-only, so a forked child may share it. The
+// key is the object, the page's object offset and the object revision: a
+// RevBytes revision never repeats for different contents, so a matching key
+// means matching bytes however many generations have passed. writeChunk
+// drops the memo when it privatizes the page, so a copied-on-write page
+// does not pin a dead copy.
+type tailPage struct {
+	obj  RevBytes
+	off  int64
+	rev  uint64
+	data []byte
+}
+
+// zeroPages holds one read-only zero page per page size, shared by every
+// address space; PageFrame never exposes it as Writable.
+var zeroPages struct {
+	mu sync.Mutex
+	m  map[uint32][]byte
+}
+
+// zeroPage returns the shared zero page of the given size.
+func zeroPage(size uint32) []byte {
+	zeroPages.mu.Lock()
+	defer zeroPages.mu.Unlock()
+	pg, ok := zeroPages.m[size]
+	if !ok {
+		if zeroPages.m == nil {
+			zeroPages.m = make(map[uint32][]byte)
+		}
+		pg = make([]byte, size)
+		zeroPages.m[size] = pg
+	}
+	return pg
 }
 
 // Gen returns the address space's translation generation: it changes every

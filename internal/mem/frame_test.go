@@ -236,3 +236,122 @@ func TestObjectFrameRevalidation(t *testing.T) {
 		t.Fatal("frames aliased across Dup")
 	}
 }
+
+// revObj is a mutable RevBytes object: tests change Data and bump rev by
+// hand, the way memfs does on every write.
+type revObj struct {
+	ByteObject
+	rev uint64
+}
+
+func (o *revObj) ObjBytes() ([]byte, uint64) { return o.Data, o.rev }
+func (o *revObj) ObjRev() uint64             { return o.rev }
+
+func sameSlice(a, b []byte) bool { return len(a) == len(b) && &a[0] == &b[0] }
+
+// TestPaddedPageMemo pins the memo of the page straddling an object's end:
+// a refill at an unchanged revision returns the same slice and allocates
+// nothing, a revision bump yields the new bytes, and copy-on-write of the
+// page drops the memo so the dead copy is not kept.
+func TestPaddedPageMemo(t *testing.T) {
+	as := NewAS(4096)
+	obj := &revObj{ByteObject: ByteObject{Name: "text", Data: []byte{1, 2, 3}}}
+	seg := mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRX, MaxProt: ProtRWX, Obj: obj, Fixed: true})
+
+	f1, ok := as.PageFrame(0x10000)
+	if !ok || f1.Writable || f1.Obj == nil {
+		t.Fatalf("padded page: frame=%+v ok=%v, want read-only object frame", f1, ok)
+	}
+	f2, _ := as.PageFrame(0x10abc)
+	if !sameSlice(f1.Data, f2.Data) {
+		t.Fatal("refill at an unchanged revision built a new padded copy")
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { as.PageFrame(0x10000) }); n != 0 {
+			t.Fatalf("refill at an unchanged revision: %.1f allocs, want 0", n)
+		}
+	}
+
+	// The object changes and grows, still short of the page end.
+	obj.Data = []byte{4, 5, 6, 7}
+	obj.rev++
+	f3, ok := as.PageFrame(0x10000)
+	if !ok || f3.Rev != obj.rev || !bytes.Equal(f3.Data[:5], []byte{4, 5, 6, 7, 0}) {
+		t.Fatalf("after a revision bump: rev=%d data=%v, want rev %d and the new bytes", f3.Rev, f3.Data[:5], obj.rev)
+	}
+	if sameSlice(f1.Data, f3.Data) || !bytes.Equal(f1.Data[:4], []byte{1, 2, 3, 0}) {
+		t.Fatal("a revision bump rewrote the old padded copy instead of making a new one")
+	}
+
+	// Copy-on-write of the page (a breakpoint plant) drops the memo.
+	if seg.tail == nil {
+		t.Fatal("no memo before copy-on-write")
+	}
+	if _, err := as.WriteAt([]byte{9}, 0x10000); err != nil {
+		t.Fatal(err)
+	}
+	if seg.tail != nil {
+		t.Fatal("copy-on-write left the padded copy memoized")
+	}
+	f4, ok := as.PageFrame(0x10000)
+	if !ok || !f4.Writable || f4.Obj != nil || f4.Data[0] != 9 || f4.Data[1] != 5 {
+		t.Fatalf("post-COW page: frame=%+v ok=%v, want the writable private copy", f4, ok)
+	}
+}
+
+// TestPaddedPageDup pins that a forked child may share the parent's padded
+// copy but never gets it as a writable frame: the child's first store
+// copies, and neither the parent's frame nor the object sees it.
+func TestPaddedPageDup(t *testing.T) {
+	as := NewAS(4096)
+	obj := &revObj{ByteObject: ByteObject{Name: "text", Data: []byte{1, 2, 3}}}
+	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRW, Obj: obj, Fixed: true})
+	pf, _ := as.PageFrame(0x10000)
+
+	child := as.Dup()
+	cf, ok := child.PageFrame(0x10000)
+	if !ok || cf.Writable || cf.Obj == nil {
+		t.Fatalf("child frame=%+v ok=%v, want the read-only padded copy", cf, ok)
+	}
+	if _, err := child.WriteAt([]byte{8}, 0x10001); err != nil {
+		t.Fatal(err)
+	}
+	cf, ok = child.PageFrame(0x10000)
+	if !ok || !cf.Writable || sameSlice(cf.Data, pf.Data) {
+		t.Fatal("child's writable frame aliases the shared padded copy")
+	}
+	if !bytes.Equal(cf.Data[:4], []byte{1, 8, 3, 0}) {
+		t.Fatalf("child page = %v", cf.Data[:4])
+	}
+	pf2, _ := as.PageFrame(0x10000)
+	if !sameSlice(pf.Data, pf2.Data) || !bytes.Equal(pf2.Data[:4], []byte{1, 2, 3, 0}) ||
+		!bytes.Equal(obj.Data, []byte{1, 2, 3}) {
+		t.Fatal("the child's store reached the parent's padded copy or the object")
+	}
+}
+
+// TestSharedZeroPage pins that address spaces of one page size share one
+// read-only zero page, for anonymous pages and for object pages wholly past
+// the object's end, and that it is never handed out writable.
+func TestSharedZeroPage(t *testing.T) {
+	a, b := NewAS(4096), NewAS(4096)
+	obj := &revObj{ByteObject: ByteObject{Name: "short", Data: []byte{1}}}
+	mustMap(t, a, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRW, Fixed: true})
+	mustMap(t, b, MapArgs{Base: 0x20000, Len: 8192, Prot: ProtRW, Obj: obj, Fixed: true})
+	fa, _ := a.PageFrame(0x10000)
+	fb, ok := b.PageFrame(0x21000)
+	if !ok || fb.Obj == nil || fb.Rev != obj.rev {
+		t.Fatalf("page past the object: frame=%+v ok=%v, want a revision-guarded frame", fb, ok)
+	}
+	if fa.Writable || fb.Writable || !sameSlice(fa.Data, fb.Data) {
+		t.Fatal("zero frames are not the one shared read-only page")
+	}
+	if c := NewAS(1024); len(c.zero) != 1024 || sameSlice(c.zero, a.zero[:1024]) {
+		t.Fatal("a 1 KiB address space does not get its own 1 KiB zero page")
+	}
+	for _, v := range fa.Data {
+		if v != 0 {
+			t.Fatal("shared zero page is not zero")
+		}
+	}
+}

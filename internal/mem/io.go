@@ -288,8 +288,13 @@ func (as *AS) writeChunk(s *Seg, addr uint32, p []byte) error {
 		}
 		pg = make([]byte, as.pagesize)
 		if s.Obj != nil {
-			s.Obj.ReadObj(pg, s.Off+int64(pb)-int64(s.Base))
+			off := s.Off + int64(pb) - int64(s.Base)
+			s.Obj.ReadObj(pg, off)
 			as.Stats.COWFaults++
+			if s.tail != nil && s.tail.off == off {
+				// The memoized padded copy of this page is dead now.
+				s.tail = nil
+			}
 		} else {
 			as.Stats.MinorFaults++
 		}

@@ -8,9 +8,19 @@ import "fmt"
 // injected fault — a refused allocation must never leave a stale translation
 // behind at an unchanged generation. A cache keyed to an old generation or a
 // different space is legal (it drops itself on the next access), so that
-// case vacuously passes.
+// case passes the per-entry check. Whatever its generation, a keyed cache
+// must hold nothing outside its occupancy mask: reset clears only the
+// occupied slots, so a fill that skipped the mask would survive a reset.
 func (c *CPU) CheckTLB() error {
 	t := &c.tlb
+	if t.as != nil {
+		for i := range t.ents {
+			e := &t.ents[i]
+			if t.used&(1<<i) == 0 && (e.tag != tlbNoTag || e.frame != nil || e.obj != nil) {
+				return fmt.Errorf("vcpu: TLB slot %d holds %#x outside the occupancy mask", i, e.tag)
+			}
+		}
+	}
 	if c.AS == nil || t.as != c.AS || t.gen != c.AS.Gen() {
 		return nil
 	}

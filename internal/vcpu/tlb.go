@@ -15,7 +15,7 @@ import (
 // permission faults) is deliberately a miss, so the slow path keeps those
 // behaviors bit-for-bit identical to the unaccelerated interpreter.
 //
-// Validity is the generation protocol of mem/frame.go: entries are tagged
+// Validity is the generation protocol of mem/frame.go: the TLB is keyed
 // with the address space pointer and its Gen() at fill time, and the whole
 // TLB is dropped the moment either changes — exec replaces the AS pointer,
 // every mapping mutation (map/unmap/mprotect/brk/stack growth/COW
@@ -23,7 +23,10 @@ import (
 // from the process itself, a /proc as-file write, or ptrace POKE. Frames
 // backed by a mapped object additionally carry the object's revision and
 // are revalidated against it on every hit, so writes to a mapped file are
-// never served stale.
+// never served stale. Dropping costs O(occupied slots): an occupancy mask
+// records which slots were filled since the last reset, and only those are
+// cleared — the generation moves on every brk and every fresh-page store,
+// often with only a few slots in use.
 
 const (
 	tlbBits = 6
@@ -33,13 +36,16 @@ const (
 	tlbNoTag = ^uint32(0)
 )
 
+// The occupancy mask has one bit per slot.
+var _ [64 - tlbSize]struct{}
+
 // tlbEntry caches one page translation.
 type tlbEntry struct {
-	tag      uint32   // page base address, or tlbNoTag
-	prot     mem.Prot // effective permissions of the mapping
-	writable bool     // stores may write the frame directly
-	rev      uint64   // object revision at fill time (obj != nil)
-	frame    []byte   // one page of live storage
+	tag      uint32       // page base address, or tlbNoTag
+	prot     mem.Prot     // effective permissions of the mapping
+	writable bool         // stores may write the frame directly
+	rev      uint64       // object revision at fill time (obj != nil)
+	frame    []byte       // one page of live storage
 	obj      mem.RevBytes // non-nil: revalidate every hit against ObjRev
 }
 
@@ -49,20 +55,28 @@ type tlb struct {
 	gen   uint64  // its Gen() when they were filled
 	shift uint32  // page shift
 	mask  uint32  // page size - 1
+	used  uint64  // bit i set: ents[i] filled since the last reset
 	ents  [tlbSize]tlbEntry
 }
 
 // reset re-keys the TLB to the address space's current generation and
 // drops every entry. Called whenever the AS pointer or generation moves.
+// Slots outside the occupancy mask are already empty; an un-keyed TLB (a
+// new CPU, or after FlushTLB) holds zero-valued entries whose tag 0 is a
+// real page base, so every slot counts as occupied.
 func (t *tlb) reset(as *mem.AS) {
+	if t.as == nil {
+		t.used = ^uint64(0)
+	}
 	t.as = as
 	t.gen = as.Gen()
 	ps := as.PageSize()
 	t.mask = ps - 1
 	t.shift = uint32(bits.TrailingZeros32(ps))
-	for i := range t.ents {
-		t.ents[i] = tlbEntry{tag: tlbNoTag}
+	for m := t.used; m != 0; m &= m - 1 {
+		t.ents[bits.TrailingZeros64(m)] = tlbEntry{tag: tlbNoTag}
 	}
+	t.used = 0
 }
 
 // FlushTLB drops every cached translation and un-keys the TLB; the next
@@ -86,7 +100,8 @@ func (c *CPU) tlbFrame(addr uint32, want mem.Prot, write bool) []byte {
 	if t.as != c.AS || t.gen != c.AS.Gen() {
 		t.reset(c.AS)
 	}
-	e := &t.ents[(addr>>t.shift)&(tlbSize-1)]
+	i := (addr >> t.shift) & (tlbSize - 1)
+	e := &t.ents[i]
 	tag := addr &^ t.mask
 	if e.tag == tag {
 		if e.obj != nil && e.obj.ObjRev() != e.rev {
@@ -101,6 +116,7 @@ func (c *CPU) tlbFrame(addr uint32, want mem.Prot, write bool) []byte {
 		}
 	}
 	f, ok := c.AS.PageFrame(tag)
+	t.used |= 1 << i
 	if !ok {
 		// Negatively cache the refusal: accesses to a watched, shared or
 		// otherwise uncacheable page go straight to the slow path without

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/types"
 )
 
@@ -54,6 +56,87 @@ func TestSMPStepAllocBudget(t *testing.T) {
 				t.Errorf("ncpu=%d: %.1f allocs per pass, budget 2", n, allocs)
 			}
 		})
+	}
+}
+
+// perfBrkMill is the brk half of the proc_mill benchmark program: grow the
+// break by a page, store to the fresh page (a zero-fill fault), shrink the
+// break back, and count the iteration in memory. Every step of the loop
+// moves the address-space generation, so every iteration drops the TLB and
+// refills the text page three times.
+const perfBrkMill = `
+	la r6, heap
+	addi r6, 4095
+	li r3, 0xFFFFF000
+	and r6, r3		; r6 = the first page at or above the break base
+	la r4, count
+loop:	movi r0, SYS_brk
+	mov r1, r6
+	addi r1, 4096
+	syscall			; grow the break by one page
+	st r4, [r6]		; a store to the fresh page
+	movi r0, SYS_brk
+	mov r1, r6
+	syscall			; shrink it back, dropping the page
+	ld r5, [r4]
+	addi r5, 1
+	st r5, [r4]
+	jmp loop
+.data
+.align 4
+count:	.word 0
+.bss
+heap:	.space 4
+`
+
+// TestBrkMillAllocBudget pins the allocation cost of the brk mill at NCPU=1:
+// per iteration, the page the store materializes plus a small constant. A
+// TLB refill at an unchanged object revision must not allocate — the text
+// of a program shorter than a page is a zero-padded copy that is memoized,
+// not rebuilt on each of the three refills an iteration causes.
+func TestBrkMillAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	if lockDebugEnabled {
+		t.Skip("lock-order assertions allocate on every acquire")
+	}
+	s := repro.NewSystem(repro.Options{NCPU: 1})
+	defer s.Close()
+	p := spawnPerf(t, s, "brkmill", perfBrkMill)
+	var data *mem.Seg
+	for _, seg := range p.AS.SegsView() {
+		if seg.Kind == mem.KindData {
+			data = seg
+		}
+	}
+	if data == nil {
+		t.Fatal("no data segment")
+	}
+	count := func() uint32 {
+		var b [4]byte
+		if _, err := p.AS.ReadAt(b[:], int64(data.Base)); err != nil {
+			t.Fatal(err)
+		}
+		return binary.BigEndian.Uint32(b[:])
+	}
+	s.Run(100) // ktrace warm, the loop running
+
+	var before, after runtime.MemStats
+	n0 := count()
+	runtime.ReadMemStats(&before)
+	s.Run(500)
+	runtime.ReadMemStats(&after)
+	iters := float64(count() - n0)
+	if iters < 100 {
+		t.Fatalf("only %.0f iterations in 500 passes", iters)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / iters
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / iters
+	t.Logf("%.0f iterations: %.2f allocs, %.0f bytes per iteration", iters, allocs, bytes)
+	if allocs > 1.5 || bytes > 4096+512 {
+		t.Errorf("%.2f allocs and %.0f bytes per iteration, budget 1.5 and %d (one page plus a small constant)",
+			allocs, bytes, 4096+512)
 	}
 }
 
