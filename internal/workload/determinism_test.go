@@ -2,6 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"repro"
@@ -29,10 +32,38 @@ func psTable(t *testing.T, s *repro.System) []byte {
 	return buf.Bytes()
 }
 
+// digest is the sha256 of the given streams, each prefixed with its length
+// so moving bytes from one stream to the next changes the sum.
+func digest(parts ...[]byte) string {
+	h := sha256.New()
+	for _, b := range parts {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenDigests pins each scenario's simulation across commits: the digest
+// of (/procx/trace, /procx/ktrace, ps table) at seed 42, smoke size, NCPU=1.
+// Two runs of one binary agreeing proves only that the binary is
+// deterministic; agreeing with this column proves a refactor of the
+// scheduler or the clock moved no event and no timestamp.
+var goldenDigests = map[string]string{
+	"fork_storm":     "2003232d41de1106fe99ce23e39bbc4096e87900a842fb9cda6bf170bd5c5b3a",
+	"syscall_mill":   "8a844f266d21107b28c166c08f3d544a29d19e0e9f9a38760b9b548621c01c6c",
+	"pipe_pipeline":  "06cc6281687f1fa83e59875f3a325e803d2d3fbbb978e3e082b4c52242fbe8ce",
+	"debugger_fleet": "0134ca66d4e8fbe55963651e10e26cc907900bfee6e4d8e504367cb8cd863a16",
+	"proc_scan":      "7a85155f3f392fd2dc82749f474d6eb33ee1ad21e21cc191576afeb5ca519b49",
+	"fs_churn":       "6e676ba22a497348f9ad3f0281b96baa62a7d6d0488b70727c988bc702fc2550",
+}
+
 // TestWorkloadDeterminism replays every scenario twice with the same seed
 // and demands a bit-identical simulation: the kernel-wide ktrace stream, the
-// trace counters page, and the final process table must all match. The
-// scenarios advertise seed-replayable runs; the trace is the oracle.
+// trace counters page, and the final process table must all match each
+// other and the scenario's golden digest. The scenarios advertise
+// seed-replayable runs; the trace is the oracle.
 func TestWorkloadDeterminism(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -65,6 +96,9 @@ func TestWorkloadDeterminism(t *testing.T) {
 			}
 			if !bytes.Equal(table1, table2) {
 				t.Errorf("final process tables differ:\n%s\nvs\n%s", table1, table2)
+			}
+			if got, want := digest(trace1, stats1, table1), goldenDigests[name]; got != want {
+				t.Errorf("golden digest %s, want %s", got, want)
 			}
 		})
 	}

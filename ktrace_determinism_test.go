@@ -2,6 +2,9 @@ package repro_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -56,11 +59,18 @@ func readProcFile(t *testing.T, s *repro.System, path string) []byte {
 	return b
 }
 
+// familyDigest pins the family scenario across commits: the sha256 of the
+// per-process stream, the kernel-wide stream and the counters page, each
+// prefixed with its length. Two boots of one binary agreeing proves only
+// that the binary is deterministic; agreeing with this value proves a
+// refactor of the scheduler or the clock moved no event and no timestamp.
+const familyDigest = "9bf91e8e200612ee5d1813ce29e46c7f61761a4b4bf83e8fdf23581ac5ccb23b"
+
 // TestKTraceDeterminism boots the same multi-process scenario twice and
 // demands byte-identical trace streams: the per-process file read mid-flight,
 // the kernel-wide stream after the workload drains, and the counters page.
-// The simulation advertises determinism; the trace is the oracle that checks
-// it.
+// All three must also match the golden familyDigest. The simulation
+// advertises determinism; the trace is the oracle that checks it.
 func TestKTraceDeterminism(t *testing.T) {
 	run := func() (perproc, global, stats []byte) {
 		s := repro.NewSystem(repro.Options{NCPU: 1}) // bit-for-bit replay: pin the deterministic scheduler
@@ -104,6 +114,16 @@ func TestKTraceDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(st1, st2) {
 		t.Errorf("counters pages differ")
+	}
+	h := sha256.New()
+	for _, b := range [][]byte{p1, g1, st1} {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write(b)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != familyDigest {
+		t.Errorf("golden digest %s, want %s", got, familyDigest)
 	}
 
 	// The streams must be substantive and well-formed, or the comparison
