@@ -62,8 +62,10 @@ bench-json-pr6:
 	$(GO) run ./cmd/benchjson -label after -o BENCH_PR6.json
 	$(GO) run ./cmd/benchjson -workload . -wseed 1 -label after -o BENCH_PR6.json
 
-# verify-smp exercises the SMP scheduler under the race detector: the
-# shootdown-barrier mechanics, the fork/wait/signal storm and brk-shootdown
+# verify-smp exercises the scheduler CPUs under the race detector: the
+# shootdown-barrier mechanics, the NCPU=1 inline CPU (no goroutine across
+# Steps, shootdown falls through), the unbilled empty quantum at both
+# widths, the fork/wait/signal storm and brk-shootdown
 # programs at NCPU=4, every workload scenario at NCPU=4 with the worker
 # goroutine-leak check, host-side /proc controllers racing the scheduler,
 # and the mutex-contention profile smoke (the global lock's share of
@@ -72,7 +74,7 @@ bench-json-pr6:
 # acquisition. GOMAXPROCS is forced up so worker goroutines genuinely
 # interleave even on small hosts.
 verify-smp:
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestDeterministicModeHasNoSMP' ./internal/kernel/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestRunLWPNoChargeWhenNothingRan' ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestConcurrentControllers' ./internal/procfs/

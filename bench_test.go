@@ -551,9 +551,13 @@ func benchRemoteProg(b *testing.B, prog string) (*repro.System, *rfs.Client, *ke
 		defer close(done)
 		srv.ServeConn(server)
 	}()
-	cl := rfs.NewClient(&rfs.ConnTransport{Conn: client}, types.RootCred())
+	mt, err := rfs.NewMuxTransport(client)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := rfs.NewClient(mt, types.RootCred())
 	cleanup := func() {
-		client.Close()
+		mt.Close()
 		server.Close()
 		<-done
 	}
@@ -1001,13 +1005,14 @@ func BenchmarkTruss_TraceMode(b *testing.B) {
 	}
 }
 
-// The multiplexed transport against the stop-and-wait baseline: N client
-// goroutines share ONE connection. Stop-and-wait serializes a full round
-// trip per operation under a mutex; the mux pipeline keeps N requests in
-// flight, overlapping wire time with dispatch and batching read-mostly
-// requests under one server-lock acquisition. The acceptance bar is ≥2×
-// aggregate throughput at ≥4 concurrent clients (ISSUE 2); EXPERIMENTS.md
-// records the measured ratio.
+// The multiplexed transport against a stop-and-wait baseline: N client
+// goroutines share ONE connection. The baseline is the same MuxTransport
+// behind a mutex held across each round trip (serialWindow), so exactly
+// one request is in flight; the mux pipeline keeps N in flight, overlapping
+// wire time with dispatch and batching read-mostly requests under one
+// server-lock acquisition. The acceptance bar is ≥2× aggregate throughput
+// at ≥4 concurrent clients; EXPERIMENTS.md (C16) records the measured
+// ratio.
 func BenchmarkRFSPipelined(b *testing.B) {
 	const workers = 8
 	for _, mode := range []string{"stopwait", "mux"} {
@@ -1035,17 +1040,14 @@ func BenchmarkRFSPipelined(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var tp rfs.Transport
-			switch mode {
-			case "mux":
-				mt, err := rfs.NewMuxTransport(conn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer mt.Close()
-				tp = mt
-			default:
-				tp = &rfs.ConnTransport{Conn: conn}
+			mt, err := rfs.NewMuxTransport(conn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mt.Close()
+			var tp rfs.Transport = mt
+			if mode == "stopwait" {
+				tp = &serialWindow{t: mt}
 			}
 			var remaining atomic.Int64
 			remaining.Store(int64(b.N))
@@ -1071,6 +1073,20 @@ func BenchmarkRFSPipelined(b *testing.B) {
 			<-done
 		})
 	}
+}
+
+// serialWindow is BenchmarkRFSPipelined's stop-and-wait baseline: a mutex
+// held across each round trip keeps one request in flight on the wrapped
+// transport.
+type serialWindow struct {
+	mu sync.Mutex
+	t  rfs.Transport
+}
+
+func (w *serialWindow) RoundTrip(req []byte) ([]byte, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.t.RoundTrip(req)
 }
 
 // --- PR 10: the persistent file system ---

@@ -6,11 +6,10 @@
 //	rfsd [-addr 127.0.0.1:7909] [-workers 4]
 //
 // The simulation keeps running in the background between requests, so
-// remote observers see the processes making progress. Each connection is
-// served in compat mode: multiplexing clients (rfsctl) get the pipelined
-// tagged protocol with -workers concurrent dispatchers, while legacy
-// stop-and-wait clients are detected by the missing handshake and served
-// one exchange at a time.
+// remote observers see the processes making progress. Each connection
+// opens with the mux handshake (rfsctl sends it) and is then served the
+// pipelined tagged protocol with -workers concurrent dispatchers; a
+// connection whose first frame is not the handshake is closed.
 package main
 
 import (

@@ -461,13 +461,13 @@ scratch:	.space 4096
 end:	.space 4
 `
 
-// brkProg is a bounded brk mill: 64 times, grow the break to two pages,
-// store to the fresh one (a zero-fill fault) and shrink back to one. Each
-// iteration moves the address-space generation three times, so the TLB is
-// reset and refilled around the injected faults, and a refused brk is
-// survived (the store is skipped) so the process keeps running past the
-// injection that triggers the invariant check. The break never shrinks to
-// zero length.
+// brkProg is a bounded brk mill: 64 times, grow the break from its base to
+// one page, store to that fresh page (a zero-fill fault) and shrink back to
+// the base, which leaves the break segment empty. Each iteration moves the
+// address-space generation three times, so the TLB is reset and refilled
+// around the injected faults, and a refused brk is survived (the store is
+// skipped) so the process keeps running past the injection that triggers
+// the invariant check.
 const brkProg = `
 	la r6, heap
 	addi r6, 4095
@@ -477,15 +477,13 @@ const brkProg = `
 loop:	movi r0, SYS_brk
 	mov r1, r6
 	addi r1, 4096
-	addi r1, 4096
-	syscall			; grow the break to two pages
+	syscall			; grow the break to one page
 	cmpi r0, 0
 	jne next		; refused (ENOMEM): no fresh page to store to
-	st r7, [r6+4096]	; a store to the fresh page
+	st r7, [r6]		; a store to the fresh page
 next:	movi r0, SYS_brk
 	mov r1, r6
-	addi r1, 4096
-	syscall			; shrink back to one page
+	syscall			; shrink back to the base
 	addi r7, -1
 	cmpi r7, 0
 	jne loop

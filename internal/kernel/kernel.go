@@ -7,12 +7,14 @@
 // mechanism that /proc supersedes, and the process-control operations /proc
 // is built from (directed stops, traced events of interest, run directives).
 //
-// The kernel is a deterministic cooperative simulation: target processes
-// execute on virtual CPUs, one Step at a time, on the caller's goroutine.
-// Controlling programs are ordinary Go code that calls the control API
-// (typically through the /proc file system) and drives the scheduler when it
-// needs to wait. Nothing here is goroutine-safe by design; determinism is a
-// feature for testing the paper's control scenarios.
+// The kernel is a simulation stepped in scheduling passes: target processes
+// execute on virtual CPUs, and every quantum runs the one phase machine of
+// run.go on a scheduler CPU. At NCPU=1 (the default) that CPU runs inline
+// on the goroutine that calls Step, so a run is deterministic and its locks
+// are no-ops; above 1, worker goroutines run the same machine under a
+// ranked lock hierarchy (smp.go). Controlling programs are ordinary Go code
+// that calls the control API (typically through the /proc file system) and
+// drives the scheduler when it needs to wait.
 package kernel
 
 import (
@@ -36,10 +38,10 @@ type Config struct {
 	// reference interpreter for differential testing. The REPRO_NOTLB
 	// environment variable forces it for a whole test or benchmark run.
 	NoTLB bool
-	// NCPU is the number of scheduler CPUs. 0 or 1 selects the
-	// deterministic single-threaded scheduler (the default); above 1 each
-	// Step fans the run queues out to NCPU worker goroutines with
-	// work-stealing (see smp.go). The REPRO_NCPU environment variable
+	// NCPU is the number of scheduler CPUs. 0 or 1 (the default) runs the
+	// one CPU inline on the goroutine that calls Step, deterministically;
+	// above 1 each Step fans the run queues out to NCPU worker goroutines
+	// with work-stealing (see smp.go). The REPRO_NCPU environment variable
 	// supplies a value for a whole run when the config leaves it 0 — an
 	// explicit setting wins, so the bit-for-bit suites can pin the
 	// deterministic scheduler regardless of the environment.
@@ -64,25 +66,25 @@ type Kernel struct {
 	Quantum  int
 	NoTLB    bool
 
-	// clock is the simulated time in deterministic mode: a plain counter
-	// bumped per instruction on the hot path. In SMP mode time lives in
-	// clockA instead (workers fold their tick deltas in atomically, under
-	// only the per-process lock); Now() reads whichever applies, so the
-	// deterministic scheduler pays no atomic per instruction.
-	clock   int64
-	clockA  atomic.Int64
-	pids    [pidShards]pidShard // sharded pid map
-	order   []*Proc             // scheduling and readdir order
-	orderMu sync.RWMutex        // guards order for host-side readers (Procs)
-	nextPid int
-	rrIndex  int           // round-robin position (deterministic scheduler)
+	// clock is the simulated time in ticks. The CPUs count ticks in their
+	// own deltas and fold them in (kcpu.flush) before anything can read
+	// the clock, so the hot loop pays no atomic per instruction.
+	clock    atomic.Int64
+	pids     [pidShards]pidShard // sharded pid map
+	order    []*Proc             // scheduling and readdir order
+	orderMu  sync.RWMutex        // guards order for host-side readers (Procs)
+	nextPid  int
+	rrIndex  int           // round-robin position (the NCPU=1 pass order)
 	tableRev atomic.Uint64 // bumped on every process-table change (fork, exit, reap)
 
-	// SMP mode (Config.NCPU > 1). nil smp means the deterministic
-	// single-threaded scheduler and none of the locks below are ever taken.
+	// cpus are the scheduler CPUs, Config.NCPU of them (smp.go).
+	cpus []*kcpu
+
+	// SMP mode (Config.NCPU > 1). nil smp means the one CPU runs inline
+	// on the caller of Step and none of the locks below are ever taken.
 	//
-	// The locking hierarchy (outermost first; see INTERNALS.md for the
-	// field-by-field table):
+	// The locking hierarchy (outermost first; see docs/INTERNALS.md for
+	// the field-by-field table):
 	//
 	//   1. global — the narrow global kernel lock: fork/exit/reap, exec,
 	//      wait, cross-process signal generation, stop/run control,
@@ -155,8 +157,12 @@ func New(ns *vfs.NS, cfg Config) *Kernel {
 	for i := range k.pids {
 		k.pids[i].m = make(map[int]*Proc)
 	}
-	if cfg.NCPU > 1 {
-		k.smp = newSMP(k, cfg.NCPU)
+	k.cpus = make([]*kcpu, max(1, cfg.NCPU))
+	for i := range k.cpus {
+		k.cpus[i] = &kcpu{id: i, k: k}
+	}
+	if len(k.cpus) > 1 {
+		k.smp = newSMP(len(k.cpus))
 	}
 	k.newSystemProc(0, "sched")
 	k.nextPid = 1 // init will be pid 1 when spawned
@@ -170,21 +176,10 @@ func (k *Kernel) tracef(format string, args ...interface{}) {
 }
 
 // Now returns the simulated clock in ticks.
-func (k *Kernel) Now() int64 {
-	if k.smp != nil {
-		return k.clockA.Load()
-	}
-	return k.clock
-}
+func (k *Kernel) Now() int64 { return k.clock.Load() }
 
-// tickClock advances the clock by one, in whichever representation applies.
-func (k *Kernel) tickClock() {
-	if k.smp != nil {
-		k.clockA.Add(1)
-	} else {
-		k.clock++
-	}
-}
+// tickClock advances the clock by one.
+func (k *Kernel) tickClock() { k.clock.Add(1) }
 
 // Tick advances the clock without running anything (timers still fire).
 func (k *Kernel) Tick() {
@@ -362,15 +357,20 @@ var ErrDeadlock = errors.New("kernel: deadlock: nothing runnable")
 
 // Step runs one scheduling pass: every runnable LWP gets up to one quantum.
 // It reports whether any instruction was executed (false means the system is
-// fully idle: everything blocked, stopped or exited). With Config.NCPU > 1
-// the pass fans out to the SMP scheduler's worker goroutines (smp.go);
-// otherwise it is the deterministic round-robin below.
+// fully idle: everything blocked, stopped or exited). The prologue advances
+// the clock and fires timers. The width decides only which processes the
+// pass visits and where: with Config.NCPU > 1 the run queues, fanned out to
+// the worker goroutines (smp.go); otherwise the round-robin below over the
+// process table, on the caller's goroutine — the order replay pins.
 func (k *Kernel) Step() bool {
+	k.GlobalLock()
+	k.tickClock()
+	k.checkTimers()
+	k.GlobalUnlock()
 	if k.smp != nil {
 		return k.stepSMP()
 	}
-	k.clock++
-	k.checkTimers()
+	w := k.cpus[0]
 	ran := false
 	n := len(k.order)
 	for i := 0; i < n; i++ {
@@ -384,7 +384,7 @@ func (k *Kernel) Step() bool {
 		}
 		for _, l := range p.LWPs {
 			if l.Runnable() {
-				if k.runLWP(l, k.Quantum) {
+				if k.runLWPOn(w, l, k.Quantum) {
 					ran = true
 				}
 			}
@@ -427,10 +427,9 @@ func (k *Kernel) RunUntil(cond func() bool, maxSteps int) error {
 }
 
 // checkTimers fires alarm(2) timers that have expired and wakes timed
-// sleepers whose deadline has passed. Deterministic mode calls it bare; in
-// SMP mode the caller holds the global lock (the pass prologue, Tick), and
-// the per-process lock is taken around signal generation per the PostSignal
-// contract.
+// sleepers whose deadline has passed. The caller holds the global lock (the
+// pass prologue, Tick), and the per-process lock is taken around signal
+// generation per the PostSignal contract.
 func (k *Kernel) checkTimers() {
 	now := k.Now()
 	for _, p := range k.order {

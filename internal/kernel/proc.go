@@ -209,12 +209,12 @@ type Proc struct {
 	borrowsAS bool
 	vforkQ    waitq
 
-	// SMP: intr is the interrupt nudge. The SMP user-mode hot loop checks
-	// only this atomic per instruction; anything that could require the
-	// full signal/stop gate (a posted signal, a directed stop, a current
-	// signal planted by a control operation) sets it, and the gate clears
-	// it — under the big kernel lock — once the condition is fully drained
-	// for every LWP. The deterministic scheduler never consults it.
+	// intr is the interrupt nudge. The phase machine's user-mode hot loop
+	// checks only this atomic per instruction, at every width; anything
+	// that could require the full signal/stop gate (a posted signal, a
+	// directed stop, a current signal planted by a control operation) sets
+	// it, and the gate clears it — under the global lock — once the
+	// condition is fully drained for every LWP.
 	intr atomic.Int32
 	// ppid caches Parent.Pid (0 when no parent) so lock-free process-local
 	// system calls (getpid) can read it while another CPU reparents

@@ -5,24 +5,15 @@ import (
 	"repro/internal/vcpu"
 )
 
-// runLWP advances one LWP through the kernel entry/exit cycle for up to
-// budget instructions. The stop points of the paper's Figure 3 are the
-// transitions of this machine: system call entry, system call exit, machine
-// faults, and signal receipt on the way back to user level. It returns
-// whether anything ran. This is the deterministic scheduler's entry point;
-// the SMP workers call runLWPOn with their own CPU.
-func (k *Kernel) runLWP(l *LWP, budget int) (ran bool) {
-	return k.runLWPOn(nil, l, budget)
-}
-
-// runLWPOn is the phase machine parameterized by the executing CPU.
+// runLWPOn advances one LWP on CPU w through the kernel entry/exit cycle
+// for up to budget instructions. The stop points of the paper's Figure 3
+// are the transitions of this machine: system call entry, system call exit,
+// machine faults, and signal receipt on the way back to user level. It
+// returns whether anything ran.
 //
-// w == nil is the deterministic single-threaded mode: counters are bumped
-// directly, no locks are taken, and the control flow is exactly the
-// historical one, so the bit-for-bit ktrace and fault-storm suites pin the
-// same behaviour they always did.
-//
-// w != nil is one SMP worker. The division of labor per iteration:
+// This is the only phase machine. At NCPU=1 Step drives its one CPU inline
+// on the caller's goroutine and every lock below is a no-op; at NCPU>1 each
+// worker goroutine drives its own CPU. The division of labor per iteration:
 //
 //   - User instruction stepping runs with no kernel lock at all. The only
 //     per-instruction synchronization is the process's intr atomic (the
@@ -37,86 +28,61 @@ func (k *Kernel) runLWP(l *LWP, budget int) (ran bool) {
 //     touch cross-process state (signal delivery, stop events, sleeps,
 //     trace emission) take the global lock lazily via w.lockGlobal()
 //     and drop everything at the return to user level.
-//   - The clock and usage counters accumulate in the worker and flush
-//     under the per-process lock once per quantum, so the user-mode hot
-//     loop performs no shared-memory writes per instruction and the
-//     accounting flush never touches the global lock.
+//   - Ticks and usage counts accumulate in the CPU's deltas, so the
+//     user-mode hot loop performs no shared-memory write per instruction.
+//     Every lockProc/lockGlobal call folds the deltas into the clock and
+//     the process's usage (kcpu.flush), and everything that can observe
+//     them takes one of those first: a locked dispatch, every ktrace
+//     emission (ktEmit stamps Now), and the end of the quantum. At NCPU=1
+//     the clock and usage therefore read exactly what per-instruction
+//     counters would.
 func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 	p := l.Proc
 	// A stop, sleep or death reached during this call counts as progress
 	// even when no instruction executed — the state advanced, and waiters
-	// (PIOCWSTOP, poll) must get a chance to observe it.
-	entryPhase, entryState := l.phase, l.state
-	if w != nil {
-		// Other CPUs mutate scheduling state under the global lock; this
-		// worker holds nothing yet, so entry/exit observations and the
-		// loop-top check below go through the atomic state mirror.
-		entryState = LState(l.stateA.Load())
-		w.enter(l)
-	}
+	// (PIOCWSTOP, poll) must get a chance to observe it. Other CPUs mutate
+	// scheduling state under the global lock; this CPU holds nothing yet,
+	// so entry/exit observations and the loop-top check go through the
+	// atomic state mirror.
+	entryPhase, entryState := l.phase, LState(l.stateA.Load())
+	w.enter(l)
 	defer func() {
-		st := l.state
-		if w != nil {
-			st = LState(l.stateA.Load())
-		}
-		if l.phase != entryPhase || st != entryState {
+		if l.phase != entryPhase || LState(l.stateA.Load()) != entryState {
 			ran = true
 		}
-		if w != nil {
-			w.leave(p)
-		}
+		w.leave()
 	}()
 	for budget > 0 {
-		if w == nil {
-			if l.state == LZombie || !p.Alive() || l.Stopped() || l.sleeping {
-				return ran
-			}
-		} else if LState(l.stateA.Load()) != LRun || !p.Alive() {
+		if LState(l.stateA.Load()) != LRun || !p.Alive() {
 			return ran
 		}
 		switch l.phase {
 		case phUser:
+			w.unlock() // back at user level: run with no locks at all
 			// Natural points of control are where the process enters and
 			// leaves the kernel; a pending directive or signal enters it.
-			if w == nil {
+			// The gate reads only the intr atomic: everything that sets a
+			// pending signal, current signal or directed stop calls
+			// noteIntr, so a clear atomic means nothing to deliver.
+			if p.intr.Load() != 0 {
+				w.lockGlobal()
 				if l.dstop || l.CurSig != 0 || !p.SigPend.IsEmpty() {
 					if k.issig(l, false) {
 						k.psig(l)
 					}
-					if l.state == LZombie || !p.Alive() || l.Stopped() {
-						return ran
-					}
+				} else {
+					p.clearIntr()
 				}
-			} else {
-				w.unlock() // back at user level: run with no locks at all
-				// The gate reads only the intr atomic: everything that sets
-				// a pending signal, current signal or directed stop calls
-				// noteIntr, so a clear atomic means nothing to deliver.
-				if p.intr.Load() != 0 {
-					w.lockGlobal()
-					if l.dstop || l.CurSig != 0 || !p.SigPend.IsEmpty() {
-						if k.issig(l, false) {
-							k.psig(l)
-						}
-					} else {
-						p.clearIntr()
-					}
-					w.unlock()
-					if LState(l.stateA.Load()) != LRun || !p.Alive() {
-						return ran
-					}
+				w.unlock()
+				if LState(l.stateA.Load()) != LRun || !p.Alive() {
+					return ran
 				}
 			}
 			tr := l.CPU.Step()
 			budget--
 			ran = true
-			if w == nil {
-				k.clock++
-				p.Usage.UserTicks++
-			} else {
-				w.ticks++
-				w.userTicks++
-			}
+			w.ticks++
+			w.userTicks++
 			switch tr.Kind {
 			case vcpu.TrapNone:
 			case vcpu.TrapSyscall:
@@ -125,11 +91,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 				l.sysExitDone = false
 				l.sysStored = false
 				l.abortSys = false
-				if w == nil {
-					p.Usage.Syscalls++
-				} else {
-					w.syscalls++
-				}
+				w.syscalls++
 				l.phase = phSysEntry
 			case vcpu.TrapFault:
 				if tr.Fault == types.FLTTRACE {
@@ -139,15 +101,9 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 				l.CurFlt = tr.Fault
 				l.FltAddr = tr.Addr
 				l.fltStopDone = false
-				if w == nil {
-					p.Usage.Faults++
-				} else {
-					w.faults++
-				}
+				w.faults++
 				if k.ktEnabled(p) {
-					if w != nil {
-						w.lockGlobal()
-					}
+					w.lockGlobal()
 					k.ktFault(l, tr.Fault, tr.Addr)
 				}
 				l.phase = phFault
@@ -158,9 +114,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 			// fetched the arguments, so a debugger can change them.
 			if !l.sysEntryDone && p.Trace.Entry.Has(l.sysNum) {
 				l.sysEntryDone = true
-				if w != nil {
-					w.lockGlobal()
-				}
+				w.lockGlobal()
 				l.stopEvent(WhySysEntry, l.sysNum)
 				return ran
 			}
@@ -172,9 +126,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 			// The entry event is recorded after the arguments are fetched,
 			// so it reflects any changes a debugger made at the entry stop.
 			if k.ktEnabled(p) {
-				if w != nil {
-					w.lockGlobal()
-				}
+				w.lockGlobal()
 				k.ktSysEntry(l)
 			}
 			if l.abortSys {
@@ -191,18 +143,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 			// re-asks the question, as issig() within an interruptible
 			// sleep does: a delivered signal makes the call fail EINTR; a
 			// requested stop leaves the call undisturbed.
-			if w == nil {
-				if l.dstop || l.CurSig != 0 || !p.SigPend.IsEmpty() {
-					if k.issig(l, true) {
-						l.sysRet, l.sysR1, l.sysErr = 0, 0, EINTR
-						l.phase = phSysExit
-						continue
-					}
-					if l.state == LZombie || !p.Alive() || l.Stopped() {
-						return ran
-					}
-				}
-			} else if p.intr.Load() != 0 {
+			if p.intr.Load() != 0 {
 				w.lockGlobal()
 				if l.dstop || l.CurSig != 0 || !p.SigPend.IsEmpty() {
 					if k.issig(l, true) {
@@ -221,38 +162,26 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 				l.phase = phSysExit
 				continue
 			}
-			if w != nil {
-				// Take the lock the system call's class requires, and fold
-				// the quantum's deltas in first under it so handlers that
-				// read the clock or this process's own usage (time, times,
-				// alarm) observe their own ticks, as they would have in
-				// deterministic mode.
-				switch cls := sysClassOf(l.sysNum); cls {
-				case sysLockProc:
-					w.lockProc()
-					w.flush(p)
-				case sysLockGlobal:
-					w.lockGlobal()
-					w.flush(p)
-				}
+			// Take the lock the system call's class requires; taking it
+			// folds the quantum's deltas in, so handlers that read the
+			// clock or this process's own usage (time, times, alarm)
+			// observe their own ticks.
+			switch sysClassOf(l.sysNum) {
+			case sysLockProc:
+				w.lockProc()
+			case sysLockGlobal:
+				w.lockGlobal()
 			}
 			res := k.dispatch(l)
 			budget--
 			ran = true
-			if w == nil {
-				k.clock++
-				p.Usage.SysTicks++
-			} else {
-				w.ticks++
-				w.sysTicks++
-			}
+			w.ticks++
+			w.sysTicks++
 			if res.NoReturn {
 				return ran
 			}
 			if res.SleepOn != nil {
-				if w != nil {
-					w.lockGlobal() // wakers on other CPUs read the sleep state
-				}
+				w.lockGlobal() // wakers on other CPUs read the sleep state
 				l.sleep(res.SleepOn)
 				return ran
 			}
@@ -271,16 +200,12 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 			}
 			if !l.sysExitDone && p.Trace.Exit.Has(l.sysNum) {
 				l.sysExitDone = true
-				if w != nil {
-					w.lockGlobal()
-				}
+				w.lockGlobal()
 				l.stopEvent(WhySysExit, l.sysNum)
 				return ran
 			}
 			if k.ktEnabled(p) {
-				if w != nil {
-					w.lockGlobal()
-				}
+				w.lockGlobal()
 				k.ktSysExit(l)
 			}
 			if l.suspSaved != nil {
@@ -293,22 +218,11 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 		case phRetUser:
 			// Just before returning to user level:
 			//	if (issig()) psig();
-			// gated, as at the other natural points of control, on there
-			// being a directive or a signal for issig to act on.
-			if w == nil {
-				if l.dstop || l.CurSig != 0 || !p.SigPend.IsEmpty() {
-					if k.issig(l, false) {
-						k.psig(l)
-					}
-				}
-				if l.state == LZombie || !p.Alive() || l.Stopped() {
-					return ran
-				}
-			} else if p.intr.Load() != 0 {
-				// The gate reads only the intr atomic: every setter of a
-				// pending, current or directed-stop condition raises it,
-				// and clearIntr refuses to drop it while any of them
-				// remain, so a clear atomic means nothing to deliver.
+			// gated, as at the other natural points of control, on the
+			// intr atomic: every setter of a pending, current or
+			// directed-stop condition raises it, and clearIntr refuses to
+			// drop it while any of them remain.
+			if p.intr.Load() != 0 {
 				w.lockGlobal()
 				if k.issig(l, false) {
 					k.psig(l)
@@ -322,9 +236,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 		case phFault:
 			if !l.fltStopDone && p.Trace.Faults.Has(l.CurFlt) {
 				l.fltStopDone = true
-				if w != nil {
-					w.lockGlobal()
-				}
+				w.lockGlobal()
 				l.stopEvent(WhyFaulted, l.CurFlt)
 				return ran
 			}
@@ -341,9 +253,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 			// Otherwise the process is sent a signal, normally SIGTRAP or
 			// SIGILL for breakpoints.
 			if sig := types.FaultSignal(flt); sig != 0 {
-				if w != nil {
-					w.lockGlobal()
-				}
+				w.lockGlobal()
 				k.PostSignal(p, sig)
 			}
 			l.phase = phRetUser
@@ -354,17 +264,10 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 	// that arrives with an exhausted budget, or spends the whole quantum
 	// gated, never held the CPU and must not be billed for losing it.
 	if ran {
-		if w == nil {
-			p.Usage.InvolCtx++
-			if k.ktEnabled(p) {
-				k.ktSchedTick(l)
-			}
-		} else {
-			w.involCtx++
-			if k.ktEnabled(p) {
-				w.lockGlobal()
-				k.ktSchedTick(l)
-			}
+		w.involCtx++
+		if k.ktEnabled(p) {
+			w.lockGlobal()
+			k.ktSchedTick(l)
 		}
 	}
 	return ran

@@ -8,7 +8,13 @@ import (
 	"repro/internal/mem"
 )
 
-// SMP scheduling (Config.NCPU > 1).
+// Scheduler CPUs and SMP scheduling (Config.NCPU > 1).
+//
+// Every kernel owns Config.NCPU kcpus, and runLWPOn always runs on one. At
+// NCPU=1 Step drives its only CPU inline on the caller's goroutine, over
+// the process table in round-robin order (the order replay pins); no
+// goroutine, channel or run queue exists and the locks are no-ops. Above 1,
+// the CPUs are worker goroutines over the run queues described below.
 //
 // The schedulable unit is the whole process: the LWPs of one process never
 // run on two CPUs at once, which preserves the kernel's invariant that a
@@ -59,8 +65,8 @@ func (q *qmu) unlock() {
 }
 
 // kcpu is one scheduler CPU. Fields other than curAS are only touched by
-// the worker goroutine that owns the kcpu during a pass (or by the
-// single-threaded driver between passes).
+// the goroutine driving the kcpu during a pass: its worker at NCPU>1, the
+// caller of Step at NCPU=1.
 type kcpu struct {
 	id int
 	k  *Kernel
@@ -73,15 +79,16 @@ type kcpu struct {
 	as    *mem.AS // the running LWP's space (restored into curAS on unlock)
 	p     *Proc   // the process of the current quantum (enter..leave)
 
-	// haveGlobal/haveProc track which locks this worker holds, making the
+	// haveGlobal/haveProc track which locks this CPU holds, making the
 	// acquisitions idempotent: runLWPOn acquires lazily at the first
 	// kernel-phase need and unlock releases everything on return to user
 	// level. Escalating from the proc lock to the global lock drops the
-	// proc lock first (rank order) and retakes it after.
+	// proc lock first (rank order).
 	haveGlobal bool
 	haveProc   bool
 
-	// Per-quantum counter deltas, flushed under the process lock by flush().
+	// Per-quantum counter deltas, folded in by flush() on every lockProc
+	// and lockGlobal call.
 	ticks     int64
 	userTicks int64
 	sysTicks  int64
@@ -95,7 +102,6 @@ type kcpu struct {
 
 // smpState hangs off the Kernel when Config.NCPU > 1.
 type smpState struct {
-	cpus   []*kcpu
 	queues []runQueue
 
 	// Persistent workers: one token on work per CPU per pass, one result
@@ -112,26 +118,16 @@ type smpState struct {
 	pass   uint64 // pass ordinal; also keys the steal-victim rotation
 }
 
-func newSMP(k *Kernel, n int) *smpState {
-	s := &smpState{
-		cpus:   make([]*kcpu, n),
+func newSMP(n int) *smpState {
+	return &smpState{
 		queues: make([]runQueue, n),
 		work:   make(chan struct{}, n),
 		done:   make(chan bool, n),
 	}
-	for i := range s.cpus {
-		s.cpus[i] = &kcpu{id: i, k: k}
-	}
-	return s
 }
 
-// NCPU returns the number of scheduler CPUs (1 in deterministic mode).
-func (k *Kernel) NCPU() int {
-	if k.smp == nil {
-		return 1
-	}
-	return len(k.smp.cpus)
-}
+// NCPU returns the number of scheduler CPUs.
+func (k *Kernel) NCPU() int { return len(k.cpus) }
 
 // noteSchedulable hands p to its home run queue if it is not already a
 // member. Called when a process gains its first runnable LWP (wakeup,
@@ -184,46 +180,54 @@ func (q *runQueue) claim(pass uint64) *Proc {
 	return nil
 }
 
-// lockProc acquires the current process's lock (rank 2) for this worker if
-// not already held. The published address space is cleared first: a CPU
-// that blocks on any lock must never be spun on by a shootdown initiator,
-// or the two would deadlock.
+// lockProc makes the current process's own state safe to touch: it takes
+// the process's lock (rank 2) unless this CPU already holds it or the
+// global lock, which suffices on its own (see lockGlobal), and then folds
+// the deltas in. The published address space is cleared before blocking:
+// a CPU that blocks on any lock must never be spun on by a shootdown
+// initiator, or the two would deadlock.
 func (w *kcpu) lockProc() {
-	if w.haveProc {
-		return
+	if !w.haveProc && !w.haveGlobal {
+		w.curAS.Store(nil)
+		w.p.Lock()
+		w.haveProc = true
 	}
-	w.curAS.Store(nil)
-	w.p.Lock()
-	w.haveProc = true
+	w.flush()
 }
 
 // lockGlobal acquires the global kernel lock (rank 1). Own-process state
 // may be accessed under either the global lock or the per-process lock
 // (cross-process accessors hold both, so every conflicting pair shares a
 // lock); global-class phases therefore do not take the proc lock at all.
-// A worker holding only the proc lock escalates by dropping it first —
-// rank order forbids proc→global.
+// A CPU holding only the proc lock escalates by dropping it first — rank
+// order forbids proc→global. Every call, held or not, folds the deltas in:
+// the callers are the phases that emit trace events or touch other
+// processes, and they must see every tick so far.
 func (w *kcpu) lockGlobal() {
-	if w.haveGlobal {
-		return
+	if !w.haveGlobal {
+		if w.haveProc {
+			w.p.Unlock()
+			w.haveProc = false
+		}
+		w.curAS.Store(nil)
+		w.k.GlobalLock()
+		w.haveGlobal = true
 	}
-	if w.haveProc {
-		w.p.Unlock()
-		w.haveProc = false
-	}
-	w.curAS.Store(nil)
-	w.k.GlobalLock()
-	w.haveGlobal = true
+	w.flush()
 }
 
-// lock is lockGlobal under its historical big-kernel-lock name; the
-// shootdown-barrier tests exercise the withdraw/block contract through it.
-func (w *kcpu) lock() { w.lockGlobal() }
-
-// unlock drops whatever locks the worker holds (proc before global, the
-// reverse of acquisition) and republishes the running space for the
-// user-mode stepping that follows.
+// unlock drops whatever locks the CPU holds and republishes the running
+// space for the user-mode stepping that follows. It runs before every
+// user instruction, so the common nothing-held case stays inlinable.
 func (w *kcpu) unlock() {
+	if w.haveProc || w.haveGlobal {
+		w.release()
+	}
+}
+
+// release is unlock's slow path: proc before global, the reverse of
+// acquisition.
+func (w *kcpu) release() {
 	if w.haveProc {
 		w.p.Unlock()
 		w.haveProc = false
@@ -246,29 +250,35 @@ func (w *kcpu) enter(l *LWP) {
 	}
 }
 
-// leave marks the end of a quantum: flush counter deltas — under the
+// leave marks the end of a quantum: fold the deltas in — under the
 // per-process lock alone when no lock is held, so a quantum spent purely
 // in user mode or process-local calls never touches the global lock for
 // accounting — then release everything and withdraw the published space.
-func (w *kcpu) leave(p *Proc) {
-	if w.ticks != 0 || w.syscalls != 0 || w.faults != 0 || w.involCtx != 0 {
-		if !w.haveGlobal && !w.haveProc {
-			w.lockProc()
-		}
-		w.flush(p)
+func (w *kcpu) leave() {
+	if w.dirty() {
+		w.lockProc()
 	}
+	w.as = nil // nothing to republish
 	w.unlock()
 	w.p = nil
-	w.as = nil
 	w.curAS.Store(nil)
 }
 
+// dirty reports whether the CPU holds deltas not yet folded in.
+func (w *kcpu) dirty() bool {
+	return w.ticks != 0 || w.syscalls != 0 || w.faults != 0 || w.involCtx != 0
+}
+
 // flush folds the per-quantum deltas into the shared clock and the
-// process's usage. The caller holds the global lock or p's lock (either
-// suffices for own-process state); the clock itself is atomic and needs
-// neither.
-func (w *kcpu) flush(p *Proc) {
-	w.k.clockA.Add(w.ticks)
+// process's usage. The caller holds the global lock or the process's lock
+// (either suffices for own-process state); the clock itself is atomic and
+// needs neither.
+func (w *kcpu) flush() {
+	if !w.dirty() {
+		return
+	}
+	p := w.p
+	w.k.clock.Add(w.ticks)
 	p.Usage.UserTicks += w.userTicks
 	p.Usage.SysTicks += w.sysTicks
 	p.Usage.Syscalls += w.syscalls
@@ -285,21 +295,22 @@ func (w *kcpu) flush(p *Proc) {
 // which an in-flight access could use a stale frame. The initiator runs
 // under the global lock (or, for address-space-only calls, the per-process
 // lock) with its own curAS withdrawn, and blocked CPUs clear theirs before
-// sleeping on any lock, so the spin always terminates. Deterministic mode
-// and host-side callers (no pass running) fall through immediately.
+// sleeping on any lock, so the spin always terminates. At NCPU=1 the only
+// CPU is the initiator itself and the barrier falls through, as it does
+// for host-side callers (no pass running).
 func (k *Kernel) shootdown(as *mem.AS) {
 	if k.smp == nil || as == nil {
 		return
 	}
-	for _, w := range k.smp.cpus {
+	for _, w := range k.cpus {
 		for w.curAS.Load() == as {
 			runtime.Gosched()
 		}
 	}
 }
 
-// stepSMP is Step for NCPU > 1: one scheduling pass fanned out to the
-// persistent worker goroutines.
+// stepSMP is the NCPU > 1 half of Step, after its prologue: one scheduling
+// pass fanned out to the persistent worker goroutines.
 func (k *Kernel) stepSMP() bool {
 	s := k.smp
 	s.shutMu.Lock()
@@ -311,17 +322,10 @@ func (k *Kernel) stepSMP() bool {
 	s.started = true
 	s.shutMu.Unlock()
 	if start {
-		for _, w := range s.cpus {
+		for _, w := range k.cpus {
 			go k.smpWorker(w)
 		}
 	}
-
-	// The pass prologue runs on the single driver goroutine under the
-	// global lock (timer-fired wakeups mutate scheduling state).
-	k.GlobalLock()
-	k.tickClock()
-	k.checkTimers()
-	k.GlobalUnlock()
 
 	// Arm the queues for the new pass: reset the claim cursors over the
 	// incrementally-maintained membership. No rebuild, no allocation.
@@ -343,11 +347,11 @@ func (k *Kernel) stepSMP() bool {
 		return false
 	}
 
-	for range s.cpus {
+	for range k.cpus {
 		s.work <- struct{}{}
 	}
 	ran := false
-	for range s.cpus {
+	for range k.cpus {
 		if <-s.done {
 			ran = true
 		}

@@ -46,8 +46,8 @@ type lwpSnap struct {
 	why                              StopWhy
 	what                             int
 
-	dstop, abortSys, clearFlt        bool
-	sigStopTaken, ptraceStopTaken    bool
+	dstop, abortSys, clearFlt     bool
+	sigStopTaken, ptraceStopTaken bool
 
 	sigHold     types.SigSet
 	curSig      int
@@ -118,10 +118,10 @@ type procSnap struct {
 
 // pipeSnap is the saved state of one pipe, keyed by identity.
 type pipeSnap struct {
-	p        *pipe
-	buf      []byte
-	readers  int
-	writers  int
+	p       *pipe
+	buf     []byte
+	readers int
+	writers int
 }
 
 // Snapshot is one whole-kernel checkpoint.
@@ -155,7 +155,7 @@ func (k *Kernel) Snapshot() (*Snapshot, error) {
 		return nil, ErrSnapshotSMP
 	}
 	sn := &Snapshot{
-		clock:        k.clock,
+		clock:        k.Now(),
 		nextPid:      k.nextPid,
 		rrIndex:      k.rrIndex,
 		tableRev:     k.tableRev.Load(),
@@ -288,7 +288,7 @@ func (k *Kernel) Restore(sn *Snapshot) error {
 	if k.smp != nil {
 		return ErrSnapshotSMP
 	}
-	k.clock = sn.clock
+	k.clock.Store(sn.clock)
 	k.nextPid = sn.nextPid
 	k.rrIndex = sn.rrIndex
 	k.tableRev.Store(sn.tableRev)
@@ -378,11 +378,14 @@ func restoreProc(ps *procSnap) {
 		}
 	}
 	p.nrun.Store(nrun)
-	p.intr.Store(0)
-	// The deterministic scheduler never consults intr, and the sleeper
-	// lists on embedded waitqs are SMP-only; both stay untouched.
+	// Raise the interrupt nudge, then let clearIntr drop it unless a
+	// restored pending signal, current signal or directed stop needs the
+	// gate. The sleeper lists on embedded waitqs are SMP-only and stay
+	// untouched.
+	p.noteIntr()
+	p.clearIntr()
 	if p.k.Trace != nil {
-		p.k.tracef("pid %d restored to t=%d", p.Pid, p.k.clock)
+		p.k.tracef("pid %d restored to t=%d", p.Pid, p.k.Now())
 	}
 }
 

@@ -142,8 +142,9 @@ func rsleep(q *waitq) sysResult  { return sysResult{SleepOn: q} }
 
 var sysTable [MaxSysNum + 1]sysent
 
-// Lock classes: the lock an SMP worker must hold to dispatch a system
-// call (run.go). Deterministic mode ignores the table entirely.
+// Lock classes: the lock a CPU must hold to dispatch a system call
+// (run.go). At NCPU=1 the locks are no-ops, but taking one still folds the
+// CPU's tick deltas in.
 //
 //   - sysLockNone: the handler reads only its own process's stable or
 //     atomically-maintained state — no lock at all, so a fleet of getpid

@@ -318,6 +318,47 @@ func TestBrkGrowth(t *testing.T) {
 	}
 }
 
+// A break shrunk to its base keeps an empty segment that the invariant
+// checker accepts, that covers no address, and that grows again.
+func TestBrkShrinkToBase(t *testing.T) {
+	as := newTestAS()
+	brk := mustMap(t, as, MapArgs{Base: 0x20000, Len: 4096, Prot: ProtRW, Kind: KindBreak, Fixed: true})
+	as.SetBrk(brk)
+	as.WriteAt([]byte{7}, 0x20000)
+	if err := as.Brk(0x20000); err != nil {
+		t.Fatal(err)
+	}
+	if brk.Len != 0 || as.BrkSeg() != brk {
+		t.Fatalf("brk at base: len %d, segment kept %v", brk.Len, as.BrkSeg() == brk)
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatalf("empty break rejected: %v", err)
+	}
+	if _, err := as.ReadAt(make([]byte, 1), 0x20000); err == nil {
+		t.Fatal("the empty break still maps its base")
+	}
+	if err := as.Brk(0x20000 + 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.WriteAt([]byte{9}, 0x20000); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 1)
+	if _, err := as.ReadAt(got, 0x20000); err != nil || got[0] != 9 {
+		t.Fatalf("store after regrowth read back %v, %v", got, err)
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Any other empty segment is still a violation.
+	as.segs[0].Len = 0
+	as.brk = nil
+	if err := as.CheckInvariants(); err == nil {
+		t.Fatal("an empty non-break segment passed the checker")
+	}
+}
+
 func TestDupCopiesPrivateState(t *testing.T) {
 	obj := &ByteObject{Name: "a.out", Data: bytes.Repeat([]byte{1}, 4096)}
 	as := newTestAS()

@@ -20,7 +20,10 @@ func (as *AS) CheckInvariants() error {
 		if uint64(s.Base)%ps != 0 {
 			return fmt.Errorf("mem: seg %d base %#x not page aligned", i, s.Base)
 		}
-		if s.Len == 0 || uint64(s.Len)%ps != 0 {
+		// Only the break may be empty: brk(2) down to its base leaves the
+		// segment in place, covering no address, so the break can grow
+		// from it again.
+		if (s.Len == 0 && s != as.brk) || uint64(s.Len)%ps != 0 {
 			return fmt.Errorf("mem: seg %d length %#x not a page multiple", i, s.Len)
 		}
 		if s.End() > 1<<32 {

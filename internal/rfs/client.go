@@ -15,7 +15,7 @@ type Client struct {
 	T    Transport
 	Cred types.Cred
 	// ops counts protocol round trips, for the paper's remote-efficiency
-	// arguments. Atomic: a ConnTransport client may be shared across
+	// arguments. Atomic: a client on a MuxTransport may be shared across
 	// goroutines.
 	ops atomic.Int64
 }

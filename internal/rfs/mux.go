@@ -11,20 +11,18 @@ import (
 	"time"
 )
 
-// The multiplexed protocol. The legacy ("stop-and-wait") protocol carries
-// bare request/response bodies, one exchange in flight per connection. The
-// multiplexed protocol prefixes every frame payload with a u32 request tag:
+// The multiplexed protocol, the only one a connection speaks. Every frame
+// payload is a u32 request tag followed by a request or response body:
 //
 //	frame    = u32 length | payload
-//	payload  = u32 tag    | body          (body as in the legacy protocol)
+//	payload  = u32 tag    | body          (body as Server.Handle takes and returns it)
 //
 // The client assigns tags and demultiplexes responses by tag, so any number
 // of goroutines can pipeline requests on one connection; the server decodes
 // frames off the wire, dispatches each request on a worker, and writes
-// responses out of order as they complete. A connection declares itself
-// multiplexed with a handshake: the client's first frame is muxMagic, which
-// the server echoes. Legacy clients never collide with the handshake (their
-// first payload byte is an opcode < 0x20), so one listener serves both.
+// responses out of order as they complete. A connection opens with a
+// handshake: the client's first frame is muxMagic, which the server echoes.
+// A server given any other first frame drops the connection.
 const muxMagic = "RFS/mux1"
 
 // ErrTimeout is returned when a request's deadline expires before its
@@ -91,7 +89,7 @@ func NewMuxTransport(conn io.ReadWriter) (*MuxTransport, error) {
 		return nil, err
 	}
 	if string(ack) != muxMagic {
-		return nil, errors.New("rfs: peer did not acknowledge mux handshake (legacy server?)")
+		return nil, errors.New("rfs: peer did not acknowledge mux handshake")
 	}
 	t := &MuxTransport{
 		conn:       conn,

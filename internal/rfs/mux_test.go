@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 // fakeMuxServer accepts the handshake on conn and hands tagged requests to
@@ -204,21 +206,52 @@ func TestMuxClose(t *testing.T) {
 	mt.Close() // idempotent
 }
 
-// A legacy server answers the handshake frame with a protocol error, which
-// the mux constructor must surface, not hang on.
+// A peer that does not speak the mux protocol — one that answers the
+// handshake frame with an error response, as a stop-and-wait server would —
+// makes the mux constructor fail, not hang.
 func TestMuxHandshakeAgainstLegacyServer(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
 	defer client.Close()
 	go func() {
-		// A stop-and-wait server treats the magic as a (garbled) request
-		// and answers with an error response.
 		if _, err := readFrame(server); err != nil {
 			return
 		}
 		writeFrame(server, []byte{0, 0, 0, byte(errOther)})
 	}()
 	if _, err := NewMuxTransport(client); err == nil {
-		t.Fatal("handshake against legacy server should fail")
+		t.Fatal("handshake against a non-mux peer should fail")
+	}
+}
+
+// The server side: a connection whose first frame is a bare request rather
+// than the handshake is refused with an error and sent nothing.
+func TestServeConnRequiresHandshake(t *testing.T) {
+	server, client := net.Pipe()
+	defer client.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- NewServer(vfs.NewNS(nil), nil).ServeConn(server)
+		server.Close()
+	}()
+	req := &buf{}
+	req.putU8(opStat)
+	for i := 0; i < 4; i++ {
+		req.putU32(0) // root credentials
+	}
+	req.putStr("/")
+	if err := writeFrame(client, req.b); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, errNoHandshake) {
+			t.Fatalf("ServeConn = %v, want errNoHandshake", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("ServeConn served a connection that skipped the handshake")
+	}
+	if _, err := readFrame(client); err == nil {
+		t.Fatal("the refused connection got a response")
 	}
 }

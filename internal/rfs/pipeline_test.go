@@ -151,9 +151,8 @@ func TestMuxPipelineStress(t *testing.T) {
 	}
 }
 
-// The same pipelining over real TCP, and the legacy stop-and-wait client
-// still served by the very same listener (compat mode).
-func TestMuxOverTCPWithLegacyCompat(t *testing.T) {
+// The same pipelining over real TCP.
+func TestMuxOverTCP(t *testing.T) {
 	defer leakCheck(t)()
 	s := repro.NewSystem()
 	s.FS.WriteFile("/tmp/shared", []byte("over tcp"), 0o644, 0, 0)
@@ -212,22 +211,9 @@ func TestMuxOverTCPWithLegacyCompat(t *testing.T) {
 			}
 		}()
 	}
-	// Legacy client on its own connection against the same listener.
-	lconn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lcl := rfs.NewClient(&rfs.ConnTransport{Conn: lconn}, types.RootCred())
-	for i := 0; i < 10; i++ {
-		ents, err := lcl.ReadDir("/tmp")
-		if err != nil || len(ents) != 1 {
-			t.Fatalf("legacy readdir: %v %v", ents, err)
-		}
-	}
 	wg.Wait()
 	mt.Close()
 	mconn.Close()
-	lconn.Close()
 	ln.Close()
 	served.Wait()
 }

@@ -238,8 +238,8 @@ func (m *buf) attr() vfs.Attr {
 }
 
 // Transport carries one request/response exchange. LocalTransport invokes a
-// server directly (deterministic, in-process); ConnTransport speaks frames
-// over a net.Conn one at a time; MuxTransport pipelines tagged frames.
+// server directly (deterministic, in-process); MuxTransport pipelines tagged
+// frames over a stream connection.
 type Transport interface {
 	RoundTrip(req []byte) ([]byte, error)
 }

@@ -241,7 +241,11 @@ func TestRFSOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := rfs.NewClient(&rfs.ConnTransport{Conn: conn}, types.RootCred())
+	mt, err := rfs.NewMuxTransport(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := rfs.NewClient(mt, types.RootCred())
 	var st kernel.ProcStatus
 	f, err := cl.Open("/proc/"+procfs.PidName(p.Pid), vfs.ORead|vfs.OWrite)
 	if err != nil {
@@ -257,6 +261,7 @@ func TestRFSOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	mt.Close()
 	conn.Close()
 	<-done
 }

@@ -2,6 +2,7 @@ package rfs
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"sync"
 
@@ -305,31 +306,28 @@ func (s *Server) lookupFD(fd uint32) *vfs.File {
 	return s.open[fd]
 }
 
-// ServeConn serves frames from a connection until it closes. It speaks
-// both protocols: a first frame carrying the mux handshake upgrades the
-// connection to the tagged, pipelined protocol; anything else is served
-// stop-and-wait, one frame at a time (the legacy compat mode).
+// errNoHandshake ends a connection whose first frame is not the mux
+// handshake.
+var errNoHandshake = errors.New("rfs: first frame is not the mux handshake")
+
+// ServeConn serves the tagged, pipelined protocol on a connection until it
+// closes. The first frame must be the mux handshake, which is echoed; any
+// other first frame ends the connection with an error.
 func (s *Server) ServeConn(conn io.ReadWriter) error {
-	first := true
-	for {
-		req, err := readFrame(conn)
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
+	req, err := readFrame(conn)
+	if err != nil {
+		if err == io.EOF {
+			return nil
 		}
-		if first && string(req) == muxMagic {
-			if err := writeFrame(conn, []byte(muxMagic)); err != nil {
-				return err
-			}
-			return s.serveMux(conn)
-		}
-		first = false
-		if err := writeFrame(conn, s.Handle(req)); err != nil {
-			return err
-		}
+		return err
 	}
+	if string(req) != muxMagic {
+		return errNoHandshake
+	}
+	if err := writeFrame(conn, []byte(muxMagic)); err != nil {
+		return err
+	}
+	return s.serveMux(conn)
 }
 
 // LocalTransport invokes a server in-process — deterministic and
@@ -339,21 +337,4 @@ type LocalTransport struct{ S *Server }
 // RoundTrip implements Transport.
 func (t LocalTransport) RoundTrip(req []byte) ([]byte, error) {
 	return t.S.Handle(req), nil
-}
-
-// ConnTransport speaks the frame protocol over a stream connection (one
-// outstanding request at a time).
-type ConnTransport struct {
-	Conn io.ReadWriter
-	mu   sync.Mutex
-}
-
-// RoundTrip implements Transport.
-func (t *ConnTransport) RoundTrip(req []byte) ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := writeFrame(t.Conn, req); err != nil {
-		return nil, err
-	}
-	return readFrame(t.Conn)
 }

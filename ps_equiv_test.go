@@ -49,7 +49,8 @@ spin:	jmp spin
 }
 
 // remoteClient serves the system's namespace over a pipe and returns an RFS
-// client on it: the same table seen through the remote file system.
+// client on a mux transport over it: the same table seen through the remote
+// file system.
 func remoteClient(t *testing.T, s *repro.System, cred types.Cred) *rfs.Client {
 	t.Helper()
 	var lock sync.Mutex
@@ -60,12 +61,16 @@ func remoteClient(t *testing.T, s *repro.System, cred types.Cred) *rfs.Client {
 		defer close(done)
 		srv.ServeConn(server)
 	}()
+	mt, err := rfs.NewMuxTransport(client)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
-		client.Close()
+		mt.Close()
 		server.Close()
 		<-done
 	})
-	return rfs.NewClient(&rfs.ConnTransport{Conn: client}, cred)
+	return rfs.NewClient(mt, cred)
 }
 
 // render runs one sweep into a buffer.
