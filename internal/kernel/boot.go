@@ -28,14 +28,16 @@ func (k *Kernel) Spawn(path string, args []string, cred types.Cred, parent *Proc
 		parent = k.initProc
 	}
 	p := &Proc{
-		k:      k,
-		Pid:    k.allocPid(),
-		Parent: parent,
-		Cred:   cred.Clone(),
-		CWD:    "/",
-		Umask:  0o22,
-		Start:  k.Now(),
-		fds:    map[int]*vfs.File{},
+		k:   k,
+		Pid: k.allocPid(),
+		procState: procState{
+			Parent: parent,
+			Cred:   cred.Clone(),
+			CWD:    "/",
+			Umask:  0o22,
+			Start:  k.Now(),
+		},
+		fds: map[int]*vfs.File{},
 	}
 	if parent != nil {
 		p.Pgrp = parent.Pgrp

@@ -323,14 +323,11 @@ func (k *Kernel) removeProc(p *Proc) {
 // newSystemProc creates a kernel-internal process with no address space.
 func (k *Kernel) newSystemProc(pid int, name string) *Proc {
 	p := &Proc{
-		k:      k,
-		Pid:    pid,
-		Comm:   name,
-		Args:   []string{name},
-		System: true,
-		fds:    map[int]*vfs.File{},
-		CWD:    "/",
-		Start:  k.Now(),
+		k:         k,
+		Pid:       pid,
+		System:    true,
+		procState: procState{Comm: name, Args: []string{name}, CWD: "/", Start: k.Now()},
+		fds:       map[int]*vfs.File{},
 	}
 	k.addProc(p)
 	return p

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/kernel"
+	"repro/internal/ktrace"
 	"repro/internal/memfs"
 	"repro/internal/types"
 	"repro/internal/vfs"
@@ -446,6 +447,127 @@ func TestSleepSyscall(t *testing.T) {
 	}
 	if f.K.Now()-start < 500 {
 		t.Fatalf("sleep returned after %d ticks, want >= 500", f.K.Now()-start)
+	}
+}
+
+// Regression test: a sleep(2) cut short by a caught signal must not leave
+// its deadline behind for the next sleep. The deadline used to be cleared
+// only by a sleep that ran to completion, so the sleep(2000) below inherited
+// the interrupted sleep(1000)'s deadline and returned after ~1000 ticks.
+func TestSleepAfterEINTRStartsFresh(t *testing.T) {
+	f := boot(t)
+	p := f.spawn("resleeper", `
+.entry main
+handler:
+	movi r0, SYS_sigreturn
+	syscall
+main:
+	movi r0, SYS_signal
+	movi r1, SIGALRM
+	la r2, handler
+	syscall
+	movi r0, SYS_alarm
+	movi r1, 100
+	syscall
+	movi r0, SYS_sleep
+	movi r1, 1000
+	syscall			; EINTR when SIGALRM arrives
+	mov r5, r0
+	movi r0, SYS_sleep
+	movi r1, 2000
+	syscall
+	mov r1, r5		; the first sleep's errno
+	movi r0, SYS_exit
+	syscall
+`, user())
+	start := f.K.Now()
+	status := f.runToExit(p)
+	if ok, code := kernel.WIfExited(status); !ok || code != int(kernel.EINTR) {
+		t.Fatalf("status = %#x, want first sleep -> EINTR", status)
+	}
+	if got := f.K.Now() - start; got < 2100 {
+		t.Fatalf("exited after %d ticks, want >= 2100 (alarm 100 + sleep 2000)", got)
+	}
+}
+
+// The deterministic scheduler wakes the sleepers on one channel in process-
+// table order, whatever order they went to sleep in. Three children block
+// reading one pipe in reverse pid order, and a single write wakes them all:
+// the kernel-wide trace must show the wakes in ascending pid order.
+func TestWakeAllPidOrder(t *testing.T) {
+	f := boot(t)
+	f.K.EnableKTraceAll(1 << 14)
+	p := f.spawn("wakeorder", `
+	movi r0, SYS_pipe
+	syscall
+	mov r6, r0		; read end
+	mov r7, r1		; write end
+	movi r5, 300		; first child's delay; each later child's is 100 less
+fork:
+	movi r0, SYS_fork
+	syscall
+	cmpi r0, 0
+	je child
+	addi r5, -100
+	cmpi r5, 0
+	jne fork
+	movi r0, SYS_sleep	; parent: let every child block first
+	movi r1, 600
+	syscall
+	movi r0, SYS_write	; one write wakes all three readers
+	mov r1, r7
+	la r2, msg
+	movi r3, 3
+	syscall
+	movi r0, SYS_exit
+	movi r1, 0
+	syscall
+child:
+	movi r0, SYS_sleep
+	mov r1, r5
+	syscall
+	movi r0, SYS_read	; sleeps: empty pipe
+	mov r1, r6
+	la r2, buf
+	movi r3, 1
+	syscall
+	movi r0, SYS_exit
+	movi r1, 0
+	syscall
+.data
+msg:	.ascii "xyz"
+buf:	.space 4
+`, user())
+	f.runToExit(p)
+
+	sysRead, sysWrite := int32(kernel.Predefs()["SYS_read"]), int32(kernel.Predefs()["SYS_write"])
+	run, sleep := int32(kernel.LRun), int32(kernel.LSleep)
+	inCall := map[int32]int32{} // pid -> system call it last entered
+	var blocked, woken []int32
+	inWrite := false
+	for _, e := range f.K.KT.Events() {
+		switch e.Kind {
+		case ktrace.KSysEntry:
+			inCall[e.Pid] = e.What
+			inWrite = e.Pid == int32(p.Pid) && e.What == sysWrite
+		case ktrace.KSysExit:
+			if e.Pid == int32(p.Pid) {
+				inWrite = false
+			}
+		case ktrace.KLWPState:
+			switch {
+			case e.What == sleep && e.A == uint32(run) && inCall[e.Pid] == sysRead:
+				blocked = append(blocked, e.Pid)
+			case inWrite && e.What == run && e.A == uint32(sleep):
+				woken = append(woken, e.Pid)
+			}
+		}
+	}
+	if len(blocked) != 3 || !(blocked[0] > blocked[1] && blocked[1] > blocked[2]) {
+		t.Fatalf("readers blocked in pid order %v, want three in descending pid order", blocked)
+	}
+	if len(woken) != 3 || !(woken[0] < woken[1] && woken[1] < woken[2]) {
+		t.Fatalf("one write woke pids %v, want the three readers in ascending pid order", woken)
 	}
 }
 

@@ -75,8 +75,8 @@ const (
 // style the paper remarks on. In SMP mode the queue keeps its sleeper list
 // under the kernel's sleep-queue lock (k.sleepMu), so wakeAll touches only
 // the LWPs actually blocked on the channel instead of scanning the process
-// table; the deterministic scheduler keeps the historical full scan, whose
-// wake order the bit-for-bit suites pin.
+// table; the deterministic scheduler keeps the historical full scan, which
+// wakes sleepers in process-table order (TestWakeAllPidOrder pins it).
 type waitq struct {
 	name     string
 	sleepers []*LWP // SMP only; guarded by k.sleepMu
@@ -148,66 +148,24 @@ type Proc struct {
 	mu sync.Mutex
 
 	Pid    int
-	Parent *Proc
-	Kids   []*Proc
-	Pgrp   int
-	Sid    int
-	Cred   types.Cred
-	// SugidDirty marks a process that has done a set-id exec; /proc open
-	// then requires super-user credentials.
-	SugidDirty bool
-	Comm       string
-	Args       []string
-	CWD        string
-	Umask      uint16
-	Nice       int
-	Start      int64 // clock at creation
-	System     bool  // pids 0 and 2: no user address space
+	System bool // pids 0 and 2: no user address space
 
-	AS   *mem.AS
-	LWPs []*LWP
+	procState
 
 	// state holds a PState. It is atomic because SMP workers check the
 	// liveness of their claimed processes lock-free while a parent on
 	// another CPU may reap a zombie (PZombie → PGone) under the big lock;
 	// PAlive is the zero value so fresh Procs need no initialization.
-	state      atomic.Int32
-	ExitStatus int // wait(2) status encoding, valid when zombie
+	state atomic.Int32
 
 	fds map[int]*vfs.File
-	// ExecVN is the vnode of the running executable (for PIOCOPENM with
-	// offset 0 and for symbol lookup); ExecPath its name.
-	ExecVN   vfs.Vnode
-	ExecPath string
-	// Image is the parsed executable, kept for symbol lookup by debuggers
-	// (the real system would re-read it from the file).
-	ImageSyms func() ([]Sym, bool)
 
-	// Signal machinery.
-	SigPend types.SigSet // pending signals (process level)
-	Actions [types.MaxSig + 1]SigAction
 	// alarmAt is atomic so the timer sweep can scan armed alarms without
 	// taking every process's lock; alarm(2) itself runs under p.mu only.
 	alarmAt atomic.Int64
 
-	// /proc state.
-	Trace TraceState
-	Usage Usage
-
-	// Event tracing: the per-process ring (nil when disabled) and the
-	// portion of its drop count already folded into the kernel counters.
-	KT         *ktrace.Ring
-	ktDropBase uint64
-
-	// Job control: true when stopped by a job-control signal.
-	jobStopped bool
-	// Ptrace: process is traced via the legacy mechanism by its parent.
-	Ptraced bool
-
-	// vfork support: a vfork child borrows the parent's address space
-	// until it execs or exits; the parent sleeps on the child's vforkQ.
-	borrowsAS bool
-	vforkQ    waitq
+	// vfork support: the parent sleeps on the child's vforkQ.
+	vforkQ waitq
 
 	// intr is the interrupt nudge. The phase machine's user-mode hot loop
 	// checks only this atomic per instruction, at every width; anything
@@ -235,6 +193,61 @@ type Proc struct {
 
 	waitq  waitq // this process sleeps here in wait(2)
 	pauseQ waitq // this process sleeps here in pause(2)/sigsuspend(2)
+}
+
+// procState is the part of a process that a checkpoint saves and restores
+// by value (snapshot.go). Every other Proc field is accounted for, with the
+// reason it is not here, in TestCheckpointCoversEveryField.
+type procState struct {
+	Parent *Proc
+	Kids   []*Proc
+	Pgrp   int
+	Sid    int
+	Cred   types.Cred
+	// SugidDirty marks a process that has done a set-id exec; /proc open
+	// then requires super-user credentials.
+	SugidDirty bool
+	Comm       string
+	Args       []string
+	CWD        string
+	Umask      uint16
+	Nice       int
+	Start      int64 // clock at creation
+
+	AS   *mem.AS
+	LWPs []*LWP
+
+	ExitStatus int // wait(2) status encoding, valid when zombie
+
+	// ExecVN is the vnode of the running executable (for PIOCOPENM with
+	// offset 0 and for symbol lookup); ExecPath its name.
+	ExecVN   vfs.Vnode
+	ExecPath string
+	// Image is the parsed executable, kept for symbol lookup by debuggers
+	// (the real system would re-read it from the file).
+	ImageSyms func() ([]Sym, bool)
+
+	// Signal machinery.
+	SigPend types.SigSet // pending signals (process level)
+	Actions [types.MaxSig + 1]SigAction
+
+	// /proc state.
+	Trace TraceState
+	Usage Usage
+
+	// Event tracing: the per-process ring (nil when disabled) and the
+	// portion of its drop count already folded into the kernel counters.
+	KT         *ktrace.Ring
+	ktDropBase uint64
+
+	// Job control: true when stopped by a job-control signal.
+	jobStopped bool
+	// Ptrace: process is traced via the legacy mechanism by its parent.
+	Ptraced bool
+
+	// vfork support: a vfork child borrows the parent's address space
+	// until it execs or exits.
+	borrowsAS bool
 
 	nextLWPID int
 }
@@ -358,7 +371,7 @@ func (p *Proc) VirtSize() int64 {
 
 func (p *Proc) newLWP() *LWP {
 	p.nextLWPID++
-	l := &LWP{ID: p.nextLWPID, Proc: p, state: LRun}
+	l := &LWP{ID: p.nextLWPID, Proc: p, lwpState: lwpState{state: LRun}}
 	l.stateA.Store(int32(LRun))
 	p.nrun.Add(1)
 	l.CPU.AS = p.AS
@@ -368,9 +381,11 @@ func (p *Proc) newLWP() *LWP {
 	k := p.k
 	if k.smp != nil {
 		k.sleepMu.Lock()
+		lockOrderAcquire(rankSleep)
 	}
 	p.LWPs = append(p.LWPs, l)
 	if k.smp != nil {
+		lockOrderRelease(rankSleep)
 		k.sleepMu.Unlock()
 	}
 	return l
@@ -404,13 +419,21 @@ type LWP struct {
 	Proc *Proc
 	CPU  vcpu.CPU
 
-	state LState
 	// stateA mirrors state atomically for the two lock-free readers: the
 	// SMP phase machine's loop-top check and the run-queue claim path.
 	// All writes go through setSchedState (under the global lock in SMP
 	// mode); everything else reads the plain field under that lock.
 	stateA atomic.Int32
-	phase  phase
+
+	lwpState
+}
+
+// lwpState is the part of an LWP that a checkpoint saves and restores by
+// value (snapshot.go), beside the vCPU registers. Every other LWP field is
+// accounted for in TestCheckpointCoversEveryField.
+type lwpState struct {
+	state LState
+	phase phase
 
 	// Stop bookkeeping. An LWP may be claimed stopped by several competing
 	// mechanisms at once (the paper's /proc-vs-ptrace-vs-job-control
@@ -609,10 +632,10 @@ func (l *LWP) wake() {
 }
 
 // wakeAll wakes every LWP in the system sleeping on q. The deterministic
-// scheduler keeps the historical process-table scan — its wake order is
-// pinned bit-for-bit by the replay suites. The SMP path walks the channel's
-// own sleeper list instead (O(sleepers), under the sleep-queue lock), with
-// the global lock held by every caller.
+// scheduler keeps the historical process-table scan, so sleepers wake in
+// table order whatever order they slept in (TestWakeAllPidOrder pins it).
+// The SMP path walks the channel's own sleeper list instead (O(sleepers),
+// under the sleep-queue lock), with the global lock held by every caller.
 func (k *Kernel) wakeAll(q *waitq) {
 	if k.smp != nil {
 		// Pop-and-wake, one sleeper at a time: the global lock (held by

@@ -91,6 +91,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 				l.sysExitDone = false
 				l.sysStored = false
 				l.abortSys = false
+				l.sleepDeadline = 0
 				w.syscalls++
 				l.phase = phSysEntry
 			case vcpu.TrapFault:

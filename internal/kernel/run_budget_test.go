@@ -20,7 +20,7 @@ func TestRunLWPNoChargeWhenNothingRan(t *testing.T) {
 			k := New(vfs.NewNS(nil), Config{NCPU: ncpu})
 			defer k.Shutdown()
 			w := k.cpus[0]
-			p := &Proc{k: k, Pid: 99, Comm: "t", fds: map[int]*vfs.File{}}
+			p := &Proc{k: k, Pid: 99, procState: procState{Comm: "t"}, fds: map[int]*vfs.File{}}
 			k.addProc(p)
 			l := p.newLWP()
 			p.KT = ktrace.NewRing(64) // make ktEnabled true so a tick would be recorded

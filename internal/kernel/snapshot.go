@@ -3,10 +3,11 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/ktrace"
 	"repro/internal/mem"
-	"repro/internal/types"
 	"repro/internal/vcpu"
 	"repro/internal/vfs"
 )
@@ -23,6 +24,13 @@ import (
 // simply become unreachable again; objects destroyed after it are revived,
 // because the snapshot's references kept them alive.
 //
+// What is saved follows one rule: a field in procState or lwpState (proc.go)
+// is checkpointed by value, with one assignment each way; every other field
+// of Proc and LWP is listed, with how a checkpoint treats it, in
+// TestCheckpointCoversEveryField, so a new field cannot be left out
+// silently. The few reference-typed state fields the kernel edits in place
+// are detached (cloned) on capture and again on restore.
+//
 // Snapshots are deterministic-mode only (Config.NCPU <= 1): the replayer
 // pins NCPU=1, nothing is concurrent, and the deep copy can walk every
 // structure lock-free.
@@ -30,90 +38,54 @@ import (
 // ErrSnapshotSMP reports a snapshot attempt on an SMP kernel.
 var ErrSnapshotSMP = errors.New("kernel: snapshots require the deterministic scheduler (NCPU <= 1)")
 
-// lwpSnap is the saved state of one LWP.
+// lwpSnap is the saved state of one LWP: its lwpState plus the vCPU context.
 type lwpSnap struct {
 	l *LWP
+	lwpState
 
 	regs    vcpu.Regs
 	fp      vcpu.FPRegs
 	instret uint64
 	as      *mem.AS
-
-	state LState
-	phase phase
-
-	procClaim, jobClaim, ptraceClaim bool
-	why                              StopWhy
-	what                             int
-
-	dstop, abortSys, clearFlt     bool
-	sigStopTaken, ptraceStopTaken bool
-
-	sigHold     types.SigSet
-	curSig      int
-	curFlt      int
-	fltAddr     uint32
-	fltStopDone bool
-
-	sysNum       int
-	sysArgs      [6]uint32
-	sysEntryDone bool
-	sysExitDone  bool
-	sysStored    bool
-	sysRet       uint32
-	sysR1        uint32
-	sysErr       Errno
-	suspSaved    *types.SigSet // copied, not aliased
-
-	sleepQ        *waitq // points into pointer-stable objects (kernel, Proc, pipe)
-	sleeping      bool
-	sleepDeadline int64
-	vforkChild    *Proc
-
-	waitReport int
 }
 
-// procSnap is the saved state of one process.
+// procSnap is the saved state of one process: its procState plus the fields
+// that live outside it.
 type procSnap struct {
 	p *Proc
+	procState
 
-	parent     *Proc
-	kids       []*Proc
-	pgrp, sid  int
-	cred       types.Cred
-	sugidDirty bool
-	comm       string
-	args       []string
-	cwd        string
-	umask      uint16
-	nice       int
-	start      int64
+	state    PState
+	alarmAt  int64
+	ppid     int32
+	fds      map[int]*vfs.File
+	lwpSnaps []lwpSnap
+}
 
-	as        *mem.AS
-	lwps      []*LWP
-	lwpSnaps  []lwpSnap
-	state     PState
-	exitSt    int
-	fds       map[int]*vfs.File
-	execVN    vfs.Vnode
-	execPath  string
-	imageSyms func() ([]Sym, bool)
+// detached returns s with private copies of the fields the kernel edits in
+// place (the slices) or appends to (the trace ring). Capture and restore both
+// detach, so a snapshot never shares them with a live process and can be
+// restored any number of times. The other reference fields are aliased:
+// what they point at is either never edited in place (Cred.Groups, the
+// vnode, ImageSyms) or checkpointed on its own (processes, address spaces).
+func (s procState) detached() procState {
+	s.Kids = slices.Clone(s.Kids)
+	s.Args = slices.Clone(s.Args)
+	s.LWPs = slices.Clone(s.LWPs)
+	if s.KT != nil {
+		s.KT = s.KT.Clone()
+	}
+	return s
+}
 
-	sigPend types.SigSet
-	actions [types.MaxSig + 1]SigAction
-	alarmAt int64
-
-	trace TraceState
-	usage Usage
-
-	kt         *ktrace.Ring // clone; nil when tracing disabled
-	ktDropBase uint64
-
-	jobStopped bool
-	ptraced    bool
-	borrowsAS  bool
-	nextLWPID  int
-	ppid       int32
+// detached returns s with a private copy of the sigsuspend mask; sleepQ and
+// vforkChild point into pointer-stable objects and stay aliased.
+func (s lwpState) detached() lwpState {
+	if s.suspSaved != nil {
+		saved := *s.suspSaved
+		s.suspSaved = &saved
+	}
+	return s
 }
 
 // pipeSnap is the saved state of one pipe, keyed by identity.
@@ -178,53 +150,30 @@ func (k *Kernel) Snapshot() (*Snapshot, error) {
 
 func (k *Kernel) snapProc(sn *Snapshot, p *Proc, seenPipes map[*pipe]bool) procSnap {
 	ps := procSnap{
-		p:          p,
-		parent:     p.Parent,
-		kids:       append([]*Proc(nil), p.Kids...),
-		pgrp:       p.Pgrp,
-		sid:        p.Sid,
-		cred:       p.Cred,
-		sugidDirty: p.SugidDirty,
-		comm:       p.Comm,
-		args:       append([]string(nil), p.Args...),
-		cwd:        p.CWD,
-		umask:      p.Umask,
-		nice:       p.Nice,
-		start:      p.Start,
-		as:         p.AS,
-		lwps:       append([]*LWP(nil), p.LWPs...),
-		state:      p.State(),
-		exitSt:     p.ExitStatus,
-		execVN:     p.ExecVN,
-		execPath:   p.ExecPath,
-		imageSyms:  p.ImageSyms,
-		sigPend:    p.SigPend,
-		actions:    p.Actions,
-		alarmAt:    p.alarmAt.Load(),
-		trace:      p.Trace,
-		usage:      p.Usage,
-		ktDropBase: p.ktDropBase,
-		jobStopped: p.jobStopped,
-		ptraced:    p.Ptraced,
-		borrowsAS:  p.borrowsAS,
-		nextLWPID:  p.nextLWPID,
-		ppid:       p.ppid.Load(),
-	}
-	if p.KT != nil {
-		ps.kt = p.KT.Clone()
+		p:         p,
+		procState: p.procState.detached(),
+		state:     p.State(),
+		alarmAt:   p.alarmAt.Load(),
+		ppid:      p.ppid.Load(),
+		fds:       maps.Clone(p.fds),
 	}
 	if p.AS != nil {
 		if _, done := sn.ases[p.AS]; !done {
 			sn.ases[p.AS] = p.AS.SaveState()
 		}
 	}
-	ps.fds = make(map[int]*vfs.File, len(p.fds))
-	for fd, f := range p.fds {
-		ps.fds[fd] = f
+	for _, f := range p.fds {
 		sn.snapFile(f, seenPipes)
 	}
 	for _, l := range p.LWPs {
-		ps.lwpSnaps = append(ps.lwpSnaps, snapLWP(l))
+		ps.lwpSnaps = append(ps.lwpSnaps, lwpSnap{
+			l:        l,
+			lwpState: l.lwpState.detached(),
+			regs:     l.CPU.Regs,
+			fp:       l.CPU.FP,
+			instret:  l.CPU.Instret,
+			as:       l.CPU.AS,
+		})
 	}
 	return ps
 }
@@ -243,42 +192,6 @@ func (sn *Snapshot) snapFile(f *vfs.File, seenPipes map[*pipe]bool) {
 			readers: pe.p.readers, writers: pe.p.writers,
 		})
 	}
-}
-
-func snapLWP(l *LWP) lwpSnap {
-	s := lwpSnap{
-		l:       l,
-		regs:    l.CPU.Regs,
-		fp:      l.CPU.FP,
-		instret: l.CPU.Instret,
-		as:      l.CPU.AS,
-
-		state: l.state,
-		phase: l.phase,
-
-		procClaim: l.procClaim, jobClaim: l.jobClaim, ptraceClaim: l.ptraceClaim,
-		why: l.why, what: l.what,
-
-		dstop: l.dstop, abortSys: l.abortSys, clearFlt: l.clearFlt,
-		sigStopTaken: l.sigStopTaken, ptraceStopTaken: l.ptraceStopTaken,
-
-		sigHold: l.SigHold, curSig: l.CurSig, curFlt: l.CurFlt,
-		fltAddr: l.FltAddr, fltStopDone: l.fltStopDone,
-
-		sysNum: l.sysNum, sysArgs: l.sysArgs,
-		sysEntryDone: l.sysEntryDone, sysExitDone: l.sysExitDone,
-		sysStored: l.sysStored, sysRet: l.sysRet, sysR1: l.sysR1, sysErr: l.sysErr,
-
-		sleepQ: l.sleepQ, sleeping: l.sleeping, sleepDeadline: l.sleepDeadline,
-		vforkChild: l.vforkChild,
-
-		waitReport: l.waitReport,
-	}
-	if l.suspSaved != nil {
-		saved := *l.suspSaved
-		s.suspSaved = &saved
-	}
-	return s
 }
 
 // Restore rewinds the kernel in place to a checkpoint taken by Snapshot.
@@ -333,43 +246,11 @@ func (k *Kernel) Restore(sn *Snapshot) error {
 
 func restoreProc(ps *procSnap) {
 	p := ps.p
-	p.Parent = ps.parent
-	p.Kids = append(p.Kids[:0:0], ps.kids...)
-	p.Pgrp, p.Sid = ps.pgrp, ps.sid
-	p.Cred = ps.cred
-	p.SugidDirty = ps.sugidDirty
-	p.Comm = ps.comm
-	p.Args = append(p.Args[:0:0], ps.args...)
-	p.CWD = ps.cwd
-	p.Umask = ps.umask
-	p.Nice = ps.nice
-	p.Start = ps.start
-	p.AS = ps.as
-	p.LWPs = append(p.LWPs[:0:0], ps.lwps...)
+	p.procState = ps.procState.detached()
 	p.setState(ps.state)
-	p.ExitStatus = ps.exitSt
-	p.ExecVN = ps.execVN
-	p.ExecPath = ps.execPath
-	p.ImageSyms = ps.imageSyms
-	p.SigPend = ps.sigPend
-	p.Actions = ps.actions
 	p.alarmAt.Store(ps.alarmAt)
-	p.Trace = ps.trace
-	p.Usage = ps.usage
-	p.ktDropBase = ps.ktDropBase
-	p.jobStopped = ps.jobStopped
-	p.Ptraced = ps.ptraced
-	p.borrowsAS = ps.borrowsAS
-	p.nextLWPID = ps.nextLWPID
 	p.ppid.Store(ps.ppid)
-	p.KT = nil
-	if ps.kt != nil {
-		p.KT = ps.kt.Clone()
-	}
-	p.fds = make(map[int]*vfs.File, len(ps.fds))
-	for fd, f := range ps.fds {
-		p.fds[fd] = f
-	}
+	p.fds = maps.Clone(ps.fds)
 	var nrun int32
 	for i := range ps.lwpSnaps {
 		restoreLWP(&ps.lwpSnaps[i])
@@ -399,32 +280,8 @@ func restoreLWP(s *lwpSnap) {
 	// whose generation counter could collide with the restored one; drop
 	// them outright rather than trusting revalidation.
 	l.CPU.FlushTLB()
-
-	l.state = s.state
-	l.stateA.Store(int32(s.state))
-	l.phase = s.phase
-
-	l.procClaim, l.jobClaim, l.ptraceClaim = s.procClaim, s.jobClaim, s.ptraceClaim
-	l.why, l.what = s.why, s.what
-
-	l.dstop, l.abortSys, l.clearFlt = s.dstop, s.abortSys, s.clearFlt
-	l.sigStopTaken, l.ptraceStopTaken = s.sigStopTaken, s.ptraceStopTaken
-
-	l.SigHold = s.sigHold
-	l.CurSig, l.CurFlt, l.FltAddr, l.fltStopDone = s.curSig, s.curFlt, s.fltAddr, s.fltStopDone
-
-	l.sysNum, l.sysArgs = s.sysNum, s.sysArgs
-	l.sysEntryDone, l.sysExitDone, l.sysStored = s.sysEntryDone, s.sysExitDone, s.sysStored
-	l.sysRet, l.sysR1, l.sysErr = s.sysRet, s.sysR1, s.sysErr
-	l.suspSaved = nil
-	if s.suspSaved != nil {
-		saved := *s.suspSaved
-		l.suspSaved = &saved
-	}
-
-	l.sleepQ, l.sleeping, l.sleepDeadline = s.sleepQ, s.sleeping, s.sleepDeadline
-	l.vforkChild = s.vforkChild
-	l.waitReport = s.waitReport
+	l.lwpState = s.lwpState.detached()
+	l.stateA.Store(int32(l.state))
 }
 
 // CheckRestored verifies gross restore invariants: pid-map/order agreement

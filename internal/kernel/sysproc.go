@@ -196,23 +196,25 @@ func (k *Kernel) forkProc(l *LWP, vfork bool) *Proc {
 		return nil
 	}
 	child := &Proc{
-		k:         k,
-		Pid:       k.allocPid(),
-		Parent:    p,
-		Pgrp:      p.Pgrp,
-		Sid:       p.Sid,
-		Cred:      p.Cred.Clone(),
-		Comm:      p.Comm,
-		Args:      append([]string(nil), p.Args...),
-		CWD:       p.CWD,
-		Umask:     p.Umask,
-		Nice:      p.Nice,
-		Start:     k.Now(),
-		fds:       map[int]*vfs.File{},
-		ExecVN:    p.ExecVN,
-		ExecPath:  p.ExecPath,
-		ImageSyms: p.ImageSyms,
-		Actions:   p.Actions,
+		k:   k,
+		Pid: k.allocPid(),
+		procState: procState{
+			Parent:    p,
+			Pgrp:      p.Pgrp,
+			Sid:       p.Sid,
+			Cred:      p.Cred.Clone(),
+			Comm:      p.Comm,
+			Args:      append([]string(nil), p.Args...),
+			CWD:       p.CWD,
+			Umask:     p.Umask,
+			Nice:      p.Nice,
+			Start:     k.Now(),
+			ExecVN:    p.ExecVN,
+			ExecPath:  p.ExecPath,
+			ImageSyms: p.ImageSyms,
+			Actions:   p.Actions,
+		},
+		fds: map[int]*vfs.File{},
 	}
 	if vfork {
 		child.AS = p.AS
