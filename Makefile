@@ -64,23 +64,26 @@ bench-json-pr6:
 
 # verify-smp exercises the scheduler CPUs under the race detector: the
 # shootdown-barrier mechanics, the NCPU=1 inline CPU (no goroutine across
-# Steps, shootdown falls through), the unbilled empty quantum at both
+# Steps, shootdown falls through), the space a CPU publishes after exec,
+# the unbilled empty quantum and the pid-ordered wakeup at both
 # widths, the fork/wait/signal storm and brk-shootdown
 # programs at NCPU=4, every workload scenario at NCPU=4 with the worker
 # goroutine-leak check, host-side /proc controllers racing the scheduler,
 # and the mutex-contention profile smoke (the global lock's share of
-# sampled wait time stays under budget). The kernel and SMP suites then
-# run again under -tags lockdebug, which panics on any out-of-order lock
-# acquisition. GOMAXPROCS is forced up so worker goroutines genuinely
-# interleave even on small hosts.
+# sampled wait time stays under budget). The kernel and SMP suites and
+# the NCPU=4 workload scenarios then run again under -tags lockdebug, which
+# panics on any out-of-order lock acquisition and on any sleep or wakeup
+# without the global lock. GOMAXPROCS is forced up so worker goroutines
+# genuinely interleave even on small hosts.
 verify-smp:
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestRunLWPNoChargeWhenNothingRan' ./internal/kernel/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder' ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestConcurrentControllers' ./internal/procfs/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMPMutexContentionSmoke' .
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestSMP|TestConcurrentControllers' . ./internal/procfs/
+	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
 
 # bench-json-pr7 records the SMP scaling numbers as BENCH_PR7.json: the
 # KernelStep scaling curve across NCPU=1/2/4/8 (host_cpus records how many

@@ -859,6 +859,43 @@ func BenchmarkKernelStep(b *testing.B) {
 	}
 }
 
+// One spinner beside a population of processes parked in pause(2): what a
+// scheduling pass costs per sleeping process. Nothing wakes the parked
+// processes, so every pass after the first runs the spinner alone.
+func BenchmarkKernelStepParked(b *testing.B) {
+	for _, ncpu := range []int{1, 2} {
+		for _, parked := range []int{0, 1000} {
+			b.Run(fmt.Sprintf("ncpu=%d/parked=%d", ncpu, parked), func(b *testing.B) {
+				s := repro.NewSystem(repro.Options{NCPU: ncpu})
+				defer s.Close()
+				if err := s.Install("/bin/pause", "\tmovi r0, SYS_pause\n\tsyscall\n", 0o755, 0, 0); err != nil {
+					b.Fatal(err)
+				}
+				procs := make([]*kernel.Proc, parked)
+				for i := range procs {
+					p, err := s.Spawn("/bin/pause", nil, types.UserCred(100, 10))
+					if err != nil {
+						b.Fatal(err)
+					}
+					procs[i] = p
+				}
+				spawnBench(b, s, "spin", benchSpin)
+				s.Run(2) // park the population
+				for _, p := range procs {
+					if !p.Rep().Asleep() {
+						b.Fatalf("pid %d did not park", p.Pid)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Step()
+				}
+			})
+		}
+	}
+}
+
 // The SMP scheduler across CPU counts, with enough runnable processes to
 // fill every run queue. NCPU=1 is the deterministic scheduler on the same
 // population, so the sub-benchmarks read directly as the scaling curve.

@@ -25,14 +25,14 @@ var procOutsideState = map[string]string{
 	"state":    savedApart, // atomic
 	"fds":      savedApart, // map, cloned; the files' own state is saved per file
 	"alarmAt":  savedApart, // atomic
-	"vforkQ":   smpOnly,    // the name is fixed, the sleeper list SMP-only
+	"vforkQ":   recomputed, // sleeper lists are rebuilt from the LWPs' sleep state
 	"intr":     recomputed, // noteIntr + clearIntr
 	"ppid":     savedApart, // atomic
 	"nrun":     recomputed, // counted from the restored LWP states
 	"inQueue":  smpOnly,
 	"lastPass": smpOnly,
-	"waitq":    smpOnly,
-	"pauseQ":   smpOnly,
+	"waitq":    recomputed,
+	"pauseQ":   recomputed,
 }
 
 var lwpOutsideState = map[string]string{

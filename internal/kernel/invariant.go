@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -9,16 +10,17 @@ import (
 // CheckInvariants verifies the kernel's structural invariants: process-table
 // and pid-map consistency, parent/child bidirectionality, descriptor-table
 // and address-space accounting, /proc writer counts, TLB generation
-// consistency for every LWP, and the sanity of every ktrace ring. The
-// fault-storm harness calls it after every injected fault — an error path
-// anywhere in the kernel must leave all of this exactly as it found it.
-// It returns the first violation found, or nil.
+// consistency for every LWP, the sleeper lists, and the sanity of every
+// ktrace ring. The fault-storm harness calls it after every injected fault
+// — an error path anywhere in the kernel must leave all of this exactly as
+// it found it. It returns the first violation found, or nil.
 func (k *Kernel) CheckInvariants() error {
 	if n := k.pidCount(); n != len(k.order) {
 		return fmt.Errorf("kernel: pid map has %d entries, order list %d", n, len(k.order))
 	}
 	seen := make(map[int]bool, len(k.order))
 	checkedAS := make(map[*mem.AS]bool)
+	lastPid := 0
 	for _, p := range k.order {
 		if q := k.Proc(p.Pid); q != p {
 			return fmt.Errorf("kernel: pid %d maps to a different process record", p.Pid)
@@ -27,9 +29,19 @@ func (k *Kernel) CheckInvariants() error {
 			return fmt.Errorf("kernel: pid %d appears twice in the order list", p.Pid)
 		}
 		seen[p.Pid] = true
+		// The timer sweep walks k.order beside the pid-ordered clockQ.
+		if !p.System {
+			if p.Pid <= lastPid {
+				return fmt.Errorf("kernel: pid %d follows pid %d in the order list", p.Pid, lastPid)
+			}
+			lastPid = p.Pid
+		}
 		if err := k.checkProc(p, checkedAS); err != nil {
 			return err
 		}
+	}
+	if err := k.checkSleepers(); err != nil {
+		return err
 	}
 	if k.initProc != nil && k.Proc(1) != k.initProc {
 		return fmt.Errorf("kernel: init process is not pid 1 in the table")
@@ -134,6 +146,32 @@ func (k *Kernel) checkProc(p *Proc, checkedAS map[*mem.AS]bool) error {
 	if p.KT != nil {
 		if err := p.KT.CheckSane(); err != nil {
 			return fmt.Errorf("pid %d trace ring: %w", p.Pid, err)
+		}
+	}
+	return nil
+}
+
+// checkSleepers verifies that every sleep channel lists exactly its
+// sleepers, in (pid, LWP ID) order — the order k.order and each p.LWPs
+// visit them in — and that they all belong to live processes. A missing
+// entry would leave an LWP asleep through wakeAll, a stale one would wake
+// the wrong LWP or none, and clockQ is checked even with nobody on it.
+func (k *Kernel) checkSleepers() error {
+	want := map[*waitq][]*LWP{&k.clockQ: nil}
+	for _, p := range k.order {
+		for _, l := range p.LWPs {
+			if !l.sleeping {
+				continue
+			}
+			if l.sleepQ == nil || !p.Alive() {
+				return fmt.Errorf("kernel: pid %d LWP %d sleeps on no channel or after exit", p.Pid, l.ID)
+			}
+			want[l.sleepQ] = append(want[l.sleepQ], l)
+		}
+	}
+	for q, ls := range want {
+		if !slices.Equal(q.sleepers, ls) {
+			return fmt.Errorf("kernel: a sleep channel lists %d LWPs, not exactly its %d sleepers in pid order", len(q.sleepers), len(ls))
 		}
 	}
 	return nil

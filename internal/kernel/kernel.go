@@ -88,25 +88,25 @@ type Kernel struct {
 	//
 	//   1. global — the narrow global kernel lock: fork/exit/reap, exec,
 	//      wait, cross-process signal generation, stop/run control,
-	//      ptrace, /proc control operations, ktrace emission, and the
-	//      Parent/Kids/order relations. Formerly the "big kernel lock";
-	//      process-local system calls no longer take it.
+	//      ptrace, /proc control operations, ktrace emission, sleeps and
+	//      wakeups with every waitq sleeper list, and the Parent/Kids/order
+	//      relations. Formerly the "big kernel lock"; process-local system
+	//      calls no longer take it.
 	//   2. Proc.mu — one process's own state: fd table, credentials,
 	//      signal dispositions and masks, usage counters, address-space
 	//      operations. A global holder may lock any number of Proc.mu
 	//      (the only sanctioned way to hold two); a Proc.mu holder must
 	//      not take global without dropping the proc lock first
 	//      (kcpu.lockGlobal implements that escalation).
-	//   3. sleepMu — the sleep-queue/wait-channel lock: waitq sleeper
-	//      lists and LWP-list membership, so the run-queue claim path can
+	//   3. lwpsMu — p.LWPs membership, so the run-queue claim path can
 	//      collect runnable LWPs without the global lock.
 	//   4. runQueue.mu — one per-CPU run queue's membership and cursor.
 	//
 	// Rank-ordered acquisition is asserted in lockdebug builds
 	// (-tags lockdebug, lockdebug_on.go).
-	smp     *smpState
-	global  sync.Mutex
-	sleepMu sync.Mutex
+	smp    *smpState
+	global sync.Mutex
+	lwpsMu sync.Mutex
 
 	initProc *Proc
 	clockQ   waitq // timed sleeps (sleep(2)) block here
@@ -423,12 +423,16 @@ func (k *Kernel) RunUntil(cond func() bool, maxSteps int) error {
 	return fmt.Errorf("kernel: condition not reached in %d steps", maxSteps)
 }
 
-// checkTimers fires alarm(2) timers that have expired and wakes timed
-// sleepers whose deadline has passed. The caller holds the global lock (the
-// pass prologue, Tick), and the per-process lock is taken around signal
-// generation per the PostSignal contract.
+// checkTimers fires expired alarm(2) timers and wakes timed sleepers
+// (sleep(2), on k.clockQ) past their deadline, one process at a time in pid
+// order, alarm first: alarms over k.order, sleeps through a cursor into
+// clockQ's pid-ordered list (CheckInvariants holds both orders). The caller
+// holds the global lock (the pass prologue, Tick), and the per-process lock
+// is taken around signal generation per the PostSignal contract.
 func (k *Kernel) checkTimers() {
 	now := k.Now()
+	q := &k.clockQ
+	i := 0
 	for _, p := range k.order {
 		if !p.Alive() {
 			continue
@@ -439,9 +443,13 @@ func (k *Kernel) checkTimers() {
 			k.PostSignal(p, sigALRM)
 			p.Unlock()
 		}
-		for _, l := range p.LWPs {
-			if l.sleeping && l.sleepQ == &k.clockQ && l.sleepDeadline != 0 && now >= l.sleepDeadline {
-				l.wake()
+		for i < len(q.sleepers) && q.sleepers[i].Proc.Pid <= p.Pid {
+			l := q.sleepers[i]
+			if l.Proc == p && now >= l.sleepDeadline {
+				l.wake() // removes it, so i now indexes the next sleeper
+			}
+			if i < len(q.sleepers) && q.sleepers[i] == l {
+				i++
 			}
 		}
 	}
@@ -454,17 +462,12 @@ func (k *Kernel) checkTimers() {
 func (k *Kernel) TimersPending() bool {
 	k.GlobalLock()
 	defer k.GlobalUnlock()
+	if len(k.clockQ.sleepers) > 0 {
+		return true
+	}
 	for _, p := range k.order {
-		if !p.Alive() {
-			continue
-		}
-		if p.alarmAt.Load() != 0 {
+		if p.Alive() && p.alarmAt.Load() != 0 {
 			return true
-		}
-		for _, l := range p.LWPs {
-			if l.sleeping && l.sleepDeadline != 0 {
-				return true
-			}
 		}
 	}
 	return false

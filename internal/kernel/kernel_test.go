@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
@@ -18,10 +19,15 @@ type fixture struct {
 	FS *memfs.FS
 }
 
-func boot(t *testing.T) *fixture { return bootWith(t, 0) }
+func boot(t *testing.T) *fixture { return bootCfg(t, kernel.Config{}) }
 
 // bootWith boots a kernel with an explicit scheduler quantum.
 func bootWith(t *testing.T, quantum int) *fixture {
+	return bootCfg(t, kernel.Config{Quantum: quantum})
+}
+
+// bootCfg boots a kernel with an explicit configuration.
+func bootCfg(t *testing.T, cfg kernel.Config) *fixture {
 	t.Helper()
 	var k *kernel.Kernel
 	fs := memfs.New(func() int64 {
@@ -31,7 +37,8 @@ func bootWith(t *testing.T, quantum int) *fixture {
 		return k.Now()
 	})
 	ns := vfs.NewNS(fs.Root())
-	k = kernel.New(ns, kernel.Config{Quantum: quantum})
+	k = kernel.New(ns, cfg)
+	t.Cleanup(k.Shutdown)
 	k.BootSystemProcs()
 	fs.MkdirAll("/bin", 0o755)
 	fs.MkdirAll("/lib", 0o755)
@@ -490,26 +497,43 @@ main:
 	}
 }
 
-// The deterministic scheduler wakes the sleepers on one channel in process-
-// table order, whatever order they went to sleep in. Three children block
-// reading one pipe in reverse pid order, and a single write wakes them all:
-// the kernel-wide trace must show the wakes in ascending pid order.
+// One write wakes the sleepers on one channel in ascending pid order, at
+// every width and whatever order they went to sleep in. Three children
+// block reading one pipe, each after its own sleep(2), so the delays set
+// the order they block in; the kernel-wide trace must show the readers
+// blocking in that order and the write waking them in pid order.
 func TestWakeAllPidOrder(t *testing.T) {
-	f := boot(t)
+	for _, ncpu := range []int{1, 2} {
+		for _, c := range []struct {
+			name              string
+			first, step, stop int // the children's sleep(2) delays
+		}{
+			{"ascending", 100, 100, 400},
+			{"descending", 300, -100, 0},
+		} {
+			t.Run(fmt.Sprintf("ncpu=%d/%s", ncpu, c.name), func(t *testing.T) {
+				testWakeAllPidOrder(t, ncpu, c.name, c.first, c.step, c.stop)
+			})
+		}
+	}
+}
+
+func testWakeAllPidOrder(t *testing.T, ncpu int, order string, first, step, stop int) {
+	f := bootCfg(t, kernel.Config{NCPU: ncpu})
 	f.K.EnableKTraceAll(1 << 14)
-	p := f.spawn("wakeorder", `
+	p := f.spawn("wakeorder", fmt.Sprintf(`
 	movi r0, SYS_pipe
 	syscall
 	mov r6, r0		; read end
 	mov r7, r1		; write end
-	movi r5, 300		; first child's delay; each later child's is 100 less
+	movi r5, %d		; first child's delay
 fork:
 	movi r0, SYS_fork
 	syscall
 	cmpi r0, 0
 	je child
-	addi r5, -100
-	cmpi r5, 0
+	addi r5, %d		; the next child's delay
+	cmpi r5, %d
 	jne fork
 	movi r0, SYS_sleep	; parent: let every child block first
 	movi r1, 600
@@ -537,34 +561,31 @@ child:
 .data
 msg:	.ascii "xyz"
 buf:	.space 4
-`, user())
+`, first, step, stop), user())
 	f.runToExit(p)
 
 	sysRead, sysWrite := int32(kernel.Predefs()["SYS_read"]), int32(kernel.Predefs()["SYS_write"])
 	run, sleep := int32(kernel.LRun), int32(kernel.LSleep)
 	inCall := map[int32]int32{} // pid -> system call it last entered
 	var blocked, woken []int32
-	inWrite := false
 	for _, e := range f.K.KT.Events() {
 		switch e.Kind {
 		case ktrace.KSysEntry:
 			inCall[e.Pid] = e.What
-			inWrite = e.Pid == int32(p.Pid) && e.What == sysWrite
 		case ktrace.KSysExit:
-			if e.Pid == int32(p.Pid) {
-				inWrite = false
-			}
+			delete(inCall, e.Pid)
 		case ktrace.KLWPState:
 			switch {
 			case e.What == sleep && e.A == uint32(run) && inCall[e.Pid] == sysRead:
 				blocked = append(blocked, e.Pid)
-			case inWrite && e.What == run && e.A == uint32(sleep):
+			case inCall[int32(p.Pid)] == sysWrite && e.What == run && e.A == uint32(sleep):
 				woken = append(woken, e.Pid)
 			}
 		}
 	}
-	if len(blocked) != 3 || !(blocked[0] > blocked[1] && blocked[1] > blocked[2]) {
-		t.Fatalf("readers blocked in pid order %v, want three in descending pid order", blocked)
+	ascending := step > 0
+	if len(blocked) != 3 || (blocked[0] < blocked[1]) != ascending || (blocked[1] < blocked[2]) != ascending {
+		t.Fatalf("readers blocked in pid order %v, want three in %s pid order", blocked, order)
 	}
 	if len(woken) != 3 || !(woken[0] < woken[1] && woken[1] < woken[2]) {
 		t.Fatalf("one write woke pids %v, want the three readers in ascending pid order", woken)

@@ -11,10 +11,14 @@ package kernel
 const (
 	rankGlobal = 1 // Kernel.global
 	rankProc   = 2 // Proc.mu
-	rankSleep  = 3 // Kernel.sleepMu
+	rankLWPs   = 3 // Kernel.lwpsMu
 	rankQueue  = 4 // runQueue.mu
 )
 
 // In normal builds the lock-order checker compiles to nothing.
 func lockOrderAcquire(rank int) {}
 func lockOrderRelease(rank int) {}
+
+// assertGlobal checks, in lockdebug builds, that an SMP caller holds the
+// global lock.
+func (k *Kernel) assertGlobal() {}

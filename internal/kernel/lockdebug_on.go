@@ -15,7 +15,7 @@ import (
 const (
 	rankGlobal = 1 // Kernel.global
 	rankProc   = 2 // Proc.mu
-	rankSleep  = 3 // Kernel.sleepMu
+	rankLWPs   = 3 // Kernel.lwpsMu
 	rankQueue  = 4 // runQueue.mu
 )
 
@@ -93,4 +93,14 @@ func countRank(held []int, rank int) int {
 		}
 	}
 	return n
+}
+
+// assertGlobal panics if an SMP caller does not hold the global lock
+// (NCPU=1 never takes it).
+func (k *Kernel) assertGlobal() {
+	lockDebug.mu.Lock()
+	defer lockDebug.mu.Unlock()
+	if k.smp != nil && countRank(lockDebug.held[goid()], rankGlobal) == 0 {
+		panic("lockdebug: a sleeper list is touched without the global lock")
+	}
 }

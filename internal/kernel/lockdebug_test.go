@@ -24,10 +24,10 @@ func TestLockOrderHierarchy(t *testing.T) {
 	// Strictly increasing rank is always legal.
 	lockOrderAcquire(rankGlobal)
 	lockOrderAcquire(rankProc)
-	lockOrderAcquire(rankSleep)
+	lockOrderAcquire(rankLWPs)
 	lockOrderAcquire(rankQueue)
 	lockOrderRelease(rankQueue)
-	lockOrderRelease(rankSleep)
+	lockOrderRelease(rankLWPs)
 	lockOrderRelease(rankProc)
 	lockOrderRelease(rankGlobal)
 
@@ -61,5 +61,5 @@ func TestLockOrderViolations(t *testing.T) {
 	lockOrderRelease(rankProc)
 
 	// Releasing a rank that is not held is a bookkeeping bug.
-	mustPanic(t, "release-unheld", func() { lockOrderRelease(rankSleep) })
+	mustPanic(t, "release-unheld", func() { lockOrderRelease(rankLWPs) })
 }

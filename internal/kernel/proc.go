@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,14 +74,31 @@ const (
 
 // waitq identifies a sleep channel; LWPs sleeping on it are woken together
 // and retry their system call, in the classic "while (condition) sleep()"
-// style the paper remarks on. In SMP mode the queue keeps its sleeper list
-// under the kernel's sleep-queue lock (k.sleepMu), so wakeAll touches only
-// the LWPs actually blocked on the channel instead of scanning the process
-// table; the deterministic scheduler keeps the historical full scan, which
-// wakes sleepers in process-table order (TestWakeAllPidOrder pins it).
+// style the paper remarks on. sleepers lists the LWPs blocked on the
+// channel in (pid, LWP ID) order at every width, so wakeAll touches only
+// them and wakes them in pid order (TestWakeAllPidOrder pins it). The
+// global lock guards every list; each caller of sleep, forgetSleep and
+// wakeAll holds it.
 type waitq struct {
-	name     string
-	sleepers []*LWP // SMP only; guarded by k.sleepMu
+	sleepers []*LWP
+}
+
+// sleeperCmp orders a channel's sleepers by (pid, LWP ID).
+func sleeperCmp(a, b *LWP) int {
+	return cmp.Or(cmp.Compare(a.Proc.Pid, b.Proc.Pid), cmp.Compare(a.ID, b.ID))
+}
+
+// add inserts l at its sorted position.
+func (q *waitq) add(l *LWP) {
+	i, _ := slices.BinarySearchFunc(q.sleepers, l, sleeperCmp)
+	q.sleepers = slices.Insert(q.sleepers, i, l)
+}
+
+// remove drops l, keeping the rest in order.
+func (q *waitq) remove(l *LWP) {
+	if i, ok := slices.BinarySearchFunc(q.sleepers, l, sleeperCmp); ok && q.sleepers[i] == l {
+		q.sleepers = slices.Delete(q.sleepers, i, i+1)
+	}
 }
 
 // SigAction is the disposition of one signal.
@@ -135,7 +154,7 @@ type Proc struct {
 	k *Kernel
 
 	// mu is the per-process lock, rank 2 in the hierarchy (below the
-	// global lock, above the sleep-queue and run-queue locks). It guards
+	// global lock, above the LWP-list and run-queue locks). It guards
 	// the state only the owning process's system calls and explicitly
 	// locked host inspectors touch: the fd table, credentials, Pgrp,
 	// Umask, Nice, CWD, signal dispositions/masks/pending set, and the
@@ -377,16 +396,16 @@ func (p *Proc) newLWP() *LWP {
 	l.CPU.AS = p.AS
 	l.CPU.NoTLB = p.k.NoTLB
 	// The LWP list is walked by the run-queue claim path under only the
-	// sleep-queue lock; membership changes take it too.
+	// LWP-list lock; membership changes take it too.
 	k := p.k
 	if k.smp != nil {
-		k.sleepMu.Lock()
-		lockOrderAcquire(rankSleep)
+		k.lwpsMu.Lock()
+		lockOrderAcquire(rankLWPs)
 	}
 	p.LWPs = append(p.LWPs, l)
 	if k.smp != nil {
-		lockOrderRelease(rankSleep)
-		k.sleepMu.Unlock()
+		lockOrderRelease(rankLWPs)
+		k.lwpsMu.Unlock()
 	}
 	return l
 }
@@ -580,44 +599,25 @@ func (l *LWP) DirectStop() {
 	}
 }
 
-// sleep blocks the LWP on q. In SMP mode the caller holds the global lock
-// (only global-class system calls sleep) and the LWP is registered on the
-// channel's sleeper list under the sleep-queue lock.
+// sleep blocks the LWP on q. The caller holds the global lock, which
+// guards the sleeper lists (only global-class system calls sleep).
 func (l *LWP) sleep(q *waitq) {
+	l.Proc.k.assertGlobal()
 	l.sleepQ = q
 	l.sleeping = true
 	l.Proc.Usage.VolCtx++
-	if k := l.Proc.k; k.smp != nil {
-		k.sleepMu.Lock()
-		lockOrderAcquire(rankSleep)
-		q.sleepers = append(q.sleepers, l)
-		lockOrderRelease(rankSleep)
-		k.sleepMu.Unlock()
-	}
+	q.add(l)
 	l.recompute()
 }
 
 // forgetSleep clears the sleep state without recomputing: the exit path and
-// wake share it. Caller holds the global lock in SMP mode.
+// wake share it. The caller holds the global lock.
 func (l *LWP) forgetSleep() {
 	if !l.sleeping {
 		return
 	}
-	if k := l.Proc.k; k.smp != nil && l.sleepQ != nil {
-		k.sleepMu.Lock()
-		lockOrderAcquire(rankSleep)
-		s := l.sleepQ.sleepers
-		for i, sl := range s {
-			if sl == l {
-				s[i] = s[len(s)-1]
-				s[len(s)-1] = nil
-				l.sleepQ.sleepers = s[:len(s)-1]
-				break
-			}
-		}
-		lockOrderRelease(rankSleep)
-		k.sleepMu.Unlock()
-	}
+	l.Proc.k.assertGlobal()
+	l.sleepQ.remove(l)
 	l.sleeping = false
 	l.sleepQ = nil
 }
@@ -631,36 +631,12 @@ func (l *LWP) wake() {
 	l.recompute()
 }
 
-// wakeAll wakes every LWP in the system sleeping on q. The deterministic
-// scheduler keeps the historical process-table scan, so sleepers wake in
-// table order whatever order they slept in (TestWakeAllPidOrder pins it).
-// The SMP path walks the channel's own sleeper list instead (O(sleepers),
-// under the sleep-queue lock), with the global lock held by every caller.
+// wakeAll wakes every LWP sleeping on q, in list order: (pid, LWP ID) at
+// every width. Each wake removes the head of the list, so the loop runs
+// once per sleeper present on entry. The caller holds the global lock.
 func (k *Kernel) wakeAll(q *waitq) {
-	if k.smp != nil {
-		// Pop-and-wake, one sleeper at a time: the global lock (held by
-		// every caller) keeps the list from growing underneath, wake's own
-		// removal shrinks it, and no scratch slice is allocated.
-		for {
-			k.sleepMu.Lock()
-			lockOrderAcquire(rankSleep)
-			var l *LWP
-			if n := len(q.sleepers); n > 0 {
-				l = q.sleepers[n-1]
-			}
-			lockOrderRelease(rankSleep)
-			k.sleepMu.Unlock()
-			if l == nil {
-				return
-			}
-			l.wake()
-		}
-	}
-	for _, p := range k.order {
-		for _, l := range p.LWPs {
-			if l.sleeping && l.sleepQ == q {
-				l.wake()
-			}
-		}
+	k.assertGlobal()
+	for range len(q.sleepers) {
+		q.sleepers[0].wake()
 	}
 }

@@ -36,7 +36,10 @@ func TestRunLWPNoChargeWhenNothingRan(t *testing.T) {
 			}
 
 			// A gated LWP (asleep the whole quantum) is equally not billed.
+			// Sleeping takes the global lock, as the sleeper lists require.
+			k.GlobalLock()
 			l.sleep(new(waitq))
+			k.GlobalUnlock()
 			base := p.KT.Len() // the sleep's own state-change event
 			if ran := k.runLWPOn(w, l, 5); ran {
 				t.Fatal("sleeping quantum reported progress")

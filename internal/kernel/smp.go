@@ -32,11 +32,12 @@ import (
 //
 // Locking: see the hierarchy comment on Kernel.global in kernel.go.
 // Workers take the narrow global lock only for global-class kernel phases
-// (fork/exit, sleeps, cross-process work — runLWPOn), the per-process lock
-// alone for process-local system calls, the sleep-queue lock to collect a
-// claimed process's runnable LWPs, and each run queue's own lock to claim.
-// kcpu.curAS publishes which address space the worker may be touching
-// lock-free (user-mode stepping); the TLB shootdown barrier spins on it.
+// (fork/exit, sleeps and wakeups, cross-process work — runLWPOn), the
+// per-process lock alone for process-local system calls, the LWP-list lock
+// to collect a claimed process's runnable LWPs, and each run queue's own
+// lock to claim. kcpu.curAS publishes which address space the worker may be
+// touching lock-free (user-mode stepping); the TLB shootdown barrier spins
+// on it.
 
 // runQueue is one CPU's run queue. Membership (procs, the inQueue flags of
 // its members, their lastPass stamps) and the claim cursor are guarded by
@@ -76,8 +77,8 @@ type kcpu struct {
 	// nil whenever the CPU is idle or inside the kernel. The shootdown
 	// barrier spins until no CPU publishes the dying space.
 	curAS atomic.Pointer[mem.AS]
-	as    *mem.AS // the running LWP's space (restored into curAS on unlock)
-	p     *Proc   // the process of the current quantum (enter..leave)
+	l     *LWP  // the LWP of the current quantum; its space is republished on unlock
+	p     *Proc // the process of the current quantum (enter..leave)
 
 	// haveGlobal/haveProc track which locks this CPU holds, making the
 	// acquisitions idempotent: runLWPOn acquires lazily at the first
@@ -226,7 +227,8 @@ func (w *kcpu) unlock() {
 }
 
 // release is unlock's slow path: proc before global, the reverse of
-// acquisition.
+// acquisition. It republishes the LWP's current space, which exec may
+// have replaced since enter.
 func (w *kcpu) release() {
 	if w.haveProc {
 		w.p.Unlock()
@@ -236,17 +238,17 @@ func (w *kcpu) release() {
 		w.k.GlobalUnlock()
 		w.haveGlobal = false
 	}
-	if w.as != nil {
-		w.curAS.Store(w.as)
+	if w.l != nil && w.l.CPU.AS != nil {
+		w.curAS.Store(w.l.CPU.AS)
 	}
 }
 
 // enter marks the start of a quantum for l on this CPU.
 func (w *kcpu) enter(l *LWP) {
 	w.p = l.Proc
-	w.as = l.CPU.AS
-	if w.as != nil {
-		w.curAS.Store(w.as)
+	w.l = l
+	if l.CPU.AS != nil {
+		w.curAS.Store(l.CPU.AS)
 	}
 }
 
@@ -258,7 +260,7 @@ func (w *kcpu) leave() {
 	if w.dirty() {
 		w.lockProc()
 	}
-	w.as = nil // nothing to republish
+	w.l = nil // nothing to republish
 	w.unlock()
 	w.p = nil
 	w.curAS.Store(nil)
@@ -407,20 +409,20 @@ func (k *Kernel) drainQueue(w *kcpu, q *runQueue) {
 }
 
 // runProc gives every runnable LWP of p one quantum on this CPU. The
-// runnable set is collected under the sleep-queue lock (which guards LWP
-// list membership) from the atomic state mirror — no global lock; the
-// quanta themselves run with the usual lazy locking in runLWPOn.
+// runnable set is collected under the LWP-list lock from the atomic state
+// mirror — no global lock; the quanta themselves run with the usual lazy
+// locking in runLWPOn.
 func (k *Kernel) runProc(w *kcpu, p *Proc) {
-	k.sleepMu.Lock()
-	lockOrderAcquire(rankSleep)
+	k.lwpsMu.Lock()
+	lockOrderAcquire(rankLWPs)
 	w.scratch = w.scratch[:0]
 	for _, l := range p.LWPs {
 		if LState(l.stateA.Load()) == LRun {
 			w.scratch = append(w.scratch, l)
 		}
 	}
-	lockOrderRelease(rankSleep)
-	k.sleepMu.Unlock()
+	lockOrderRelease(rankLWPs)
+	k.lwpsMu.Unlock()
 	for _, l := range w.scratch {
 		if k.runLWPOn(w, l, k.Quantum) {
 			w.ran = true

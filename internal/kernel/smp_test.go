@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/asm"
+	"repro/internal/ktrace"
 	"repro/internal/mem"
 	"repro/internal/memfs"
 	"repro/internal/types"
@@ -54,7 +55,8 @@ func TestShootdownBarrier(t *testing.T) {
 	// The lock protocol: taking the big lock withdraws the published
 	// space (so a lock-holding shootdown initiator cannot spin on a CPU
 	// that is itself waiting for the lock), and releasing republishes it.
-	w.as = as
+	w.l = &LWP{}
+	w.l.CPU.AS = as
 	w.curAS.Store(as)
 	w.lockGlobal()
 	if got := w.curAS.Load(); got != nil {
@@ -64,7 +66,7 @@ func TestShootdownBarrier(t *testing.T) {
 	if got := w.curAS.Load(); got != as {
 		t.Fatal("big-lock release did not republish the running space")
 	}
-	w.as = nil
+	w.l = nil
 	w.curAS.Store(nil)
 }
 
@@ -133,4 +135,71 @@ heap:	.space 4
 		t.Fatal("shootdown spun on the only CPU at NCPU=1")
 	}
 	w.curAS.Store(nil)
+}
+
+// TestExecRepublishesNewSpace: a CPU whose process execs mid-quantum must
+// publish the new address space when it returns to user level, or a
+// shootdown of that space would not wait for it. The quantum runs on the
+// first CPU of an NCPU=2 kernel, driven directly; a trace tap at the first
+// system call after exec releases the CPU's locks the way the return to
+// user level does, reads what it publishes, and takes the global lock back.
+func TestExecRepublishesNewSpace(t *testing.T) {
+	fs := memfs.New(nil)
+	k := New(vfs.NewNS(fs.Root()), Config{NCPU: 2})
+	defer k.Shutdown()
+	for path, src := range map[string]string{
+		"/a": `
+	movi r0, SYS_exec
+	la r1, path
+	syscall
+	movi r0, SYS_exit
+	movi r1, 1
+	syscall
+.data
+path:	.asciz "/b"
+`,
+		"/b": `
+	movi r0, SYS_getpid
+	syscall
+	movi r0, SYS_exit
+	movi r1, 0
+	syscall
+`,
+	} {
+		img, err := asm.Assemble(src, &asm.Options{Predef: Predefs()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(path, img.Marshal(), 0o755, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := k.Spawn("/a", nil, types.UserCred(100, 10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := p.AS
+	p.SetKTrace(64)
+	w := k.cpus[0]
+	var published, want *mem.AS
+	k.KTTap = func(e *ktrace.Event) {
+		if e.Kind == ktrace.KSysEntry && e.What == SysGetpid && published == nil {
+			want = p.AS
+			w.release()
+			published = w.curAS.Load()
+			w.lockGlobal()
+		}
+	}
+	l := p.LWPs[0]
+	for i := 0; i < 100 && p.Alive(); i++ {
+		k.runLWPOn(w, l, 10)
+	}
+	switch {
+	case want == nil:
+		t.Fatal("the exec'd image never made its system call")
+	case want == entry:
+		t.Fatal("exec kept the entry address space")
+	case published != want:
+		t.Fatalf("CPU publishes %p after exec, want the new space %p (entry space %p)", published, want, entry)
+	}
 }

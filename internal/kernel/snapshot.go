@@ -196,10 +196,19 @@ func (sn *Snapshot) snapFile(f *vfs.File, seenPipes map[*pipe]bool) {
 
 // Restore rewinds the kernel in place to a checkpoint taken by Snapshot.
 // The snapshot remains reusable: one checkpoint can seed any number of
-// forward re-executions (reverse-step restores it repeatedly).
+// forward re-executions (reverse-step restores it repeatedly). Sleeper
+// lists are not saved: Restore empties the ones in use and rebuilds them
+// from the restored sleep state, in pid order.
 func (k *Kernel) Restore(sn *Snapshot) error {
 	if k.smp != nil {
 		return ErrSnapshotSMP
+	}
+	for _, p := range k.order { // empty the sleeper lists in use
+		for _, l := range p.LWPs {
+			if l.sleeping {
+				l.sleepQ.sleepers = nil
+			}
+		}
 	}
 	k.clock.Store(sn.clock)
 	k.nextPid = sn.nextPid
@@ -241,6 +250,13 @@ func (k *Kernel) Restore(sn *Snapshot) error {
 	for i := range sn.procs {
 		restoreProc(&sn.procs[i])
 	}
+	for _, p := range k.order {
+		for _, l := range p.LWPs {
+			if l.sleeping {
+				l.sleepQ.add(l)
+			}
+		}
+	}
 	return nil
 }
 
@@ -261,8 +277,7 @@ func restoreProc(ps *procSnap) {
 	p.nrun.Store(nrun)
 	// Raise the interrupt nudge, then let clearIntr drop it unless a
 	// restored pending signal, current signal or directed stop needs the
-	// gate. The sleeper lists on embedded waitqs are SMP-only and stay
-	// untouched.
+	// gate.
 	p.noteIntr()
 	p.clearIntr()
 	if p.k.Trace != nil {

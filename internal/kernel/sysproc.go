@@ -77,7 +77,7 @@ func (k *Kernel) finishExit(p *Proc) {
 		parent := p.Parent
 		parent.Lock()
 		ignored := parent.Actions[types.SIGCHLD].Handler == SigIGN
-		if ignored || parent == k.initProc && !parentWaits(parent) {
+		if ignored || parent == k.initProc && len(parent.waitq.sleepers) == 0 {
 			parent.Unlock()
 			// SIGCHLD ignored: children do not become zombies.
 			k.reap(p)
@@ -89,16 +89,6 @@ func (k *Kernel) finishExit(p *Proc) {
 	} else {
 		k.reap(p)
 	}
-}
-
-// parentWaits reports whether any LWP of the parent is blocked in wait(2).
-func parentWaits(p *Proc) bool {
-	for _, l := range p.LWPs {
-		if l.sleeping && l.InSyscall() == SysWait {
-			return true
-		}
-	}
-	return false
 }
 
 // reap removes a zombie from the process table.
