@@ -18,21 +18,18 @@ const (
 )
 
 var procOutsideState = map[string]string{
-	"k":        immutable,
-	"mu":       smpOnly,
-	"Pid":      immutable,
-	"System":   immutable,
-	"state":    savedApart, // atomic
-	"fds":      savedApart, // map, cloned; the files' own state is saved per file
-	"alarmAt":  savedApart, // atomic
-	"vforkQ":   recomputed, // sleeper lists are rebuilt from the LWPs' sleep state
-	"intr":     recomputed, // noteIntr + clearIntr
-	"ppid":     savedApart, // atomic
-	"nrun":     recomputed, // counted from the restored LWP states
-	"inQueue":  smpOnly,
-	"lastPass": smpOnly,
-	"waitq":    recomputed,
-	"pauseQ":   recomputed,
+	"k":      immutable,
+	"mu":     smpOnly,
+	"Pid":    immutable,
+	"System": immutable,
+	"state":  savedApart, // atomic
+	"fds":    savedApart, // map, cloned; the files' own state is saved per file
+	"vforkQ": recomputed, // sleeper lists are rebuilt from the LWPs' sleep state
+	"intr":   recomputed, // noteIntr + clearIntr
+	"ppid":   savedApart, // atomic
+	"nrun":   recomputed, // counted from the restored LWP states
+	"waitq":  recomputed,
+	"pauseQ": recomputed,
 }
 
 var lwpOutsideState = map[string]string{

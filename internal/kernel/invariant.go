@@ -10,17 +10,18 @@ import (
 // CheckInvariants verifies the kernel's structural invariants: process-table
 // and pid-map consistency, parent/child bidirectionality, descriptor-table
 // and address-space accounting, /proc writer counts, TLB generation
-// consistency for every LWP, the sleeper lists, and the sanity of every
-// ktrace ring. The fault-storm harness calls it after every injected fault
-// — an error path anywhere in the kernel must leave all of this exactly as
-// it found it. It returns the first violation found, or nil.
+// consistency for every LWP, the sleeper lists, the run queues and the
+// alarm list, and the sanity of every ktrace ring. The fault-storm harness
+// calls it after every injected fault — an error path anywhere in the
+// kernel must leave all of this exactly as it found it. It returns the
+// first violation found, or nil.
 func (k *Kernel) CheckInvariants() error {
 	if n := k.pidCount(); n != len(k.order) {
 		return fmt.Errorf("kernel: pid map has %d entries, order list %d", n, len(k.order))
 	}
 	seen := make(map[int]bool, len(k.order))
 	checkedAS := make(map[*mem.AS]bool)
-	lastPid := 0
+	lastPid := -1
 	for _, p := range k.order {
 		if q := k.Proc(p.Pid); q != p {
 			return fmt.Errorf("kernel: pid %d maps to a different process record", p.Pid)
@@ -29,18 +30,19 @@ func (k *Kernel) CheckInvariants() error {
 			return fmt.Errorf("kernel: pid %d appears twice in the order list", p.Pid)
 		}
 		seen[p.Pid] = true
-		// The timer sweep walks k.order beside the pid-ordered clockQ.
-		if !p.System {
-			if p.Pid <= lastPid {
-				return fmt.Errorf("kernel: pid %d follows pid %d in the order list", p.Pid, lastPid)
-			}
-			lastPid = p.Pid
+		// The NCPU=1 pass binary-searches k.order by pid.
+		if p.Pid <= lastPid {
+			return fmt.Errorf("kernel: pid %d follows pid %d in the order list", p.Pid, lastPid)
 		}
+		lastPid = p.Pid
 		if err := k.checkProc(p, checkedAS); err != nil {
 			return err
 		}
 	}
 	if err := k.checkSleepers(); err != nil {
+		return err
+	}
+	if err := k.checkQueues(); err != nil {
 		return err
 	}
 	if k.initProc != nil && k.Proc(1) != k.initProc {
@@ -122,6 +124,15 @@ func (k *Kernel) checkProc(p *Proc, checkedAS map[*mem.AS]bool) error {
 			return fmt.Errorf("kernel: pid %d claims a borrowed address space it does not share", p.Pid)
 		}
 	}
+	var nrun int32
+	for _, l := range p.LWPs {
+		if l.state == LRun {
+			nrun++
+		}
+	}
+	if got := p.nrun.Load(); got != nrun {
+		return fmt.Errorf("kernel: pid %d nrun %d, want %d", p.Pid, got, nrun)
+	}
 	if p.Trace.Writers < 0 {
 		return fmt.Errorf("kernel: pid %d has %d /proc writers", p.Pid, p.Trace.Writers)
 	}
@@ -173,6 +184,41 @@ func (k *Kernel) checkSleepers() error {
 		if !slices.Equal(q.sleepers, ls) {
 			return fmt.Errorf("kernel: a sleep channel lists %d LWPs, not exactly its %d sleepers in pid order", len(q.sleepers), len(ls))
 		}
+	}
+	return nil
+}
+
+// checkQueues verifies that every run queue holds only processes still in
+// the table, in strictly ascending pid order (the NCPU=1 search and the SMP
+// claim-once argument both rest on it), that every process with a runnable
+// LWP is on its home queue, and that k.alarms lists exactly the live
+// processes with an armed alarm, in pid order. A reaped process left on a
+// queue would sit in a gap of the table that no later search starts below.
+func (k *Kernel) checkQueues() error {
+	for qi := range k.queues {
+		q := &k.queues[qi]
+		for i, p := range q.procs {
+			if k.Proc(p.Pid) != p || i > 0 && q.procs[i-1].Pid >= p.Pid {
+				return fmt.Errorf("kernel: run queue %d holds pid %d out of order or after reaping", qi, p.Pid)
+			}
+		}
+	}
+	var alarms []*Proc
+	for _, p := range k.order {
+		if p.nrun.Load() > 0 {
+			if _, ok := slices.BinarySearchFunc(k.homeQueue(p).procs, p.Pid, procPidCmp); !ok {
+				return fmt.Errorf("kernel: pid %d has runnable LWPs but is not on its run queue", p.Pid)
+			}
+		}
+		if p.alarmAt != 0 {
+			if !p.Alive() {
+				return fmt.Errorf("kernel: pid %d keeps an alarm armed after exit", p.Pid)
+			}
+			alarms = append(alarms, p)
+		}
+	}
+	if !slices.Equal(k.alarms, alarms) {
+		return fmt.Errorf("kernel: the alarm list holds %d processes, not exactly the %d with an armed alarm in pid order", len(k.alarms), len(alarms))
 	}
 	return nil
 }

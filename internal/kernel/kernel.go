@@ -9,9 +9,9 @@
 //
 // The kernel is a simulation stepped in scheduling passes: target processes
 // execute on virtual CPUs, and every quantum runs the one phase machine of
-// run.go on a scheduler CPU. At NCPU=1 (the default) that CPU runs inline
-// on the goroutine that calls Step, so a run is deterministic and its locks
-// are no-ops; above 1, worker goroutines run the same machine under a
+// run.go on a scheduler CPU fed by its pid-ordered run queue. At NCPU=1 (the
+// default) that CPU runs inline on the goroutine that calls Step, so a run
+// is deterministic; above 1, worker goroutines run the same machine under a
 // ranked lock hierarchy (smp.go). Controlling programs are ordinary Go code
 // that calls the control API (typically through the /proc file system) and
 // drives the scheduler when it needs to wait.
@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,13 +39,13 @@ type Config struct {
 	// reference interpreter for differential testing. The REPRO_NOTLB
 	// environment variable forces it for a whole test or benchmark run.
 	NoTLB bool
-	// NCPU is the number of scheduler CPUs. 0 or 1 (the default) runs the
-	// one CPU inline on the goroutine that calls Step, deterministically;
-	// above 1 each Step fans the run queues out to NCPU worker goroutines
-	// with work-stealing (see smp.go). The REPRO_NCPU environment variable
-	// supplies a value for a whole run when the config leaves it 0 — an
-	// explicit setting wins, so the bit-for-bit suites can pin the
-	// deterministic scheduler regardless of the environment.
+	// NCPU is the number of scheduler CPUs, each with its own run queue.
+	// 0 or 1 (the default) runs the one CPU inline on the goroutine that
+	// calls Step, deterministically; above 1 each Step fans the run queues
+	// out to NCPU worker goroutines with work-stealing (see smp.go). The
+	// REPRO_NCPU environment variable supplies a value for a whole run when
+	// the config leaves it 0 — an explicit setting wins, so the bit-for-bit
+	// suites can pin the deterministic scheduler whatever the environment.
 	NCPU int
 }
 
@@ -71,14 +72,15 @@ type Kernel struct {
 	// the clock, so the hot loop pays no atomic per instruction.
 	clock    atomic.Int64
 	pids     [pidShards]pidShard // sharded pid map
-	order    []*Proc             // scheduling and readdir order
+	order    []*Proc             // scheduling and readdir order, pid-ascending
 	orderMu  sync.RWMutex        // guards order for host-side readers (Procs)
 	nextPid  int
-	rrIndex  int           // round-robin position (the NCPU=1 pass order)
+	rrIndex  int           // round-robin position in order (the NCPU=1 pass order)
 	tableRev atomic.Uint64 // bumped on every process-table change (fork, exit, reap)
 
 	// cpus are the scheduler CPUs, Config.NCPU of them (smp.go).
-	cpus []*kcpu
+	cpus   []*kcpu
+	queues []runQueue // one per CPU, members in pid order
 
 	// SMP mode (Config.NCPU > 1). nil smp means the one CPU runs inline
 	// on the caller of Step and none of the locks below are ever taken.
@@ -100,7 +102,7 @@ type Kernel struct {
 	//      (kcpu.lockGlobal implements that escalation).
 	//   3. lwpsMu — p.LWPs membership, so the run-queue claim path can
 	//      collect runnable LWPs without the global lock.
-	//   4. runQueue.mu — one per-CPU run queue's membership and cursor.
+	//   4. runQueue.mu — one run queue's membership and cursor, at any width.
 	//
 	// Rank-ordered acquisition is asserted in lockdebug builds
 	// (-tags lockdebug, lockdebug_on.go).
@@ -109,7 +111,8 @@ type Kernel struct {
 	lwpsMu sync.Mutex
 
 	initProc *Proc
-	clockQ   waitq // timed sleeps (sleep(2)) block here
+	clockQ   waitq   // timed sleeps (sleep(2)) block here
+	alarms   []*Proc // processes with an armed alarm(2), in pid order
 	// Trace, if set, receives a line for every process-model event of
 	// note (stops, signals, exits); used by tests and verbose tools.
 	Trace func(format string, args ...interface{})
@@ -161,6 +164,7 @@ func New(ns *vfs.NS, cfg Config) *Kernel {
 	for i := range k.cpus {
 		k.cpus[i] = &kcpu{id: i, k: k}
 	}
+	k.queues = make([]runQueue, len(k.cpus))
 	if len(k.cpus) > 1 {
 		k.smp = newSMP(len(k.cpus))
 	}
@@ -318,6 +322,12 @@ func (k *Kernel) removeProc(p *Proc) {
 		}
 	}
 	k.orderMu.Unlock()
+	q := k.homeQueue(p)
+	q.lock()
+	if i, ok := slices.BinarySearchFunc(q.procs, p.Pid, procPidCmp); ok {
+		q.remove(i)
+	}
+	q.unlock()
 }
 
 // newSystemProc creates a kernel-internal process with no address space.
@@ -355,10 +365,12 @@ var ErrDeadlock = errors.New("kernel: deadlock: nothing runnable")
 // Step runs one scheduling pass: every runnable LWP gets up to one quantum.
 // It reports whether any instruction was executed (false means the system is
 // fully idle: everything blocked, stopped or exited). The prologue advances
-// the clock and fires timers. The width decides only which processes the
-// pass visits and where: with Config.NCPU > 1 the run queues, fanned out to
-// the worker goroutines (smp.go); otherwise the round-robin below over the
-// process table, on the caller's goroutine — the order replay pins.
+// the clock and fires timers. With Config.NCPU > 1 the run queues are fanned
+// out to the worker goroutines (smp.go); otherwise the pass runs below, in
+// the order replay pins: a round-robin over the process table that spends
+// one position (rrIndex, modulo the table's current length) per process in
+// the table at pass start. It jumps between run-queue members, charging
+// the positions in between, and never walks the table.
 func (k *Kernel) Step() bool {
 	k.GlobalLock()
 	k.tickClock()
@@ -367,27 +379,48 @@ func (k *Kernel) Step() bool {
 	if k.smp != nil {
 		return k.stepSMP()
 	}
-	w := k.cpus[0]
+	w, q := k.cpus[0], &k.queues[0]
 	ran := false
-	n := len(k.order)
-	for i := 0; i < n; i++ {
-		k.rrIndex = (k.rrIndex + 1) % max(1, len(k.order))
-		if k.rrIndex >= len(k.order) {
-			k.rrIndex = 0
+	for left := len(k.order); left > 0; {
+		n := len(k.order)
+		first := (k.rrIndex + 1) % n
+		pos, p := first, k.order[first]
+		if !p.Alive() || p.nrun.Load() == 0 { // nothing to run: find the next member
+			if p = q.nextFrom(p.Pid); p != nil {
+				pos, _ = slices.BinarySearchFunc(k.order, p.Pid, procPidCmp)
+			}
 		}
-		p := k.order[k.rrIndex]
-		if !p.Alive() || p.System {
-			continue
+		d := (pos-first+n)%n + 1 // positions up to and including p's
+		if p == nil || d > left {
+			k.rrIndex = (k.rrIndex + left) % n
+			break
 		}
+		left -= d
+		k.rrIndex = pos
 		for _, l := range p.LWPs {
-			if l.Runnable() {
-				if k.runLWPOn(w, l, k.Quantum) {
-					ran = true
-				}
+			if l.Runnable() && k.runLWPOn(w, l, k.Quantum) {
+				ran = true
 			}
 		}
 	}
 	return ran
+}
+
+// nextFrom returns the first member at or after pid, wrapping around, that
+// is alive with a runnable LWP, and drops the members it passes over. Only
+// the NCPU=1 pass calls it, so it takes no lock.
+func (q *runQueue) nextFrom(pid int) *Proc {
+	i, _ := slices.BinarySearchFunc(q.procs, pid, procPidCmp)
+	for len(q.procs) > 0 {
+		if i == len(q.procs) {
+			i = 0
+		}
+		if p := q.procs[i]; p.Alive() && p.nrun.Load() > 0 {
+			return p
+		}
+		q.remove(i)
+	}
+	return nil
 }
 
 // Run steps the scheduler until the system is idle or maxSteps have been
@@ -425,34 +458,47 @@ func (k *Kernel) RunUntil(cond func() bool, maxSteps int) error {
 
 // checkTimers fires expired alarm(2) timers and wakes timed sleepers
 // (sleep(2), on k.clockQ) past their deadline, one process at a time in pid
-// order, alarm first: alarms over k.order, sleeps through a cursor into
-// clockQ's pid-ordered list (CheckInvariants holds both orders). The caller
-// holds the global lock (the pass prologue, Tick), and the per-process lock
-// is taken around signal generation per the PostSignal contract.
+// order, alarm first: it merges the pid-ordered k.alarms with clockQ's
+// pid-ordered list (CheckInvariants holds both orders). The caller holds
+// the global lock (the pass prologue, Tick), and the per-process lock is
+// taken around signal generation per the PostSignal contract.
 func (k *Kernel) checkTimers() {
 	now := k.Now()
 	q := &k.clockQ
-	i := 0
-	for _, p := range k.order {
-		if !p.Alive() {
-			continue
-		}
-		if at := p.alarmAt.Load(); at != 0 && now >= at {
-			p.alarmAt.Store(0)
+	a, i := 0, 0 // cursors into k.alarms and q.sleepers
+	for a < len(k.alarms) || i < len(q.sleepers) {
+		if a < len(k.alarms) && (i == len(q.sleepers) || k.alarms[a].Pid <= q.sleepers[i].Proc.Pid) {
+			p := k.alarms[a]
+			if now < p.alarmAt {
+				a++
+				continue
+			}
+			k.setAlarm(p, 0) // removes it, so a now indexes the next alarm
 			p.Lock()
 			k.PostSignal(p, sigALRM)
 			p.Unlock()
+			continue
 		}
-		for i < len(q.sleepers) && q.sleepers[i].Proc.Pid <= p.Pid {
-			l := q.sleepers[i]
-			if l.Proc == p && now >= l.sleepDeadline {
-				l.wake() // removes it, so i now indexes the next sleeper
-			}
-			if i < len(q.sleepers) && q.sleepers[i] == l {
-				i++
-			}
+		l := q.sleepers[i]
+		if now >= l.sleepDeadline {
+			l.wake() // removes it, so i now indexes the next sleeper
+		}
+		if i < len(q.sleepers) && q.sleepers[i] == l {
+			i++
 		}
 	}
+}
+
+// setAlarm arms p's alarm(2) for time at, or disarms it when at is 0,
+// keeping k.alarms in pid order. The caller holds the global lock.
+func (k *Kernel) setAlarm(p *Proc, at int64) {
+	i, armed := slices.BinarySearchFunc(k.alarms, p.Pid, procPidCmp)
+	if at != 0 && !armed {
+		k.alarms = slices.Insert(k.alarms, i, p)
+	} else if at == 0 && armed {
+		k.alarms = slices.Delete(k.alarms, i, i+1)
+	}
+	p.alarmAt = at
 }
 
 // TimersPending reports whether a future clock tick can unblock anything —
@@ -462,20 +508,5 @@ func (k *Kernel) checkTimers() {
 func (k *Kernel) TimersPending() bool {
 	k.GlobalLock()
 	defer k.GlobalUnlock()
-	if len(k.clockQ.sleepers) > 0 {
-		return true
-	}
-	for _, p := range k.order {
-		if p.Alive() && p.alarmAt.Load() != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return len(k.clockQ.sleepers) > 0 || len(k.alarms) > 0
 }

@@ -179,10 +179,6 @@ type Proc struct {
 
 	fds map[int]*vfs.File
 
-	// alarmAt is atomic so the timer sweep can scan armed alarms without
-	// taking every process's lock; alarm(2) itself runs under p.mu only.
-	alarmAt atomic.Int64
-
 	// vfork support: the parent sleeps on the child's vforkQ.
 	vforkQ waitq
 
@@ -198,17 +194,12 @@ type Proc struct {
 	// orphans under the global lock. Maintained by addProc and finishExit.
 	ppid atomic.Int32
 
-	// nrun counts LWPs in state LRun. The incremental run queues key on
-	// it: a 0→1 transition (wakeup, fork, stop release) enqueues the
-	// process on its home queue, and the claim path skips queue entries
-	// whose count is back to zero. Maintained by setSchedState.
+	// nrun counts LWPs in state LRun. The run queues key on it at every
+	// width: a 0→1 transition (wakeup, fork, stop release) inserts the
+	// process into its home queue, and the claim path and the NCPU=1
+	// search drop members whose count is back to zero. Maintained by
+	// setSchedState.
 	nrun atomic.Int32
-	// inQueue marks membership of the home run queue; guarded by that
-	// queue's own mutex (rank 4), not by mu. lastPass is the ordinal of
-	// the scheduling pass that last claimed this process (same guard) —
-	// a process re-woken mid-pass must not be claimed twice in one pass.
-	inQueue  bool
-	lastPass uint64
 
 	waitq  waitq // this process sleeps here in wait(2)
 	pauseQ waitq // this process sleeps here in pause(2)/sigsuspend(2)
@@ -237,6 +228,10 @@ type procState struct {
 	LWPs []*LWP
 
 	ExitStatus int // wait(2) status encoding, valid when zombie
+
+	// alarmAt is the clock at which alarm(2) fires, 0 when disarmed; set
+	// only through setAlarm, which keeps k.alarms, under the global lock.
+	alarmAt int64
 
 	// ExecVN is the vnode of the running executable (for PIOCOPENM with
 	// offset 0 and for symbol lookup); ExecPath its name.
@@ -539,8 +534,8 @@ func (l *LWP) Runnable() bool {
 
 // setSchedState moves the LWP to st, maintaining the atomic mirror and the
 // process's runnable-LWP count. A 0→1 runnable transition hands the process
-// to its home run queue (noteSchedulable; no-op in deterministic mode). In
-// SMP mode every caller holds the global lock.
+// to its home run queue (noteSchedulable). In SMP mode every caller holds
+// the global lock.
 func (l *LWP) setSchedState(st LState) {
 	old := l.state
 	if old == st {

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,24 +13,29 @@ import (
 // Scheduler CPUs and SMP scheduling (Config.NCPU > 1).
 //
 // Every kernel owns Config.NCPU kcpus, and runLWPOn always runs on one. At
-// NCPU=1 Step drives its only CPU inline on the caller's goroutine, over
-// the process table in round-robin order (the order replay pins); no
-// goroutine, channel or run queue exists and the locks are no-ops. Above 1,
-// the CPUs are worker goroutines over the run queues described below.
+// NCPU=1 Step drives its only CPU inline on the caller's goroutine, in the
+// round-robin order over the process table that replay pins, jumping
+// between the members of the one run queue (Step); no goroutine or channel
+// exists and the locks other than the queue's are no-ops. Above 1, the CPUs
+// are worker goroutines over the run queues described below.
 //
 // The schedulable unit is the whole process: the LWPs of one process never
 // run on two CPUs at once, which preserves the kernel's invariant that a
 // process's own state is only ever mutated from "its" CPU or under the
 // appropriate lock. Each process has a home run queue (by pid, so placement
-// is stable) and queue membership is maintained incrementally: a process is
-// enqueued when it gains its first runnable LWP (noteSchedulable, from
-// wakeup and fork) and lazily dequeued when a claimer finds it dead or with
+// is stable) whose members are kept in pid order. Membership is maintained
+// incrementally: a process is inserted when it gains its first runnable LWP
+// (noteSchedulable, from wakeup and fork), removed when it is reaped, and
+// lazily dropped when a claimer or the NCPU=1 search finds it dead or with
 // nothing runnable. A scheduling pass resets each queue's claim cursor and
 // fans out to persistent per-CPU worker goroutines parked on a channel; a
-// worker drains its own queue first and then steals from the others. The
-// per-pass claim stamp (Proc.lastPass) keeps a process that blocks and is
-// re-woken within one pass from being claimed twice — the second claim
-// would race the first CPU's still-running quantum.
+// worker drains its own queue first and then steals from the others.
+//
+// No process is claimed twice in one pass (that would race the first CPU's
+// quantum): a claimed process sits behind its queue's cursor, which remove
+// and noteSchedulable shift with the entries, and as lazy drops happen only
+// at the cursor it stays a member until reaped. A process that joins
+// behind the cursor mid-pass waits for the next pass.
 //
 // Locking: see the hierarchy comment on Kernel.global in kernel.go.
 // Workers take the narrow global lock only for global-class kernel phases
@@ -39,11 +46,11 @@ import (
 // touching lock-free (user-mode stepping); the TLB shootdown barrier spins
 // on it.
 
-// runQueue is one CPU's run queue. Membership (procs, the inQueue flags of
-// its members, their lastPass stamps) and the claim cursor are guarded by
-// mu; avail mirrors the number of unclaimed entries so thieves can probe a
-// victim without taking its lock (near-empty queues otherwise serialize
-// every thief on the lock for nothing — the fork_storm p99 stampede).
+// runQueue is one CPU's run queue. Membership (procs, in pid order) and the
+// claim cursor are guarded by mu; avail mirrors the number of unclaimed
+// entries so thieves can probe a victim without taking its lock (near-empty
+// queues otherwise serialize every thief on the lock for nothing — the
+// fork_storm p99 stampede).
 type runQueue struct {
 	procs []*Proc
 	next  int
@@ -103,8 +110,6 @@ type kcpu struct {
 
 // smpState hangs off the Kernel when Config.NCPU > 1.
 type smpState struct {
-	queues []runQueue
-
 	// Persistent workers: one token on work per CPU per pass, one result
 	// on done per token. Lazily started at the first pass; Shutdown closes
 	// work and the workers drain out.
@@ -116,64 +121,72 @@ type smpState struct {
 	// start still prevents it.
 	shutMu sync.Mutex
 	down   bool
-	pass   uint64 // pass ordinal; also keys the steal-victim rotation
+	pass   uint64 // pass ordinal; keys the steal-victim rotation
 }
 
 func newSMP(n int) *smpState {
 	return &smpState{
-		queues: make([]runQueue, n),
-		work:   make(chan struct{}, n),
-		done:   make(chan bool, n),
+		work: make(chan struct{}, n),
+		done: make(chan bool, n),
 	}
 }
 
 // NCPU returns the number of scheduler CPUs.
 func (k *Kernel) NCPU() int { return len(k.cpus) }
 
-// noteSchedulable hands p to its home run queue if it is not already a
-// member. Called when a process gains its first runnable LWP (wakeup,
-// continue) and at fork; no-op in deterministic mode and for system
-// processes. Callers hold the global lock, except addProc's host-side
-// boot path where no pass can be running.
+// homeQueue returns p's home run queue.
+func (k *Kernel) homeQueue(p *Proc) *runQueue {
+	return &k.queues[uint(p.Pid)%uint(len(k.queues))]
+}
+
+// procPidCmp orders processes by pid, for binary searches by pid.
+func procPidCmp(p *Proc, pid int) int { return cmp.Compare(p.Pid, pid) }
+
+// noteSchedulable inserts p into its home run queue at its pid position if
+// it is not already a member. Called when a process gains its first
+// runnable LWP (wakeup, continue) and at fork; no-op for system processes.
+// Callers hold the global lock, except addProc's host-side boot path where
+// no pass can be running.
 func (k *Kernel) noteSchedulable(p *Proc) {
-	s := k.smp
-	if s == nil || p.System {
+	if p.System {
 		return
 	}
-	q := &s.queues[uint(p.Pid)%uint(len(s.queues))]
+	q := k.homeQueue(p)
 	q.lock()
-	if !p.inQueue {
-		p.inQueue = true
-		q.procs = append(q.procs, p)
-		q.avail.Add(1)
+	if i, ok := slices.BinarySearchFunc(q.procs, p.Pid, procPidCmp); !ok {
+		q.procs = slices.Insert(q.procs, i, p)
+		if i < q.next {
+			q.next++
+		} else {
+			q.avail.Add(1)
+		}
 	}
 	q.unlock()
 }
 
+// remove drops procs[i], keeping the others in order and the claim cursor
+// on the same entry. The caller holds the queue lock or is the NCPU=1 pass.
+func (q *runQueue) remove(i int) {
+	q.procs = slices.Delete(q.procs, i, i+1)
+	if i < q.next {
+		q.next--
+	} else {
+		q.avail.Add(-1)
+	}
+}
+
 // claim pops the next claimable process, lazily dequeuing entries that are
-// dead or have nothing runnable, and skipping (but consuming) entries
-// already claimed this pass — a process that blocked and was re-woken
-// mid-pass must not run on a second CPU while the first may still be in
-// its quantum loop; it stays a member and runs next pass.
-func (q *runQueue) claim(pass uint64) *Proc {
+// dead or have nothing runnable.
+func (q *runQueue) claim() *Proc {
 	q.lock()
 	for q.next < len(q.procs) {
 		p := q.procs[q.next]
 		if !p.Alive() || p.nrun.Load() == 0 {
-			last := len(q.procs) - 1
-			q.procs[q.next] = q.procs[last]
-			q.procs[last] = nil
-			q.procs = q.procs[:last]
-			p.inQueue = false
-			q.avail.Add(-1)
+			q.remove(q.next)
 			continue
 		}
 		q.next++
 		q.avail.Add(-1)
-		if p.lastPass == pass {
-			continue
-		}
-		p.lastPass = pass
 		q.unlock()
 		return p
 	}
@@ -333,8 +346,8 @@ func (k *Kernel) stepSMP() bool {
 	// incrementally-maintained membership. No rebuild, no allocation.
 	s.pass++
 	idle := true
-	for i := range s.queues {
-		q := &s.queues[i]
+	for i := range k.queues {
+		q := &k.queues[i]
 		q.lock()
 		q.next = 0
 		q.avail.Store(int32(len(q.procs)))
@@ -378,19 +391,18 @@ func (k *Kernel) smpWorker(w *kcpu) {
 // stampeding them all onto the same near-empty queue; the avail probe lets
 // a thief skip an empty victim without touching its lock.
 func (k *Kernel) runPass(w *kcpu) {
-	s := k.smp
-	n := len(s.queues)
-	k.drainQueue(w, &s.queues[w.id])
+	n := len(k.queues)
+	k.drainQueue(w, &k.queues[w.id])
 	if n == 1 {
 		return
 	}
-	start := (w.id + int(s.pass)) % n
+	start := (w.id + int(k.smp.pass)) % n
 	for i := 0; i < n; i++ {
 		qi := (start + i) % n
 		if qi == w.id {
 			continue
 		}
-		q := &s.queues[qi]
+		q := &k.queues[qi]
 		if q.avail.Load() <= 0 {
 			continue
 		}
@@ -400,7 +412,7 @@ func (k *Kernel) runPass(w *kcpu) {
 
 func (k *Kernel) drainQueue(w *kcpu, q *runQueue) {
 	for {
-		p := q.claim(k.smp.pass)
+		p := q.claim()
 		if p == nil {
 			return
 		}

@@ -73,7 +73,7 @@ func TestShootdownBarrier(t *testing.T) {
 // TestOneCPUStepsInline pins the NCPU=1 shape of the single phase machine:
 // Step drives the kernel's one CPU on the caller's goroutine, so a run that
 // spins, grows and shrinks its break (every brk reaches shootdown) starts
-// no goroutine and builds no run queue, and shootdown falls through even
+// no goroutine and builds no SMP state, and shootdown falls through even
 // while the CPU publishes the dying space — the initiator is that CPU.
 func TestOneCPUStepsInline(t *testing.T) {
 	fs := memfs.New(nil)
@@ -108,7 +108,7 @@ heap:	.space 4
 		t.Fatal(err)
 	}
 	if k.NCPU() != 1 || k.smp != nil {
-		t.Fatalf("NCPU=1 built run queues (NCPU() = %d)", k.NCPU())
+		t.Fatalf("NCPU=1 built SMP state (NCPU() = %d)", k.NCPU())
 	}
 	before := runtime.NumGoroutine()
 	k.Run(200)

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"errors"
-	"fmt"
 	"maps"
 	"slices"
 
@@ -56,7 +55,6 @@ type procSnap struct {
 	procState
 
 	state    PState
-	alarmAt  int64
 	ppid     int32
 	fds      map[int]*vfs.File
 	lwpSnaps []lwpSnap
@@ -153,7 +151,6 @@ func (k *Kernel) snapProc(sn *Snapshot, p *Proc, seenPipes map[*pipe]bool) procS
 		p:         p,
 		procState: p.procState.detached(),
 		state:     p.State(),
-		alarmAt:   p.alarmAt.Load(),
 		ppid:      p.ppid.Load(),
 		fds:       maps.Clone(p.fds),
 	}
@@ -197,8 +194,8 @@ func (sn *Snapshot) snapFile(f *vfs.File, seenPipes map[*pipe]bool) {
 // Restore rewinds the kernel in place to a checkpoint taken by Snapshot.
 // The snapshot remains reusable: one checkpoint can seed any number of
 // forward re-executions (reverse-step restores it repeatedly). Sleeper
-// lists are not saved: Restore empties the ones in use and rebuilds them
-// from the restored sleep state, in pid order.
+// lists, the run queue and the alarm list are not saved: Restore empties
+// them and rebuilds them from the restored processes, in pid order.
 func (k *Kernel) Restore(sn *Snapshot) error {
 	if k.smp != nil {
 		return ErrSnapshotSMP
@@ -250,13 +247,22 @@ func (k *Kernel) Restore(sn *Snapshot) error {
 	for i := range sn.procs {
 		restoreProc(&sn.procs[i])
 	}
+	q := &k.queues[0]
+	q.procs, k.alarms = nil, nil
 	for _, p := range k.order {
 		for _, l := range p.LWPs {
 			if l.sleeping {
 				l.sleepQ.add(l)
 			}
 		}
+		if p.nrun.Load() > 0 {
+			q.procs = append(q.procs, p)
+		}
+		if p.alarmAt != 0 {
+			k.alarms = append(k.alarms, p)
+		}
 	}
+	q.avail.Store(int32(len(q.procs)))
 	return nil
 }
 
@@ -264,7 +270,6 @@ func restoreProc(ps *procSnap) {
 	p := ps.p
 	p.procState = ps.procState.detached()
 	p.setState(ps.state)
-	p.alarmAt.Store(ps.alarmAt)
 	p.ppid.Store(ps.ppid)
 	p.fds = maps.Clone(ps.fds)
 	var nrun int32
@@ -297,27 +302,4 @@ func restoreLWP(s *lwpSnap) {
 	l.CPU.FlushTLB()
 	l.lwpState = s.lwpState.detached()
 	l.stateA.Store(int32(l.state))
-}
-
-// CheckRestored verifies gross restore invariants: pid-map/order agreement
-// and per-process LWP-count consistency. Tests call it after Restore.
-func (k *Kernel) CheckRestored() error {
-	if n := k.pidCount(); n != len(k.order) {
-		return fmt.Errorf("kernel: %d pid-map entries, %d order entries", n, len(k.order))
-	}
-	for _, p := range k.order {
-		if got := k.Proc(p.Pid); got != p {
-			return fmt.Errorf("kernel: pid %d maps to a different process", p.Pid)
-		}
-		var nrun int32
-		for _, l := range p.LWPs {
-			if l.state == LRun {
-				nrun++
-			}
-		}
-		if got := p.nrun.Load(); got != nrun {
-			return fmt.Errorf("kernel: pid %d nrun %d, want %d", p.Pid, got, nrun)
-		}
-	}
-	return nil
 }

@@ -181,7 +181,6 @@ var sysLockClass = [MaxSysNum + 1]sysLockKind{
 	SysMprotect: sysLockProc,
 	SysTime:     sysLockProc, // atomic clock; classed proc so the flush runs
 	SysTimes:    sysLockProc, // own usage, flushed under this same lock
-	SysAlarm:    sysLockProc, // alarmAt atomic; remaining-time math wants the flush
 	SysUmask:    sysLockProc, // own umask
 	SysNice:     sysLockProc, // own nice
 	SysSetuid:   sysLockProc, // own creds; kill's permission check takes this lock

@@ -26,6 +26,7 @@ func (k *Kernel) exitProc(p *Proc, status int) {
 	}
 	p.setState(PZombie)
 	p.ExitStatus = status
+	k.setAlarm(p, 0)
 	k.tableRev.Add(1) // liveness changed: snapshots taken before this are stale
 	for _, l := range p.LWPs {
 		l.forgetSleep()
@@ -354,14 +355,13 @@ func sysAlarm(k *Kernel, l *LWP) sysResult {
 	p := l.Proc
 	now := k.Now()
 	var remaining int64
-	if at := p.alarmAt.Load(); at > now {
-		remaining = at - now
+	if p.alarmAt > now {
+		remaining = p.alarmAt - now
 	}
-	ticks := int64(l.sysArgs[0])
-	if ticks == 0 {
-		p.alarmAt.Store(0)
+	if ticks := int64(l.sysArgs[0]); ticks == 0 {
+		k.setAlarm(p, 0)
 	} else {
-		p.alarmAt.Store(now + ticks)
+		k.setAlarm(p, now+ticks)
 	}
 	return ret(uint32(remaining))
 }

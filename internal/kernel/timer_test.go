@@ -78,8 +78,8 @@ func TestTimerFireOrder(t *testing.T) {
 
 	at := k.Now() + 10
 	sleeper.LWPs[0].sleepDeadline = at
-	pauser.alarmAt.Store(at)
-	both.alarmAt.Store(at)
+	pauser.alarmAt = at
+	both.alarmAt = at
 	both.LWPs[0].sleepDeadline = at
 	var got []string
 	k.KTTap = func(e *ktrace.Event) {
