@@ -65,10 +65,10 @@ bench-json-pr6:
 # verify-smp exercises the scheduler CPUs under the race detector: the
 # shootdown-barrier mechanics, the NCPU=1 inline CPU (no goroutine across
 # Steps, shootdown falls through), the space a CPU publishes after exec,
-# the unbilled empty quantum, the pid-ordered wakeup and the run-queue
-# churn at both widths, the fork/wait/signal storm and brk-shootdown
-# programs at NCPU=4, every workload scenario at NCPU=4 with the worker
-# goroutine-leak check, host-side /proc controllers racing the scheduler,
+# the unbilled empty quantum, the pid-ordered wakeup, the run-queue churn
+# and the recycled-frame scribblers and checkers at both widths, the
+# fork/wait/signal storm and brk-shootdown programs at NCPU=4, every
+# workload scenario at NCPU=4 with the worker goroutine-leak check, host-side /proc controllers racing the scheduler,
 # and the mutex-contention profile smoke (the global lock's share of
 # sampled wait time stays under budget). The kernel and SMP suites and
 # the NCPU=4 workload scenarios then run again under -tags lockdebug, which
@@ -76,7 +76,7 @@ bench-json-pr6:
 # without the global lock. GOMAXPROCS is forced up so worker goroutines
 # genuinely interleave even on small hosts.
 verify-smp:
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn' ./internal/kernel/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate' ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestConcurrentControllers' ./internal/procfs/

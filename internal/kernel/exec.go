@@ -105,7 +105,9 @@ func (k *Kernel) execProc(l *LWP, path string, args []string) sysResult {
 	p.AS = newAS
 	l.CPU.AS = newAS
 	if old != nil {
-		old.Unref()
+		if old.Unref() {
+			old.Release()
+		}
 		// No other CPU may keep serving translations for the retired space.
 		k.shootdown(old)
 	}

@@ -9,12 +9,12 @@ import (
 
 // CheckInvariants verifies the kernel's structural invariants: process-table
 // and pid-map consistency, parent/child bidirectionality, descriptor-table
-// and address-space accounting, /proc writer counts, TLB generation
-// consistency for every LWP, the sleeper lists, the run queues and the
-// alarm list, and the sanity of every ktrace ring. The fault-storm harness
-// calls it after every injected fault — an error path anywhere in the
-// kernel must leave all of this exactly as it found it. It returns the
-// first violation found, or nil.
+// and address-space accounting, page-frame ownership against the frame free
+// list, /proc writer counts, TLB generation consistency for every LWP, the
+// sleeper lists, the run queues and the alarm list, and the sanity of every
+// ktrace ring. The fault-storm harness calls it after every injected fault
+// — an error path anywhere in the kernel must leave all of this exactly as
+// it found it. It returns the first violation found, or nil.
 func (k *Kernel) CheckInvariants() error {
 	if n := k.pidCount(); n != len(k.order) {
 		return fmt.Errorf("kernel: pid map has %d entries, order list %d", n, len(k.order))
@@ -38,6 +38,13 @@ func (k *Kernel) CheckInvariants() error {
 		if err := k.checkProc(p, checkedAS); err != nil {
 			return err
 		}
+	}
+	spaces := make([]*mem.AS, 0, len(checkedAS))
+	for as := range checkedAS {
+		spaces = append(spaces, as)
+	}
+	if err := mem.CheckFrames(spaces); err != nil {
+		return err
 	}
 	if err := k.checkSleepers(); err != nil {
 		return err

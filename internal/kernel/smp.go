@@ -312,16 +312,21 @@ func (w *kcpu) flush() {
 // lock) with its own curAS withdrawn, and blocked CPUs clear theirs before
 // sleeping on any lock, so the spin always terminates. At NCPU=1 the only
 // CPU is the initiator itself and the barrier falls through, as it does
-// for host-side callers (no pass running).
+// for host-side callers (no pass running). Past the barrier no CPU can
+// translate through the frames the space dropped, so at every width it
+// ends by handing them to the frame free list.
 func (k *Kernel) shootdown(as *mem.AS) {
-	if k.smp == nil || as == nil {
+	if as == nil {
 		return
 	}
-	for _, w := range k.cpus {
-		for w.curAS.Load() == as {
-			runtime.Gosched()
+	if k.smp != nil {
+		for _, w := range k.cpus {
+			for w.curAS.Load() == as {
+				runtime.Gosched()
+			}
 		}
 	}
+	as.Reclaim()
 }
 
 // stepSMP is the NCPU > 1 half of Step, after its prologue: one scheduling

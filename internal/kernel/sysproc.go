@@ -44,7 +44,12 @@ func (k *Kernel) exitProc(p *Proc, status int) {
 // parent notification.
 func (k *Kernel) finishExit(p *Proc) {
 	if p.AS != nil {
-		p.AS.Unref()
+		if p.AS.Unref() {
+			// The zombie's LWPs keep the pointer; release the pages now,
+			// not when the process is reaped.
+			p.AS.Release()
+			k.shootdown(p.AS)
+		}
 		p.AS = nil
 	}
 	// A vfork child that exits without exec releases the borrowed space.

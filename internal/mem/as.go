@@ -133,18 +133,19 @@ type Stats struct {
 // plus the watchpoint list and page-event statistics.
 //
 // Locking: mu is the per-address-space lock. Every exported mutator (Map,
-// Unmap, Mprotect, Brk, Dup, the watchpoint setters) and every exported
-// multi-step access path (CheckAccess, ReadAt, WriteAt, AccessRead,
-// AccessFetch, AccessWrite, PageFrame) takes it; unexported helpers assume
-// it is held. This is what lets an SMP kernel run one process's user code
-// (whose vCPU slow path lands here) concurrently with another CPU mutating
-// the same space through a /proc write or a vfork sibling's brk — without a
-// global memory lock. The TLB fast path never takes mu: it revalidates each
-// cached frame against the atomic generation (Gen) and the backing object's
-// revision instead. Read-only reporting views (Segs, SegsView, FindSeg,
-// VirtSize, MapString, Watches) stay lock-free; they are only called from
-// contexts already serialized against mutation of that space (the owning
-// process's own syscalls, or a kernel that has quiesced the target).
+// Unmap, Mprotect, Brk, Dup, Release, Reclaim, the watchpoint setters) and
+// every exported multi-step access path (CheckAccess, ReadAt, WriteAt,
+// AccessRead, AccessFetch, AccessWrite, PageFrame) takes it; unexported
+// helpers assume it is held. This is what lets an SMP kernel run one
+// process's user code (whose vCPU slow path lands here) concurrently with
+// another CPU mutating the same space through a /proc write or a vfork
+// sibling's brk — without a global memory lock. The TLB fast path never
+// takes mu: it revalidates each cached frame against the atomic generation
+// (Gen) and the backing object's revision instead. Read-only reporting views
+// (Segs, SegsView, FindSeg, VirtSize, MapString, Watches) stay lock-free;
+// they are only called from contexts already serialized against mutation of
+// that space (the owning process's own syscalls, or a kernel that has
+// quiesced the target).
 type AS struct {
 	mu       sync.Mutex
 	pagesize uint32
@@ -158,8 +159,9 @@ type AS struct {
 	refs     int // vfork sharing count
 	owner    int // pid charged for fault-injection hits (0: unattributed)
 
-	gen  atomic.Uint64 // translation generation (see frame.go)
-	zero []byte        // the package's read-only zero page of this page size
+	gen     atomic.Uint64 // translation generation (see frame.go)
+	zero    []byte        // the package's read-only zero page of this page size
+	dropped [][]byte      // frames of unmapped private pages awaiting Reclaim
 }
 
 // DefaultPageSize is the page size used unless overridden; "a small multiple
@@ -367,6 +369,11 @@ func (as *AS) Unmap(base, length uint32) error {
 		if sHi > hi {
 			out = append(out, s.slice(hi, sHi, as.pagesize))
 		}
+		for pb, pg := range s.priv {
+			if uint64(pb) >= lo && uint64(pb) < hi {
+				as.drop(pg)
+			}
+		}
 		if as.stack == s {
 			as.stack = nil
 		}
@@ -506,8 +513,9 @@ func (as *AS) Brk(newEnd uint32) error {
 		return nil
 	}
 	// Shrink: drop private pages past the new end.
-	for pb := range s.priv {
+	for pb, pg := range s.priv {
 		if uint64(pb) >= uint64(s.Base)+newLen {
+			as.drop(pg)
 			delete(s.priv, pb)
 		}
 	}
@@ -551,25 +559,9 @@ func (as *AS) Dup() *AS {
 	defer as.mu.Unlock()
 	n := NewAS(int(as.pagesize))
 	n.stackLim = as.stackLim
-	for _, s := range as.segs {
-		ns := &Seg{
-			Base: s.Base, Len: s.Len, Prot: s.Prot, MaxProt: s.MaxProt,
-			Shared: s.Shared, Obj: s.Obj, Off: s.Off, Kind: s.Kind,
-			priv: make(map[uint32][]byte, len(s.priv)),
-			tail: s.tail, // immutable and never exposed writable
-		}
-		for pb, pg := range s.priv {
-			cp := make([]byte, len(pg))
-			copy(cp, pg)
-			ns.priv[pb] = cp
-		}
-		n.segs = append(n.segs, ns)
-		if as.stack == s {
-			n.stack = ns
-		}
-		if as.brk == s {
-			n.brk = ns
-		}
+	n.adopt(copySegs(as.segs, as.stack, as.brk))
+	for i, s := range as.segs {
+		n.segs[i].tail = s.tail // immutable and never exposed writable
 	}
 	// Watchpoints are per-address-space state and do not survive fork.
 	return n
@@ -578,7 +570,8 @@ func (as *AS) Dup() *AS {
 // Ref increments the sharing count (vfork).
 func (as *AS) Ref() { as.refs++ }
 
-// Unref decrements the sharing count and reports whether the space is dead.
+// Unref decrements the sharing count and reports whether the space is dead;
+// the caller then Releases it.
 func (as *AS) Unref() bool { as.refs--; return as.refs <= 0 }
 
 // MapString renders the address space in the style of the paper's Figure 2.

@@ -167,6 +167,93 @@ func zeroPage(size uint32) []byte {
 	return pg
 }
 
+// frameCap bounds the frame free list: 32 frames of DefaultPageSize, 128 KiB.
+const frameCap = 32
+
+// freeFrames is the package's page-frame free list, shared by every address
+// space like zeroPages. A private page's frame lives through one cycle:
+// materialized (writeChunk, or a copy by Dup or copySegs), dropped onto its
+// space's dropped list (brk shrink, Unmap, Release), moved here by Reclaim,
+// and taken again by the next materialization. Reclaim runs only after the
+// kernel's TLB shootdown barrier has returned, so no CPU can still translate
+// through a frame on this list. Frames here have unspecified contents. Only
+// DefaultPageSize frames are recycled; other page sizes allocate afresh.
+//
+// Lock order: an address space's mu, then freeFrames.mu, never the reverse.
+var freeFrames struct {
+	mu sync.Mutex
+	n  int
+	f  [frameCap][]byte
+}
+
+// takeFrame returns a page frame of the given size with unspecified
+// contents: a recycled one when the free list has one, a fresh one
+// otherwise. Callers must overwrite every byte before exposing it.
+func takeFrame(size uint32) []byte {
+	if size == DefaultPageSize {
+		freeFrames.mu.Lock()
+		if n := freeFrames.n; n > 0 {
+			pg := freeFrames.f[n-1]
+			freeFrames.f[n-1] = nil
+			freeFrames.n = n - 1
+			freeFrames.mu.Unlock()
+			return pg
+		}
+		freeFrames.mu.Unlock()
+	}
+	return make([]byte, size)
+}
+
+// drop parks the frame of a private page the space no longer maps, for
+// Reclaim to recycle once no CPU can translate through it. Frames beyond
+// what the free list can hold, and frames of other page sizes, are left to
+// the collector. The caller holds as.mu and has bumped, or is about to
+// bump, the translation generation.
+func (as *AS) drop(pg []byte) {
+	if as.pagesize == DefaultPageSize && len(as.dropped) < frameCap {
+		as.dropped = append(as.dropped, pg)
+	}
+}
+
+// Reclaim moves the frames the space has dropped to the free list. The
+// caller must guarantee that no CPU still translates through them: the
+// kernel calls it at the end of its TLB shootdown barrier.
+func (as *AS) Reclaim() {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	if len(as.dropped) == 0 {
+		return
+	}
+	freeFrames.mu.Lock()
+	for i, pg := range as.dropped {
+		if freeFrames.n < frameCap {
+			freeFrames.f[freeFrames.n] = pg
+			freeFrames.n++
+		}
+		as.dropped[i] = nil
+	}
+	freeFrames.mu.Unlock()
+	as.dropped = as.dropped[:0]
+}
+
+// Release empties a dead space: every private page is dropped, the
+// mappings and the stack and break designations are cleared, and the
+// generation moves. A reader still holding the pointer (a /proc inspector,
+// a zombie's LWP) then gets ErrNotMapped rather than recycled bytes of
+// another process. The kernel calls it when Unref reports the space dead,
+// and then shoots down and reclaims.
+func (as *AS) Release() {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	for _, s := range as.segs {
+		for _, pg := range s.priv {
+			as.drop(pg)
+		}
+	}
+	as.segs, as.stack, as.brk = nil, nil, nil
+	as.invalidate()
+}
+
 // Gen returns the address space's translation generation: it changes every
 // time a cached page translation could have become stale. Caches must
 // revalidate against it (and against the AS identity itself) before every

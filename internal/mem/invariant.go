@@ -91,3 +91,40 @@ func (as *AS) CheckInvariants() error {
 	}
 	return nil
 }
+
+// CheckFrames verifies the frame invariants across a set of live address
+// spaces, each listed once (vfork sharers alias one space): no frame backs
+// two private pages, no frame on the free list backs a private page or sits
+// on the list twice, and no space holds dropped frames that missed their
+// Reclaim. Like CheckInvariants it reads the spaces without their locks, so
+// the caller must have quiesced them.
+func CheckFrames(spaces []*AS) error {
+	backs := make(map[*byte]int) // frame -> owning pid (-1: the free list)
+	for _, as := range spaces {
+		if len(as.dropped) != 0 {
+			return fmt.Errorf("mem: space of pid %d holds %d dropped frames awaiting Reclaim",
+				as.owner, len(as.dropped))
+		}
+		for _, s := range as.segs {
+			for pb, pg := range s.priv {
+				if pid, ok := backs[&pg[0]]; ok {
+					return fmt.Errorf("mem: frame of pid %d page %#x also backs a page of pid %d",
+						as.owner, pb, pid)
+				}
+				backs[&pg[0]] = as.owner
+			}
+		}
+	}
+	freeFrames.mu.Lock()
+	defer freeFrames.mu.Unlock()
+	for _, pg := range freeFrames.f[:freeFrames.n] {
+		if pid, ok := backs[&pg[0]]; ok {
+			if pid < 0 {
+				return fmt.Errorf("mem: a frame is on the free list twice")
+			}
+			return fmt.Errorf("mem: a frame on the free list backs a private page of pid %d", pid)
+		}
+		backs[&pg[0]] = -1
+	}
+	return nil
+}

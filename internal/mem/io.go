@@ -286,7 +286,9 @@ func (as *AS) writeChunk(s *Seg, addr uint32, p []byte) error {
 		} else if siteFaultPage.Hit(as.owner) {
 			return ErrNoMem
 		}
-		pg = make([]byte, as.pagesize)
+		// A recycled frame holds a dead page's bytes: the COW fill writes
+		// every byte (the ReadObj contract), and zero-fill clears it.
+		pg = takeFrame(as.pagesize)
 		if s.Obj != nil {
 			off := s.Off + int64(pb) - int64(s.Base)
 			s.Obj.ReadObj(pg, off)
@@ -296,6 +298,7 @@ func (as *AS) writeChunk(s *Seg, addr uint32, p []byte) error {
 				s.tail = nil
 			}
 		} else {
+			clear(pg)
 			as.Stats.MinorFaults++
 		}
 		s.priv[pb] = pg

@@ -27,6 +27,8 @@ type Object interface {
 	// the size yield zeros.
 	ObjSize() int64
 	// ReadObj fills p from the object at off, zero-filling beyond its size.
+	// It must write every byte of p: copy-on-write fills recycled page
+	// frames, whose old contents would otherwise show through.
 	ReadObj(p []byte, off int64)
 	// WriteObj stores p into the object at off, growing it if necessary.
 	// It is used by shared mappings; objects that cannot be written return

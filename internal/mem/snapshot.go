@@ -19,7 +19,8 @@ type ASState struct {
 }
 
 // copySegs deep-copies a mapping list, reporting where the stack and break
-// designations land in the copy.
+// designations land in the copy. Fork (Dup) and checkpoints share it; the
+// private pages are copied into frames from the free list.
 func copySegs(segs []*Seg, stack, brk *Seg) (out []*Seg, stackIdx, brkIdx int) {
 	stackIdx, brkIdx = -1, -1
 	out = make([]*Seg, len(segs))
@@ -30,7 +31,7 @@ func copySegs(segs []*Seg, stack, brk *Seg) (out []*Seg, stackIdx, brkIdx int) {
 			priv: make(map[uint32][]byte, len(s.priv)),
 		}
 		for pb, pg := range s.priv {
-			cp := make([]byte, len(pg))
+			cp := takeFrame(uint32(len(pg)))
 			copy(cp, pg)
 			ns.priv[pb] = cp
 		}
@@ -43,6 +44,18 @@ func copySegs(segs []*Seg, stack, brk *Seg) (out []*Seg, stackIdx, brkIdx int) {
 		}
 	}
 	return out, stackIdx, brkIdx
+}
+
+// adopt installs a mapping list from copySegs with its designations.
+func (as *AS) adopt(segs []*Seg, stackIdx, brkIdx int) {
+	as.segs = segs
+	as.stack, as.brk = nil, nil
+	if stackIdx >= 0 {
+		as.stack = segs[stackIdx]
+	}
+	if brkIdx >= 0 {
+		as.brk = segs[brkIdx]
+	}
 }
 
 // SaveState captures the address space.
@@ -69,14 +82,7 @@ func (as *AS) LoadState(st *ASState) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	segs, _, _ := copySegs(st.segs, nil, nil)
-	as.segs = segs
-	as.stack, as.brk = nil, nil
-	if st.stackIdx >= 0 {
-		as.stack = segs[st.stackIdx]
-	}
-	if st.brkIdx >= 0 {
-		as.brk = segs[st.brkIdx]
-	}
+	as.adopt(segs, st.stackIdx, st.brkIdx)
 	as.stackLim = st.stackLim
 	as.watches = append([]Watch(nil), st.watches...)
 	as.Stats = st.stats
