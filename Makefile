@@ -65,8 +65,9 @@ bench-json-pr6:
 # verify-smp exercises the scheduler CPUs under the race detector: the
 # shootdown-barrier mechanics, the NCPU=1 inline CPU (no goroutine across
 # Steps, shootdown falls through), the space a CPU publishes after exec,
-# the unbilled empty quantum, the pid-ordered wakeup, the run-queue churn
-# and the recycled-frame scribblers and checkers at both widths, the
+# the unbilled empty quantum, the pid-ordered wakeup, the run-queue churn,
+# the recycled-frame scribblers and checkers, breakpoints planted under a
+# running LWP's fetch window and a held pending signal at both widths, the
 # fork/wait/signal storm and brk-shootdown programs at NCPU=4, every
 # workload scenario at NCPU=4 with the worker goroutine-leak check, host-side /proc controllers racing the scheduler,
 # and the mutex-contention profile smoke (the global lock's share of
@@ -76,7 +77,7 @@ bench-json-pr6:
 # without the global lock. GOMAXPROCS is forced up so worker goroutines
 # genuinely interleave even on small hosts.
 verify-smp:
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate' ./internal/kernel/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate|TestFetchWindowSeesPlantedBreakpoints|TestHeldSignalClearsIntr' ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestConcurrentControllers' ./internal/procfs/

@@ -22,3 +22,8 @@ func lockOrderRelease(rank int) {}
 // assertGlobal checks, in lockdebug builds, that an SMP caller holds the
 // global lock.
 func (k *Kernel) assertGlobal() {}
+
+// assertBatchGate checks, in lockdebug builds, the batch invariant of
+// runLWPOn: an LWP that stopped running during a user batch had its
+// process's intr raised.
+func assertBatchGate(l *LWP) {}

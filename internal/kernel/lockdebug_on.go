@@ -104,3 +104,16 @@ func (k *Kernel) assertGlobal() {
 		panic("lockdebug: a sleeper list is touched without the global lock")
 	}
 }
+
+// assertBatchGate panics if the LWP left LRun, or its process died, during
+// a user batch without the process's intr raised. Every cross-CPU setter
+// raises intr before the change under the global lock and only this CPU
+// clears it, so a changed state with a clear intr is a setter that skipped
+// the nudge: per-instruction stepping would have stopped where the batch
+// ran on.
+func assertBatchGate(l *LWP) {
+	p := l.Proc
+	if (LState(l.stateA.Load()) != LRun || !p.Alive()) && p.intr.Load() == 0 {
+		panic(fmt.Sprintf("lockdebug: pid %d lwp %d stopped running during a user batch without raising intr", p.Pid, l.ID))
+	}
+}

@@ -297,20 +297,41 @@ func (p *Proc) Unlock() {
 }
 
 // clearIntr drops the interrupt nudge if nothing is left to gate on: no
-// pending process-level signal, and no LWP with a directed stop or current
-// signal. Callers hold the global kernel lock in SMP mode; every setter of
-// the fields read here (PostSignal, SetCurSig, DirectStop, ptrace continue)
-// holds it too.
+// LWP with a directed stop, a current signal or a pending signal it does
+// not hold. A pending signal every LWP holds stays pending without the
+// nudge; SetHold raises it again when a mask change unblocks one. Callers
+// hold the global kernel lock in SMP mode; every cross-CPU setter of the
+// fields read here (PostSignal, SetCurSig, DirectStop, ptrace continue,
+// /proc hold changes) holds it too, and the process's own hold changes run
+// on the CPU that calls this.
 func (p *Proc) clearIntr() {
-	if !p.SigPend.IsEmpty() {
-		return
-	}
 	for _, l := range p.LWPs {
-		if l.dstop || l.CurSig != 0 {
+		if l.dstop || l.CurSig != 0 || l.deliverable() {
 			return
 		}
 	}
 	p.intr.Store(0)
+}
+
+// deliverable reports whether a pending signal is not held by the LWP
+// (SIGKILL never is).
+func (l *LWP) deliverable() bool {
+	return !l.Proc.SigPend.Minus(l.SigHold).IsEmpty()
+}
+
+// SetHold replaces the LWP's signal hold mask; SIGKILL and SIGSTOP cannot
+// be held and are dropped from it. Every hold-mask writer goes through
+// here, so a change that unblocks a pending signal raises the interrupt
+// nudge the gate needs to deliver it. The caller holds the lock its
+// context requires for the LWP's own state: the process's lock or the
+// global lock for its own system calls, both for a /proc control.
+func (l *LWP) SetHold(h types.SigSet) {
+	h.Del(types.SIGKILL)
+	h.Del(types.SIGSTOP)
+	l.SigHold = h
+	if l.deliverable() {
+		l.Proc.noteIntr()
+	}
 }
 
 // PPid returns the parent pid (0 for parentless processes). It is safe to

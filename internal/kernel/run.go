@@ -15,10 +15,14 @@ import (
 // on the caller's goroutine and every lock below is a no-op; at NCPU>1 each
 // worker goroutine drives its own CPU. The division of labor per iteration:
 //
-//   - User instruction stepping runs with no kernel lock at all. The only
-//     per-instruction synchronization is the process's intr atomic (the
-//     full signal/stop gate is taken under the global lock only when it
-//     is set) and the address space's own atomics on the TLB path.
+//   - User mode runs in batches with no kernel lock at all: one
+//     vcpu.Run call executes instructions until a trap, the end of the
+//     budget or a raised intr. The only per-instruction synchronization
+//     is the process's intr atomic, which Run reads after every
+//     instruction (the full signal/stop gate is taken under the global
+//     lock only when it is set), and the address space's own atomics on
+//     the fetch-window and TLB paths. The loop-top state check and the
+//     phase switch run once per batch.
 //   - System calls dispatch under the lock their class requires
 //     (sysLockClass): none for pure reads of process-local atomics,
 //     the per-process lock for calls that touch only the caller (brk,
@@ -36,6 +40,20 @@ import (
 //     emission (ktEmit stamps Now), and the end of the quantum. At NCPU=1
 //     the clock and usage therefore read exactly what per-instruction
 //     counters would.
+//
+// The batch invariant: every change another CPU makes that stops or kills
+// an LWP running user code raises p.intr in the same global-lock critical
+// section, before the change. Posted signals, directed stops, a current
+// signal set by a control operation and ptrace continue only raise intr;
+// the LWP stops itself at its next gate. The one cross-CPU state change of
+// a running process is exitProc reached through ptrace PtKill (a stopped
+// LWP's running sibling), and exitProc raises intr first. A process's LWPs
+// are all claimed by one CPU, so sibling exit and exec run on the CPU that
+// runs the batch and cannot overlap it. Run reads intr after every
+// instruction, so a batch ends at the same instruction boundary as the
+// per-instruction loop-top check would, and at NCPU=1, where nothing else
+// runs during a batch, the trace is the per-instruction one. -tags
+// lockdebug asserts the invariant after every batch (assertBatchGate).
 func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 	p := l.Proc
 	// A stop, sleep or death reached during this call counts as progress
@@ -60,29 +78,29 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 		case phUser:
 			w.unlock() // back at user level: run with no locks at all
 			// Natural points of control are where the process enters and
-			// leaves the kernel; a pending directive or signal enters it.
-			// The gate reads only the intr atomic: everything that sets a
-			// pending signal, current signal or directed stop calls
-			// noteIntr, so a clear atomic means nothing to deliver.
+			// leaves the kernel; a pending directive or deliverable signal
+			// enters it. The gate reads only the intr atomic: everything
+			// that makes a signal deliverable, sets a current signal or
+			// directs a stop calls noteIntr, so a clear atomic means
+			// nothing to deliver. clearIntr then drops the nudge unless
+			// something is still left.
 			if p.intr.Load() != 0 {
 				w.lockGlobal()
-				if l.dstop || l.CurSig != 0 || !p.SigPend.IsEmpty() {
-					if k.issig(l, false) {
-						k.psig(l)
-					}
-				} else {
-					p.clearIntr()
+				if k.issig(l, false) {
+					k.psig(l)
 				}
+				p.clearIntr()
 				w.unlock()
 				if LState(l.stateA.Load()) != LRun || !p.Alive() {
 					return ran
 				}
 			}
-			tr := l.CPU.Step()
-			budget--
+			tr, n := l.CPU.Run(budget, &p.intr)
+			assertBatchGate(l)
+			budget -= n
 			ran = true
-			w.ticks++
-			w.userTicks++
+			w.ticks += int64(n)
+			w.userTicks += int64(n)
 			switch tr.Kind {
 			case vcpu.TrapNone:
 			case vcpu.TrapSyscall:
@@ -210,7 +228,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 				k.ktSysExit(l)
 			}
 			if l.suspSaved != nil {
-				l.SigHold = *l.suspSaved
+				l.SetHold(*l.suspSaved)
 				l.suspSaved = nil
 			}
 			l.sysNum = 0
@@ -220,7 +238,7 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 			// Just before returning to user level:
 			//	if (issig()) psig();
 			// gated, as at the other natural points of control, on the
-			// intr atomic: every setter of a pending, current or
+			// intr atomic: every setter of a deliverable, current or
 			// directed-stop condition raises it, and clearIntr refuses to
 			// drop it while any of them remain.
 			if p.intr.Load() != 0 {

@@ -259,8 +259,9 @@ func (k *Kernel) pushSignalFrame(l *LWP, sig int, act SigAction) {
 		}
 	}
 	// The handler runs with the signal itself and the action mask held.
-	l.SigHold = l.SigHold.Union(act.Mask)
-	l.SigHold.Add(sig)
+	hold = hold.Union(act.Mask)
+	hold.Add(sig)
+	l.SetHold(hold)
 	l.CPU.Regs.PC = act.Handler
 	l.CPU.Regs.R[1] = uint32(sig)
 	l.CPU.Regs.PSW &^= uint32(0xF) // clear condition flags
@@ -285,10 +286,10 @@ func (k *Kernel) sigreturnFrame(l *LWP) Errno {
 	}
 	// vals: [0]=sig, [1]=h0lo, [2]=h0hi, [3]=h1lo, [4]=h1hi,
 	// [5..5+N-1]=R0..R7, then PSW, PC.
-	l.SigHold = types.SigSet{
+	l.SetHold(types.SigSet{
 		uint64(vals[2])<<32 | uint64(vals[1]),
 		uint64(vals[4])<<32 | uint64(vals[3]),
-	}
+	})
 	for i := 0; i < vcpu.NumRegs; i++ {
 		l.CPU.Regs.R[i] = vals[5+i]
 	}

@@ -20,6 +20,9 @@ func (k *Kernel) exitProc(p *Proc, status int) {
 	if !p.Alive() {
 		return
 	}
+	// Another LWP of p may be in a user batch on another CPU (ptrace
+	// PtKill); the nudge ends it within one instruction.
+	p.noteIntr()
 	k.tracef("pid %d exit status %#x", p.Pid, status)
 	if k.ktEnabled(p) {
 		k.ktExit(p, status)
@@ -468,17 +471,14 @@ func sysSigmask(k *Kernel, l *LWP) sysResult {
 	old := l.SigHold
 	switch how {
 	case SigBlock:
-		l.SigHold = l.SigHold.Union(set)
+		l.SetHold(old.Union(set))
 	case SigUnblock:
-		l.SigHold = l.SigHold.Minus(set)
+		l.SetHold(old.Minus(set))
 	case SigSetMask:
-		l.SigHold = set
+		l.SetHold(set)
 	default:
 		return rerr(EINVAL)
 	}
-	// SIGKILL and SIGSTOP cannot be held.
-	l.SigHold.Del(types.SIGKILL)
-	l.SigHold.Del(types.SIGSTOP)
 	return ret2(uint32(old[0]), uint32(old[1]))
 }
 
@@ -486,9 +486,7 @@ func sysSigsusp(k *Kernel, l *LWP) sysResult {
 	if l.suspSaved == nil {
 		saved := l.SigHold
 		l.suspSaved = &saved
-		l.SigHold = types.SigSet{uint64(l.sysArgs[0]), uint64(l.sysArgs[1])}
-		l.SigHold.Del(types.SIGKILL)
-		l.SigHold.Del(types.SIGSTOP)
+		l.SetHold(types.SigSet{uint64(l.sysArgs[0]), uint64(l.sysArgs[1])})
 	}
 	return rsleep(&l.Proc.pauseQ)
 }

@@ -320,10 +320,7 @@ func (h *Handle) HIoctl(cmd int, arg interface{}) error {
 		if l == nil {
 			return vfs.ErrNotExist
 		}
-		hold := *in
-		hold.Del(types.SIGKILL)
-		hold.Del(types.SIGSTOP)
-		l.SigHold = hold
+		l.SetHold(*in)
 		return nil
 	case PIOCGHOLD:
 		out, ok := arg.(*types.SigSet)

@@ -204,13 +204,11 @@ func (fs *FS) runOneCtl(p *kernel.Proc, l *kernel.LWP, w *wire) error {
 		if w.err != nil {
 			return w.err
 		}
-		hold.Del(types.SIGKILL)
-		hold.Del(types.SIGSTOP)
 		t := fs.target(p, l)
 		if t == nil {
 			return vfs.ErrNotExist
 		}
-		t.SigHold = hold
+		t.SetHold(hold)
 		return nil
 	case PCSREG:
 		regs := w.regs()

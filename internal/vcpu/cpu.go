@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/types"
@@ -75,7 +76,7 @@ type CPU struct {
 	// differential testing (and the REPRO_NOTLB ablation).
 	NoTLB bool
 
-	tlb   tlb     // software TLB (tlb.go)
+	tlb   tlb     // software TLB and fetch window (tlb.go)
 	stage [4]byte // slow-path staging buffer; reused to avoid per-access allocation
 }
 
@@ -159,9 +160,17 @@ func (c *CPU) store8(addr uint32, v byte) *Trap {
 	return nil
 }
 
-// fetch32 reads the instruction word at pc (execute permission).
+// fetch32 reads the instruction word at pc (execute permission). A pc
+// inside the fetch window is served from it once the window revalidates;
+// otherwise an exec hit in the TLB refills the window.
 func (c *CPU) fetch32(pc uint32) (uint32, *Trap) {
+	t := &c.tlb
+	if off := pc - t.win.base; off < uint32(len(t.win.frame)) && t.as == c.AS && t.gen == c.AS.Gen() &&
+		(t.win.obj == nil || t.win.obj.ObjRev() == t.win.rev) {
+		return binary.BigEndian.Uint32(t.win.frame[off : off+4]), nil
+	}
 	if f := c.tlbFrame(pc, mem.ProtExec, false); f != nil {
+		t.fillWindow(pc)
 		off := pc & c.tlb.mask
 		return binary.BigEndian.Uint32(f[off : off+4]), nil
 	}
@@ -234,6 +243,20 @@ func (c *CPU) condTaken(op int) bool {
 		return z || n != v
 	}
 	return false
+}
+
+// Run executes instructions until one traps, n have run, or *intr reads
+// non-zero after an instruction, and returns the trap (TrapNone for the
+// other two stops) with the number of instructions executed. The trapping
+// instruction counts, as a Step call would, and at least one instruction
+// always runs. intr is read after every instruction, so a caller that
+// gated on it before the call sees a raise within one instruction.
+func (c *CPU) Run(n int, intr *atomic.Int32) (Trap, int) {
+	for i := 1; ; i++ {
+		if tr := c.Step(); tr.Kind != TrapNone || i >= n || intr.Load() != 0 {
+			return tr, i
+		}
+	}
 }
 
 // Step executes one instruction. On TrapFault the program counter is left at

@@ -1,6 +1,10 @@
 package vcpu
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // CheckTLB verifies the TLB's generation contract: when the cache claims to
 // be current (same AS pointer, same generation), every entry must agree with
@@ -11,6 +15,11 @@ import "fmt"
 // case passes the per-entry check. Whatever its generation, a keyed cache
 // must hold nothing outside its occupancy mask: reset clears only the
 // occupied slots, so a fill that skipped the mask would survive a reset.
+//
+// The fetch window is held to the same contract: an un-keyed TLB (new, or
+// flushed) holds no window, and a window under the current key must agree
+// with a fresh PageFrame translation of its page — the same frame, execute
+// permission, and the same object and revision.
 func (c *CPU) CheckTLB() error {
 	t := &c.tlb
 	if t.as != nil {
@@ -20,9 +29,14 @@ func (c *CPU) CheckTLB() error {
 				return fmt.Errorf("vcpu: TLB slot %d holds %#x outside the occupancy mask", i, e.tag)
 			}
 		}
+	} else if t.win.frame != nil || t.win.obj != nil {
+		return fmt.Errorf("vcpu: fetch window for %#x survives in an un-keyed TLB", t.win.base)
 	}
 	if c.AS == nil || t.as != c.AS || t.gen != c.AS.Gen() {
 		return nil
+	}
+	if err := c.checkWindow(); err != nil {
+		return err
 	}
 	for i := range t.ents {
 		e := &t.ents[i]
@@ -58,6 +72,28 @@ func (c *CPU) CheckTLB() error {
 		} else if f.Obj != e.obj || f.Rev != e.rev {
 			return fmt.Errorf("vcpu: TLB entry for %#x disagrees with PageFrame on object/revision", e.tag)
 		}
+	}
+	return nil
+}
+
+// checkWindow compares a fetch window under the current key with a fresh
+// translation of its page. A window stale by object revision is legal: the
+// next fetch revalidates it away.
+func (c *CPU) checkWindow() error {
+	w := &c.tlb.win
+	if w.frame == nil || (w.obj != nil && w.obj.ObjRev() != w.rev) {
+		return nil
+	}
+	f, ok := c.AS.PageFrame(w.base)
+	switch {
+	case !ok:
+		return fmt.Errorf("vcpu: fetch window for %#x but PageFrame now refuses it", w.base)
+	case f.Prot&mem.ProtExec == 0:
+		return fmt.Errorf("vcpu: fetch window for %#x on a page without execute permission (%v)", w.base, f.Prot)
+	case len(w.frame) != len(f.Data) || &w.frame[0] != &f.Data[0]:
+		return fmt.Errorf("vcpu: fetch window for %#x aliases the wrong frame", w.base)
+	case f.Obj != w.obj || f.Rev != w.rev:
+		return fmt.Errorf("vcpu: fetch window for %#x disagrees with PageFrame on object/revision", w.base)
 	}
 	return nil
 }

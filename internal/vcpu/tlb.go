@@ -27,6 +27,18 @@ import (
 // records which slots were filled since the last reset, and only those are
 // cleared — the generation moves on every brk and every fresh-page store,
 // often with only a few slots in use.
+//
+// In front of the entries sits the fetch window: the translation of the
+// text page that served the last instruction fetch, so straight-line code
+// and loops skip the index, the tag compare and the permission check. It
+// is part of the TLB and shares its key: a PC inside the window is served
+// only after the checks a TLB hit makes — the same AS pointer, an
+// unchanged Gen() and, for an object-backed frame, an unchanged ObjRev() —
+// and a reset or FlushTLB drops it with the entries. Like them it caches a
+// translation, never data: the frame aliases live storage, so a store or
+// an as-file write to an already private text page is fetched at once. A
+// fetch outside the window falls through to the entries, whose exec hit
+// refills it; NoTLB never fills it.
 
 const (
 	tlbBits = 6
@@ -57,13 +69,24 @@ type tlb struct {
 	mask  uint32  // page size - 1
 	used  uint64  // bit i set: ents[i] filled since the last reset
 	ents  [tlbSize]tlbEntry
+	win   fetchWin // translation of the last fetched text page
+}
+
+// fetchWin is the fetch window: one exec-permitted page translation, as
+// the entry it was filled from held it, valid under the TLB's key. An
+// empty window has no frame, so no PC lies inside it.
+type fetchWin struct {
+	base  uint32       // page base address
+	frame []byte       // one page of live storage
+	obj   mem.RevBytes // non-nil: revalidate every fetch against ObjRev
+	rev   uint64       // object revision at fill time (obj != nil)
 }
 
 // reset re-keys the TLB to the address space's current generation and
-// drops every entry. Called whenever the AS pointer or generation moves.
-// Slots outside the occupancy mask are already empty; an un-keyed TLB (a
-// new CPU, or after FlushTLB) holds zero-valued entries whose tag 0 is a
-// real page base, so every slot counts as occupied.
+// drops every entry and the fetch window. Called whenever the AS pointer
+// or generation moves. Slots outside the occupancy mask are already empty;
+// an un-keyed TLB (a new CPU, or after FlushTLB) holds zero-valued entries
+// whose tag 0 is a real page base, so every slot counts as occupied.
 func (t *tlb) reset(as *mem.AS) {
 	if t.as == nil {
 		t.used = ^uint64(0)
@@ -77,6 +100,7 @@ func (t *tlb) reset(as *mem.AS) {
 		t.ents[bits.TrailingZeros64(m)] = tlbEntry{tag: tlbNoTag}
 	}
 	t.used = 0
+	t.win = fetchWin{}
 }
 
 // FlushTLB drops every cached translation and un-keys the TLB; the next
@@ -85,6 +109,13 @@ func (t *tlb) reset(as *mem.AS) {
 // discarded, and pointer+generation revalidation is not trusted across a
 // rewind.
 func (c *CPU) FlushTLB() { c.tlb = tlb{} }
+
+// fillWindow copies the entry that just served an exec access at pc into
+// the fetch window.
+func (t *tlb) fillWindow(pc uint32) {
+	e := &t.ents[(pc>>t.shift)&(tlbSize-1)]
+	t.win = fetchWin{base: e.tag, frame: e.frame, obj: e.obj, rev: e.rev}
+}
 
 // tlbFrame returns the direct frame for an access needing permissions want
 // at addr, or nil when the access must take the slow path. write
