@@ -16,13 +16,15 @@ vet:
 
 # bench-smoke proves the pipelined-RFS benchmark still runs (one iteration,
 # no timing claims) so a protocol change cannot silently rot it, and pins
-# two allocation budgets: the SMP scheduler's per pass (steady-state passes
-# must not allocate; see TestSMPStepAllocBudget) and the brk mill's per
-# iteration (the one materialized page plus a small constant, so TLB refills
-# stay allocation-free; see TestBrkMillAllocBudget).
+# the allocation and memory budgets: the SMP scheduler's per pass
+# (steady-state passes must not allocate; see TestSMPStepAllocBudget), the
+# brk mill's per iteration (the one materialized page plus a small constant,
+# so TLB refills stay allocation-free; see TestBrkMillAllocBudget), the
+# bytes one fork allocates (TestForkAllocBudget) and the live heap of a
+# parked process (TestParkedProcessFootprint).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRFSPipelined' -benchtime 1x .
-	$(GO) test -count=1 -run 'TestSMPStepAllocBudget|TestBrkMillAllocBudget' .
+	$(GO) test -count=1 -run 'TestSMPStepAllocBudget|TestBrkMillAllocBudget|TestForkAllocBudget|TestParkedProcessFootprint' .
 
 # bench-json records the key memory-pipeline and /proc benchmarks as JSON:
 # one run under the NoTLB reference interpreter labeled "before", one with
@@ -75,9 +77,13 @@ bench-json-pr6:
 # the NCPU=4 workload scenarios then run again under -tags lockdebug, which
 # panics on any out-of-order lock acquisition and on any sleep or wakeup
 # without the global lock. GOMAXPROCS is forced up so worker goroutines
-# genuinely interleave even on small hosts.
+# genuinely interleave even on small hosts. Last, the whole suite runs
+# again with every default-width kernel at NCPU=2 (REPRO_NCPU=2), except
+# internal/procfs2: a simulated process's /proc file system call still
+# deadlocks on the global lock its vnode operations take at NCPU>1, until
+# one /proc control core takes the locks at its entry point (ROADMAP).
 verify-smp:
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate|TestFetchWindowSeesPlantedBreakpoints|TestHeldSignalClearsIntr' ./internal/kernel/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate|TestFetchWindowSeesPlantedBreakpoints|TestHeldSignalClearsIntr|TestSigsuspendPendingUnblocked' ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestConcurrentControllers' ./internal/procfs/
@@ -85,6 +91,7 @@ verify-smp:
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestSMP|TestConcurrentControllers' . ./internal/procfs/
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
+	REPRO_NCPU=2 $(GO) test -count=1 $$($(GO) list ./... | grep -v '/internal/procfs2$$')
 
 # bench-json-pr7 records the SMP scaling numbers as BENCH_PR7.json: the
 # KernelStep scaling curve across NCPU=1/2/4/8 (host_cpus records how many

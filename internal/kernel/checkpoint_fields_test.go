@@ -55,6 +55,7 @@ var procStateRefs = map[string]string{
 	"LWPs":      cloned,
 	"ExecVN":    aliased,
 	"ImageSyms": aliased,
+	"actions":   aliased, // never written once installed; changes install a copy
 	"KT":        cloned,
 }
 

@@ -381,5 +381,5 @@ func (p *Proc) SigActionOf(sig int) SigAction {
 	if sig < 1 || sig > types.MaxSig {
 		return SigAction{}
 	}
-	return p.Actions[sig]
+	return p.action(sig)
 }

@@ -121,12 +121,7 @@ func (k *Kernel) execProc(l *LWP, path string, args []string) sysResult {
 	l.CPU.Regs = vcpuRegsAt(entry)
 	l.CPU.FP = fpZero()
 
-	// Caught signals revert to default action; ignored ones stay ignored.
-	for sig := 1; sig <= types.MaxSig; sig++ {
-		if p.Actions[sig].Handler > SigIGN {
-			p.Actions[sig] = SigAction{}
-		}
-	}
+	p.resetCaught()
 
 	base := abs
 	for i := len(abs) - 1; i >= 0; i-- {

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/kernel"
@@ -102,6 +103,63 @@ bad:	movi r1, 77
 	status := f.runToExit(p)
 	if _, code := kernel.WIfExited(status); code != int(kernel.EINTR) {
 		t.Fatalf("code = %d (77 = mask not restored)", code)
+	}
+}
+
+// TestSigsuspendPendingUnblocked pins that sigsuspend(2) does not sleep
+// through a signal already pending that its temporary mask unblocks: the
+// call must take the signal before it blocks, run the handler and fail
+// with EINTR, at every width. Nothing else would ever wake it.
+func TestSigsuspendPendingUnblocked(t *testing.T) {
+	for _, ncpu := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ncpu=%d", ncpu), func(t *testing.T) {
+			f := bootCfg(t, kernel.Config{NCPU: ncpu})
+			p := f.spawn("susppend", `
+.entry main
+h:	la r3, handled
+	movi r4, 1
+	st r4, [r3]
+	movi r0, SYS_sigreturn
+	syscall
+main:
+	movi r0, SYS_signal
+	movi r1, SIGUSR1
+	la r2, h
+	syscall
+	movi r0, SYS_sigprocmask	; block USR1
+	movi r1, 1
+	movi r2, 0x8000
+	movi r3, 0
+	syscall
+	movi r0, SYS_getpid
+	syscall
+	mov r1, r0
+	movi r0, SYS_kill		; USR1 to ourselves: held, pending
+	movi r2, SIGUSR1
+	syscall
+	movi r0, SYS_sigsuspend		; an empty mask unblocks it
+	movi r1, 0
+	movi r2, 0
+	syscall				; EINTR after the handler
+	mov r6, r0
+	la r3, handled
+	ld r4, [r3]
+	cmpi r4, 1
+	jne bad
+	mov r1, r6
+	movi r0, SYS_exit
+	syscall
+bad:	movi r1, 77
+	movi r0, SYS_exit
+	syscall
+.data
+handled: .word 0
+`, user())
+			status := f.runToExit(p)
+			if _, code := kernel.WIfExited(status); code != int(kernel.EINTR) {
+				t.Fatalf("exit code = %d, want EINTR (%d); 77 = the handler did not run", code, kernel.EINTR)
+			}
+		})
 	}
 }
 

@@ -54,9 +54,9 @@ gotu2:	.word 0
 `, user())
 	// Make SIGUSR1's handler hold SIGUSR2.
 	f.K.Run(30)
-	act := p.Actions[types.SIGUSR1]
+	act := p.SigActionOf(types.SIGUSR1)
 	act.Mask.Add(types.SIGUSR2)
-	p.Actions[types.SIGUSR1] = act
+	p.SetSigAction(types.SIGUSR1, act)
 
 	// Deliver USR1; once the handler is running, deliver USR2 — it must
 	// stay pending until the handler returns.

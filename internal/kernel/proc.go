@@ -113,6 +113,53 @@ const (
 	SigIGN = 1
 )
 
+// sigTable holds one disposition per signal number.
+type sigTable [types.MaxSig + 1]SigAction
+
+// action returns the disposition of sig.
+func (p *Proc) action(sig int) SigAction {
+	if p.actions == nil {
+		return SigAction{}
+	}
+	return p.actions[sig]
+}
+
+// setAction installs a copy of the disposition table with sig's entry
+// replaced; the old table may be shared with a fork child or a checkpoint.
+func (p *Proc) setAction(sig int, act SigAction) {
+	if p.action(sig) == act {
+		return
+	}
+	t := new(sigTable)
+	if p.actions != nil {
+		*t = *p.actions
+	}
+	t[sig] = act
+	p.actions = t
+}
+
+// resetCaught is exec's rule for dispositions: caught signals revert to
+// the default action and ignored ones stay ignored. A table left with
+// nothing but defaults becomes nil.
+func (p *Proc) resetCaught() {
+	if p.actions == nil {
+		return
+	}
+	t := *p.actions
+	for sig := range t {
+		if t[sig].Handler > SigIGN {
+			t[sig] = SigAction{}
+		}
+	}
+	switch t {
+	case sigTable{}:
+		p.actions = nil
+	case *p.actions:
+	default:
+		p.actions = &t
+	}
+}
+
 // TraceState is the per-process /proc tracing state: the sets of traced
 // signals, faults and system calls, and the mode flags.
 type TraceState struct {
@@ -243,7 +290,12 @@ type procState struct {
 
 	// Signal machinery.
 	SigPend types.SigSet // pending signals (process level)
-	Actions [types.MaxSig + 1]SigAction
+	// actions is the disposition table, nil while every signal takes its
+	// default action. A table is never written once installed: fork
+	// shares the parent's, and signal(2) and exec install a changed copy
+	// (setAction, resetCaught), so a checkpoint that saves the pointer
+	// saves the table.
+	actions *sigTable
 
 	// /proc state.
 	Trace TraceState

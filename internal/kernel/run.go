@@ -65,8 +65,14 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 	entryPhase, entryState := l.phase, LState(l.stateA.Load())
 	w.enter(l)
 	defer func() {
-		if l.phase != entryPhase || LState(l.stateA.Load()) != entryState {
+		st := LState(l.stateA.Load())
+		if l.phase != entryPhase || st != entryState {
 			ran = true
+		}
+		if st == LSleep || st == LZombie {
+			// An LWP that cannot run gives its TLB entry array back, on
+			// the CPU that ran it; its next fill takes one again.
+			l.CPU.ReleaseTLB()
 		}
 		w.leave()
 	}()
@@ -201,6 +207,14 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 			}
 			if res.SleepOn != nil {
 				w.lockGlobal() // wakers on other CPUs read the sleep state
+				// Every sleep is interruptible, and like SVR4's PCATCH
+				// sleep it looks for a signal before it blocks: one the
+				// call itself unblocked (sigsuspend's mask) or one posted
+				// since the gate above, which found no sleeper to wake.
+				// The gate takes it: EINTR, or the requested stop.
+				if p.intr.Load() != 0 && (l.dstop || l.CurSig != 0 || l.deliverable()) {
+					continue
+				}
 				l.sleep(res.SleepOn)
 				return ran
 			}

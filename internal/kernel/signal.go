@@ -57,7 +57,7 @@ func (k *Kernel) PostSignal(p *Proc, sig int) {
 	// SIGSTOP cannot be ignored). SIGCONT's wake-up side effect above has
 	// already been applied, so a default-action SIGCONT is also discarded.
 	if sig != types.SIGKILL && sig != types.SIGSTOP && !p.Trace.Sigs.Has(sig) && !p.Ptraced {
-		act := p.Actions[sig]
+		act := p.action(sig)
 		ignored := act.Handler == SigIGN ||
 			(act.Handler == SigDFL &&
 				(types.SigDefault(sig) == types.DispIgnore || sig == types.SIGCONT))
@@ -171,7 +171,7 @@ func (k *Kernel) issig(l *LWP, inSleep bool) bool {
 		}
 		sig = l.CurSig
 
-		act := p.Actions[sig]
+		act := p.action(sig)
 		// SIGKILL's action is always the default, always fatal.
 		if sig == types.SIGKILL {
 			return true
@@ -216,7 +216,7 @@ func (k *Kernel) psig(l *LWP) {
 		return
 	}
 	l.CurSig = 0
-	act := p.Actions[sig]
+	act := p.action(sig)
 	if k.ktEnabled(p) {
 		k.ktSigDeliver(l, sig, act.Handler)
 	}

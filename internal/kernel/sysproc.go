@@ -85,7 +85,7 @@ func (k *Kernel) finishExit(p *Proc) {
 	if p.Parent != nil && p.Parent.Alive() {
 		parent := p.Parent
 		parent.Lock()
-		ignored := parent.Actions[types.SIGCHLD].Handler == SigIGN
+		ignored := parent.action(types.SIGCHLD).Handler == SigIGN
 		if ignored || parent == k.initProc && len(parent.waitq.sleepers) == 0 {
 			parent.Unlock()
 			// SIGCHLD ignored: children do not become zombies.
@@ -211,7 +211,7 @@ func (k *Kernel) forkProc(l *LWP, vfork bool) *Proc {
 			ExecVN:    p.ExecVN,
 			ExecPath:  p.ExecPath,
 			ImageSyms: p.ImageSyms,
-			Actions:   p.Actions,
+			actions:   p.actions,
 		},
 		fds: map[int]*vfs.File{},
 	}
@@ -453,8 +453,8 @@ func sysSignal(k *Kernel, l *LWP) sysResult {
 		return rerr(EINVAL)
 	}
 	p := l.Proc
-	old := p.Actions[sig].Handler
-	p.Actions[sig] = SigAction{Handler: handler}
+	old := p.action(sig).Handler
+	p.setAction(sig, SigAction{Handler: handler})
 	return ret(old)
 }
 

@@ -214,7 +214,7 @@ func TestTLBInvalidateExecutableOverwrite(t *testing.T) {
 // process spins again (a padded copy of the overwritten image would let it
 // exit), and overwriting the file once more releases it.
 func TestTLBInvalidateExecutableRestore(t *testing.T) {
-	f := boot(t)
+	f := bootCfg(t, kernel.Config{NCPU: 1}) // snapshots are NCPU=1 only
 	p := f.spawn("tlbrest", spinText, user())
 	f.K.Run(20)
 	sn, err := f.K.Snapshot()

@@ -40,6 +40,13 @@ import "sync"
 // a revision must never repeat for different contents — not even across a
 // rewind to saved contents: the address space memoizes padded copies keyed
 // by revision (tailPage), and that memo outlives translation generations.
+//
+// The bytes between the slice's length and its capacity must read zero.
+// They are the zero padding of the page that straddles the object's end:
+// when the capacity covers that whole page, PageFrame aliases it like any
+// other page, so every mapping of the object shares one padded page (memfs
+// keeps a page of such slack past every file's end). An object without
+// enough slack gets a zero-padded copy per mapping instead (tailPage).
 type RevBytes interface {
 	Object
 	// ObjBytes returns the current backing bytes and their revision.
@@ -102,20 +109,21 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 			return Frame{}, false
 		}
 		f := Frame{Prot: s.Prot, Obj: rb, Rev: rev}
+		end := off + int64(as.pagesize)
 		switch {
-		case off+int64(as.pagesize) <= int64(len(data)):
-			f.Data = data[off : off+int64(as.pagesize) : off+int64(as.pagesize)]
 		case off >= int64(len(data)):
 			// Wholly past the object: reads see zeros until it grows,
 			// which moves the revision.
 			f.Data = as.zero
+		case end <= int64(cap(data)):
+			// Inside the object, or straddling its end within the zeroed
+			// slack the RevBytes contract guarantees: alias it.
+			f.Data = data[off:end:end]
 		default:
-			// The page straddles the object's end: reads zero-fill beyond
-			// its size, so alias-by-slice is impossible. Serve a
-			// zero-padded copy, memoized per mapping until the revision
-			// moves. This is the common case for small programs, whose
-			// whole text is shorter than a page, and every TLB reset
-			// (each brk, each fresh-page store) refills it.
+			// The page straddles the end of an object without the slack
+			// to cover it: reads zero-fill beyond its size, so
+			// alias-by-slice is impossible. Serve a zero-padded copy,
+			// memoized per mapping until the revision moves.
 			t := s.tail
 			if t == nil || t.obj != rb || t.off != off || t.rev != rev {
 				cp := make([]byte, as.pagesize)
@@ -131,7 +139,8 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 }
 
 // tailPage memoizes the zero-padded copy of the page of a private object
-// mapping that straddles the object's end. The record is immutable and its
+// mapping that straddles the end of an object without zeroed slack to
+// cover it (a ByteObject). The record is immutable and its
 // data is only ever exposed read-only, so a forked child may share it. The
 // key is the object, the page's object offset and the object revision: a
 // RevBytes revision never repeats for different contents, so a matching key

@@ -48,7 +48,7 @@ type node struct {
 
 	mu       sync.Mutex
 	attr     vfs.Attr
-	data     []byte           // regular files
+	data     []byte           // regular files; zeroed slack past the end (withSlack)
 	children map[string]*node // directories
 
 	// rev counts content changes to data (in-place or reallocating). It
@@ -254,7 +254,7 @@ func (n *node) WriteObj(p []byte, off int64) error {
 	defer n.mu.Unlock()
 	end := off + int64(len(p))
 	if end > int64(len(n.data)) {
-		grown := make([]byte, end)
+		grown := withSlack(end)
 		copy(grown, n.data)
 		n.data = grown
 	}
@@ -264,8 +264,25 @@ func (n *node) WriteObj(p []byte, off int64) error {
 	return nil
 }
 
+// slack is the zeroed capacity a non-empty file keeps past its end: one
+// page, so the page straddling the end of a mapped file is an alias of the
+// file's storage that every mapping shares (the mem.RevBytes contract),
+// not a padded copy per mapping.
+const slack = mem.DefaultPageSize
+
+// withSlack returns a zeroed slice of length n with slack spare capacity,
+// or nil for an empty file.
+func withSlack(n int64) []byte {
+	if n == 0 {
+		return nil
+	}
+	return make([]byte, n, n+slack)
+}
+
 // ObjBytes implements mem.RevBytes: the current file contents plus the
-// revision under which they may be aliased by frame caches.
+// revision under which they may be aliased by frame caches. Every write
+// that grows the file reallocates it, so the capacity past the end is
+// always slack and always zero.
 func (n *node) ObjBytes() ([]byte, uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -383,7 +400,8 @@ func (fs *FS) WriteFile(path string, data []byte, mode uint16, uid, gid int) err
 		child = vn.(*node)
 	}
 	child.mu.Lock()
-	child.data = append([]byte(nil), data...)
+	child.data = withSlack(int64(len(data)))
+	copy(child.data, data)
 	child.rev.Add(1)
 	child.attr.Mode = mode
 	child.attr.UID = uid

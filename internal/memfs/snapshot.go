@@ -56,7 +56,8 @@ func (fs *FS) RestoreState(st *FSState) {
 	for n, ns := range st.nodes {
 		n.mu.Lock()
 		n.attr = ns.attr
-		n.data = append([]byte(nil), ns.data...)
+		n.data = withSlack(int64(len(ns.data)))
+		copy(n.data, ns.data)
 		if ns.children == nil {
 			n.children = nil
 		} else {

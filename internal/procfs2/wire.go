@@ -70,7 +70,12 @@ func (w *wire) u64() uint64 {
 
 func (w *wire) i32() int32 { return int32(w.u32()) }
 
-func (w *wire) str() string {
+func (w *wire) str() string { return w.strAs("") }
+
+// strAs decodes a string into a field that may already hold it: an equal
+// string is kept, not allocated again. A snapshot decoded into a reused
+// record table mostly finds each record's names unchanged.
+func (w *wire) strAs(old string) string {
 	n := int(w.u32())
 	if w.err != nil {
 		return ""
@@ -79,9 +84,12 @@ func (w *wire) str() string {
 		w.err = errShortWire
 		return ""
 	}
-	s := string(w.b[w.off : w.off+n])
+	b := w.b[w.off : w.off+n]
 	w.off += n
-	return s
+	if string(b) == old {
+		return old
+	}
+	return string(b)
 }
 
 func (w *wire) putSigSet(s types.SigSet) {
@@ -225,8 +233,8 @@ func (w *wire) psInfo(info *kernel.PSInfo) {
 	info.Time = int64(w.u64())
 	info.Start = int64(w.u64())
 	info.NLWP = int(w.i32())
-	info.Comm = w.str()
-	info.Args = w.str()
+	info.Comm = w.strAs(info.Comm)
+	info.Args = w.strAs(info.Args)
 }
 
 // psInfoFixed is the encoded size of a psinfo record with empty strings:

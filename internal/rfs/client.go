@@ -52,13 +52,29 @@ func (c *Client) call(op uint8, build func(*buf)) (*buf, error) {
 	resp := &buf{b: respB}
 	code := resp.u32()
 	msg := resp.str()
-	if resp.err != nil {
-		return nil, resp.err
+	if resp.err == nil {
+		err = decodeErr(code, msg)
+	} else {
+		err = resp.err
 	}
-	if err := decodeErr(code, msg); err != nil {
+	if err != nil {
+		c.release(resp)
 		return nil, err
 	}
 	return resp, nil
+}
+
+// recycler is a transport that takes a response body back for reuse once
+// the client has decoded it.
+type recycler interface{ recycle(body []byte) }
+
+// release hands a decoded response back to a transport that recycles its
+// bodies. Every operation releases its response when it returns: decoding
+// copies what it keeps, and nothing may read resp afterwards.
+func (c *Client) release(resp *buf) {
+	if r, ok := c.T.(recycler); ok {
+		r.recycle(resp.b)
+	}
 }
 
 // Open opens a remote path and returns a local *vfs.File whose handle
@@ -71,6 +87,7 @@ func (c *Client) Open(path string, flags int) (*vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(resp)
 	fd := resp.u32()
 	if resp.err != nil {
 		// The server reported success, so it holds an open fd even though
@@ -92,6 +109,7 @@ func (c *Client) Stat(path string) (vfs.Attr, error) {
 	if err != nil {
 		return vfs.Attr{}, err
 	}
+	defer c.release(resp)
 	a := resp.attr()
 	return a, resp.err
 }
@@ -102,6 +120,7 @@ func (c *Client) ReadDir(path string) ([]vfs.Dirent, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(resp)
 	n := int(resp.u32())
 	if resp.err != nil || n < 0 || n > 1<<20 {
 		return nil, errShort
@@ -152,6 +171,7 @@ func (h *remoteHandle) HRead(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer h.c.release(resp)
 	data := resp.view()
 	if resp.err != nil {
 		return 0, resp.err
@@ -174,6 +194,7 @@ func (h *remoteHandle) HWrite(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer h.c.release(resp)
 	n := resp.u32()
 	if resp.err != nil {
 		return 0, resp.err
@@ -204,6 +225,7 @@ func (h *remoteHandle) HIoctl(cmd int, arg interface{}) error {
 	if cerr != nil {
 		return cerr
 	}
+	defer h.c.release(resp)
 	// The response frame belongs to this call, so the result decodes from
 	// a view of it rather than a copy.
 	res := resp.view()
@@ -215,8 +237,12 @@ func (h *remoteHandle) HIoctl(cmd int, arg interface{}) error {
 
 // HClose implements vfs.Handle.
 func (h *remoteHandle) HClose() error {
-	_, err := h.c.call(opClose, func(m *buf) { m.putU32(h.fd) })
-	return err
+	resp, err := h.c.call(opClose, func(m *buf) { m.putU32(h.fd) })
+	if err != nil {
+		return err
+	}
+	h.c.release(resp)
+	return nil
 }
 
 // HPoll implements vfs.Poller by asking the server. A transport failure is
@@ -230,6 +256,7 @@ func (h *remoteHandle) HPoll(mask int) int {
 	if err != nil {
 		return vfs.PollErr
 	}
+	defer h.c.release(resp)
 	ev := int(resp.u32())
 	if resp.err != nil {
 		return vfs.PollErr

@@ -2,6 +2,7 @@ package rfs
 
 import (
 	"errors"
+	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -21,11 +22,15 @@ import (
 // onto the response frame it is building, so a large result (a PIOCSNAP
 // table) is written once rather than encoded and then copied behind the
 // headers.
+//
+// A codec whose server-side argument is large may recycle it: release, when
+// set, takes back what decodeArg returned once the result is encoded.
 type ioctlCodec struct {
 	encodeArg    func(arg interface{}) ([]byte, error)
 	decodeArg    func(b []byte) (interface{}, error)
 	appendResult func(dst []byte, arg interface{}) ([]byte, error)
 	decodeResult func(b []byte, arg interface{}) error
+	release      func(arg interface{})
 }
 
 var errBadArg = errors.New("rfs: ioctl argument has the wrong type")
@@ -481,11 +486,20 @@ var watchInCodec = ioctlCodec{
 	decodeResult: nothingOut,
 }
 
+// snapArgs recycles the server's PIOCSNAP arguments. The record table of a
+// whole-table snapshot is the largest thing a request allocates (about
+// 230 bytes a process), and the server's workers may dispatch concurrently,
+// so the arguments are pooled rather than kept per server. A pooled
+// argument's Procs is never nil, so a decoded argument looks the same
+// whether or not it was recycled.
+var snapArgs = sync.Pool{New: func() any { return &procfs.PrSnap{Procs: []procfs.PrSnapRec{}} }}
+
 // snapCodec carries PIOCSNAP: the filter and prior revision travel out, the
 // whole record batch travels back in one frame — the round trip the batched
 // ioctl exists to save multiplied across the table. The result is encoded
 // straight onto the response frame and decoded straight into the caller's
-// PrSnap.Procs, so the table is copied once per hop.
+// PrSnap.Procs, so the table is copied once per hop. The server decodes
+// into a recycled PrSnap, whose record table keeps its capacity.
 var snapCodec = ioctlCodec{
 	encodeArg: func(arg interface{}) ([]byte, error) {
 		sn, ok := arg.(*procfs.PrSnap)
@@ -507,7 +521,7 @@ var snapCodec = ioctlCodec{
 	},
 	decodeArg: func(b []byte) (interface{}, error) {
 		m := &buf{b: b}
-		sn := &procfs.PrSnap{WithUsage: m.u32() != 0, Rev: m.u64()}
+		withUsage, rev := m.u32() != 0, m.u64()
 		n := int(m.u32())
 		if m.err != nil {
 			return nil, m.err
@@ -517,6 +531,8 @@ var snapCodec = ioctlCodec{
 		if n > (len(b)-m.off)/4 {
 			return nil, errShort
 		}
+		sn := snapArgs.Get().(*procfs.PrSnap)
+		*sn = procfs.PrSnap{WithUsage: withUsage, Rev: rev, Procs: sn.Procs[:0]}
 		if n > 0 {
 			sn.Pids = make([]int, n)
 			for i := range sn.Pids {
@@ -525,6 +541,7 @@ var snapCodec = ioctlCodec{
 		}
 		return sn, nil
 	},
+	release: func(arg interface{}) { snapArgs.Put(arg) },
 	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
 		sn, ok := arg.(*procfs.PrSnap)
 		if !ok || sn == nil {

@@ -61,9 +61,10 @@ type MuxTransport struct {
 	// Zero selects a small default.
 	Backoff time.Duration
 
-	conn io.ReadWriter
-	r    *bufio.Reader
-	wch  chan []byte
+	conn   io.ReadWriter
+	r      *bufio.Reader
+	wch    chan []byte
+	bodies bufPool // response bodies the client has decoded (recycle)
 
 	mu       sync.Mutex
 	inflight map[uint32]chan muxReply
@@ -95,6 +96,7 @@ func NewMuxTransport(conn io.ReadWriter) (*MuxTransport, error) {
 		conn:       conn,
 		r:          bufio.NewReaderSize(conn, 64<<10),
 		wch:        make(chan []byte),
+		bodies:     make(bufPool, 4),
 		inflight:   map[uint32]chan muxReply{},
 		quit:       make(chan struct{}),
 		readerDone: make(chan struct{}),
@@ -240,16 +242,11 @@ func (t *MuxTransport) failure(fallback error) error {
 func (t *MuxTransport) readLoop() {
 	defer close(t.readerDone)
 	for {
-		p, err := readFrame(t.r)
+		tag, body, err := t.readResponse()
 		if err != nil {
 			t.fail(err)
 			return
 		}
-		if len(p) < 4 {
-			t.fail(errors.New("rfs: mux response frame too short"))
-			return
-		}
-		tag := binary.BigEndian.Uint32(p)
 		t.mu.Lock()
 		ch, ok := t.inflight[tag]
 		if ok {
@@ -259,8 +256,69 @@ func (t *MuxTransport) readLoop() {
 		}
 		t.mu.Unlock()
 		if ok {
-			ch <- muxReply{body: p[4:]}
+			ch <- muxReply{body: body}
+		} else {
+			t.bodies.put(body)
 		}
+	}
+}
+
+// readResponse reads one response frame: its tag, and its body into a
+// recycled buffer, which the client hands back once it has decoded it.
+func (t *MuxTransport) readResponse() (uint32, []byte, error) {
+	n, err := readFrameLen(t.r)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n < 4 {
+		return 0, nil, errors.New("rfs: mux response frame too short")
+	}
+	var tag [4]byte
+	if _, err := io.ReadFull(t.r, tag[:]); err != nil {
+		return 0, nil, err
+	}
+	body := t.bodies.get(n - 4)
+	if _, err := io.ReadFull(t.r, body); err != nil {
+		return 0, nil, err
+	}
+	return binary.BigEndian.Uint32(tag[:]), body, nil
+}
+
+// recycle takes back a response body the client has finished decoding.
+func (t *MuxTransport) recycle(body []byte) { t.bodies.put(body) }
+
+// bufPool recycles one connection's large buffers: response frames on the
+// server, which the writer hands back once they are copied onto the wire,
+// and response bodies on the client. A sweep's snapshot response is about
+// 230 bytes a process, so a remote ps that allocated one per round trip
+// would churn the heap. The pool keeps at most its capacity of buffers and
+// none larger than maxPooledBuf; when it is empty a buffer is allocated.
+type bufPool chan []byte
+
+// maxPooledBuf bounds the buffers a pool keeps: the largest read an opRead
+// returns.
+const maxPooledBuf = 1 << 20
+
+// get returns a buffer of length n, recycled when a free one is big enough.
+func (p bufPool) get(n int) []byte {
+	select {
+	case b := <-p:
+		if cap(b) >= n {
+			return b[:n]
+		}
+	default:
+	}
+	return make([]byte, n, max(n, muxFrameHint))
+}
+
+// put offers a buffer nothing uses any more to the pool.
+func (p bufPool) put(b []byte) {
+	if cap(b) == 0 || cap(b) > maxPooledBuf {
+		return
+	}
+	select {
+	case p <- b:
+	default:
 	}
 }
 
@@ -393,6 +451,7 @@ func (s *Server) serveMux(conn io.ReadWriter) error {
 	}
 	reqs := make(chan muxFrame, 4*workers)
 	resps := make(chan []byte, 4*workers)
+	frames := make(bufPool, workers)
 	writeErr := make(chan error, 1)
 	writerDone := make(chan struct{})
 	// outstanding counts requests read off the wire whose responses have not
@@ -408,8 +467,10 @@ func (s *Server) serveMux(conn io.ReadWriter) error {
 				// Faults are per-frame decisions; no coalescing.
 				atomic.AddInt64(&outstanding, -1)
 				err = s.MuxFaults.writeFrame(conn, frame)
+				frames.put(frame)
 			} else {
 				out = appendFrame(out[:0], frame)
+				frames.put(frame)
 				n := int64(1)
 				// Same trick as the client's writeLoop: if workers are still
 				// holding responses for requests already read, a yield lets
@@ -423,6 +484,7 @@ func (s *Server) serveMux(conn io.ReadWriter) error {
 								break gather
 							}
 							out = appendFrame(out, f)
+							frames.put(f)
 							n++
 						default:
 							break gather
@@ -453,7 +515,7 @@ func (s *Server) serveMux(conn io.ReadWriter) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.muxWorker(reqs, resps)
+			s.muxWorker(reqs, resps, frames)
 		}()
 	}
 
@@ -492,7 +554,7 @@ func (s *Server) serveMux(conn io.ReadWriter) error {
 // more queued requests and serves the whole batch under one Server.Lock
 // acquisition — on a busy connection the per-request lock traffic collapses
 // into one acquisition per batch.
-func (s *Server) muxWorker(reqs <-chan muxFrame, resps chan<- []byte) {
+func (s *Server) muxWorker(reqs <-chan muxFrame, resps chan<- []byte, frames bufPool) {
 	for rq := range reqs {
 		batch := []muxFrame{rq}
 		if readMostlyBody(rq.body) {
@@ -512,12 +574,12 @@ func (s *Server) muxWorker(reqs <-chan muxFrame, resps chan<- []byte) {
 				}
 			}
 		}
-		// Each response is built behind its tag, in the frame the writer
-		// sends, so nothing is copied after the dispatch.
+		// Each response is built behind its tag, in a recycled frame the
+		// writer sends, so nothing is copied after the dispatch.
 		out := make([][]byte, len(batch))
 		s.Lock.Lock()
 		for i, q := range batch {
-			frame := binary.BigEndian.AppendUint32(make([]byte, 0, muxFrameHint), q.tag)
+			frame := binary.BigEndian.AppendUint32(frames.get(0), q.tag)
 			out[i] = s.appendResponse(frame, q.body)
 		}
 		s.Lock.Unlock()

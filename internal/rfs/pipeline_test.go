@@ -60,6 +60,7 @@ func muxSystem(t *testing.T, faults *rfs.Faults) (*repro.System, *rfs.MuxTranspo
 		mt.Close()
 		server.Close()
 		<-done
+		s.Close() // at NCPU>1 its scheduler workers would outlive the test
 	}
 	return s, mt, cleanup
 }

@@ -274,17 +274,26 @@ func writeFrame(w io.Writer, p []byte) error {
 
 // readFrame receives one frame.
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readFrameLen(r)
+	if err != nil {
 		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > 1<<24 {
-		return nil, fmt.Errorf("rfs: oversized frame (%d bytes)", n)
 	}
 	p := make([]byte, n)
 	if _, err := io.ReadFull(r, p); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// readFrameLen receives a frame's length word, refusing an oversized frame.
+func readFrameLen(r io.Reader) (int, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > 1<<24 {
+		return 0, fmt.Errorf("rfs: oversized frame (%d bytes)", n)
+	}
+	return int(n), nil
 }

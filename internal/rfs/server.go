@@ -28,9 +28,11 @@ type Server struct {
 	MuxFaults *Faults
 
 	// Tap, if set, observes every (request, response) pair after dispatch,
-	// under the server lock. The record/replay subsystem uses it to capture
-	// the remote mutation stream server-side — past the transport, so wire
-	// faults and disconnect storms never corrupt the recorded ops.
+	// under the server lock. Both slices are valid only during the call:
+	// the response frame is recycled once it is written. The record/replay
+	// subsystem uses it to capture the remote mutation stream server-side —
+	// past the transport, so wire faults and disconnect storms never
+	// corrupt the recorded ops.
 	Tap func(req, resp []byte)
 
 	mu     sync.Mutex
@@ -270,6 +272,9 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 		arg, err := codec.decodeArg(argBytes)
 		if err != nil {
 			return err
+		}
+		if codec.release != nil {
+			defer codec.release(arg)
 		}
 		if err := f.Ioctl(cmd, arg); err != nil {
 			return err

@@ -65,22 +65,21 @@ func appendUsageLine(b []byte, info *kernel.PSInfo, u *procfs.PrUsage) []byte {
 // batched snapshot: one open of /proc, one PIOCSNAP with usage records.
 // Output is line-identical to FleetUsageLegacy on a static process table.
 func FleetUsage(cl ProcClient, w io.Writer) error {
-	sn := procfs.PrSnap{WithUsage: true}
-	if err := Snapshot(cl, &sn); err != nil {
+	sb, err := snapSweep(cl, true, usageHeader)
+	if err != nil {
 		return err
 	}
-	b := make([]byte, 0, len(usageHeader)+len(sn.Procs)*lineHint)
-	b = append(b, usageHeader...)
-	for i := range sn.Procs {
-		rec := &sn.Procs[i]
+	defer sweepBufs.Put(sb)
+	for i := range sb.sn.Procs {
+		rec := &sb.sn.Procs[i]
 		if rec.Info.State == 'Z' {
 			// The per-pid path skips zombies: PIOCUSAGE fails once the
 			// process has exited.
 			continue
 		}
-		b = appendUsageLine(b, &rec.Info, &rec.Usage)
+		sb.out = appendUsageLine(sb.out, &rec.Info, &rec.Usage)
 	}
-	_, err := w.Write(b)
+	_, err = w.Write(sb.out)
 	return err
 }
 

@@ -16,21 +16,31 @@ import (
 // must hold nothing outside its occupancy mask: reset clears only the
 // occupied slots, so a fill that skipped the mask would survive a reset.
 //
-// The fetch window is held to the same contract: an un-keyed TLB (new, or
-// flushed) holds no window, and a window under the current key must agree
-// with a fresh PageFrame translation of its page — the same frame, execute
-// permission, and the same object and revision.
+// The fetch window is held to the same contract: a window under the
+// current key must agree with a fresh PageFrame translation of its page —
+// the same frame, execute permission, and the same object and revision.
+// A TLB without an entry array (new, flushed, or given back by ReleaseTLB)
+// is accepted only when it holds no window and no occupied slot, and only
+// a keyed TLB may hold an array.
 func (c *CPU) CheckTLB() error {
 	t := &c.tlb
-	if t.as != nil {
-		for i := range t.ents {
-			e := &t.ents[i]
-			if t.used&(1<<i) == 0 && (e.tag != tlbNoTag || e.frame != nil || e.obj != nil) {
-				return fmt.Errorf("vcpu: TLB slot %d holds %#x outside the occupancy mask", i, e.tag)
-			}
+	switch {
+	case t.ents == nil:
+		if t.win.frame != nil || t.win.obj != nil {
+			return fmt.Errorf("vcpu: fetch window for %#x survives in a released TLB", t.win.base)
 		}
-	} else if t.win.frame != nil || t.win.obj != nil {
-		return fmt.Errorf("vcpu: fetch window for %#x survives in an un-keyed TLB", t.win.base)
+		if t.used != 0 {
+			return fmt.Errorf("vcpu: released TLB claims occupied slots %#x", t.used)
+		}
+		return nil
+	case t.as == nil:
+		return fmt.Errorf("vcpu: un-keyed TLB holds an entry array")
+	}
+	for i := range t.ents {
+		e := &t.ents[i]
+		if t.used&(1<<i) == 0 && (e.tag != tlbNoTag || e.frame != nil || e.obj != nil) {
+			return fmt.Errorf("vcpu: TLB slot %d holds %#x outside the occupancy mask", i, e.tag)
+		}
 	}
 	if c.AS == nil || t.as != c.AS || t.gen != c.AS.Gen() {
 		return nil

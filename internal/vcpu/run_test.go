@@ -296,3 +296,44 @@ func TestRunDifferential(t *testing.T) {
 		t.Fatalf("only %d of 60 programs rewrote their text; the window's aliasing went untested", rewrote)
 	}
 }
+
+// ReleaseTLB gives the entry array back empty and drops the fetch window,
+// keeping the key; the next fill takes an empty array, and the translation
+// it serves is unchanged. CheckTLB refuses a window left in a released TLB.
+func TestReleaseTLB(t *testing.T) {
+	c := newCPU(t, spinWords(3)...)
+	stepOK(t, c)
+	if c.tlb.ents == nil || c.tlb.win.frame == nil {
+		t.Fatal("no entry array or fetch window after a fetch")
+	}
+	ents, as, gen := c.tlb.ents, c.tlb.as, c.tlb.gen
+	c.ReleaseTLB()
+	if c.tlb.ents != nil || c.tlb.win.frame != nil || c.tlb.used != 0 {
+		t.Fatalf("after release: ents=%p window=%+v used=%#x, want none", c.tlb.ents, c.tlb.win, c.tlb.used)
+	}
+	if c.tlb.as != as || c.tlb.gen != gen {
+		t.Fatal("release dropped the TLB's key")
+	}
+	for i, e := range ents {
+		if e.tag != tlbNoTag || e.frame != nil || e.obj != nil {
+			t.Fatalf("released array slot %d still holds %#x", i, e.tag)
+		}
+	}
+	if err := c.CheckTLB(); err != nil {
+		t.Fatal(err)
+	}
+	stepOK(t, c)
+	if c.tlb.ents == nil || c.tlb.win.base != 0x1000 {
+		t.Fatalf("no array or window after the next fetch: %+v", c.tlb.win)
+	}
+	if err := c.CheckTLB(); err != nil {
+		t.Fatal(err)
+	}
+
+	win := c.tlb.win
+	c.ReleaseTLB()
+	c.tlb.win = win
+	if err := c.CheckTLB(); err == nil {
+		t.Fatal("CheckTLB accepted a fetch window in a released TLB")
+	}
+}

@@ -2,6 +2,7 @@ package vcpu
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/mem"
 )
@@ -40,6 +41,12 @@ import (
 // fetch outside the window falls through to the entries, whose exec hit
 // refills it; NoTLB never fills it.
 
+// The entry array is most of an LWP's size, and most LWPs of a large table
+// are asleep, so a TLB holds one only while its LWP can run (ReleaseTLB,
+// freeEnts). The key and the window fields stay inline. An LWP that spins
+// or is stopped keeps its array, so a stopped debugger target resumes with
+// a warm TLB.
+
 const (
 	tlbBits = 6
 	tlbSize = 1 << tlbBits
@@ -61,14 +68,18 @@ type tlbEntry struct {
 	obj      mem.RevBytes // non-nil: revalidate every hit against ObjRev
 }
 
+// tlbEnts is one entry array. Every array outside a TLB is empty: every
+// tag is tlbNoTag and no entry holds a frame.
+type tlbEnts [tlbSize]tlbEntry
+
 // tlb is the per-CPU translation cache.
 type tlb struct {
-	as    *mem.AS // address space the entries describe
-	gen   uint64  // its Gen() when they were filled
-	shift uint32  // page shift
-	mask  uint32  // page size - 1
-	used  uint64  // bit i set: ents[i] filled since the last reset
-	ents  [tlbSize]tlbEntry
+	as    *mem.AS  // address space the entries describe
+	gen   uint64   // its Gen() when they were filled
+	shift uint32   // page shift
+	mask  uint32   // page size - 1
+	used  uint64   // bit i set: ents[i] filled since the last reset
+	ents  *tlbEnts // nil until the first fill and after ReleaseTLB
 	win   fetchWin // translation of the last fetched text page
 }
 
@@ -82,25 +93,79 @@ type fetchWin struct {
 	rev   uint64       // object revision at fill time (obj != nil)
 }
 
+// entsCap bounds the free list of entry arrays: eight arrays, about 30 KB.
+// A sleeping LWP's array goes back here and its next fill takes one, so a
+// fork-and-wait loop recycles arrays instead of allocating them; an array
+// released into a full list is left to the garbage collector.
+const entsCap = 8
+
+// freeEnts is the package's free list of empty entry arrays, shared by
+// every CPU.
+var freeEnts struct {
+	mu   sync.Mutex
+	list []*tlbEnts
+}
+
+// takeEnts returns an empty entry array, recycled when one is free.
+func takeEnts() *tlbEnts {
+	freeEnts.mu.Lock()
+	if n := len(freeEnts.list); n > 0 {
+		e := freeEnts.list[n-1]
+		freeEnts.list[n-1] = nil
+		freeEnts.list = freeEnts.list[:n-1]
+		freeEnts.mu.Unlock()
+		return e
+	}
+	freeEnts.mu.Unlock()
+	e := new(tlbEnts)
+	for i := range e {
+		e[i].tag = tlbNoTag
+	}
+	return e
+}
+
+// putEnts offers an emptied entry array to the free list.
+func putEnts(e *tlbEnts) {
+	freeEnts.mu.Lock()
+	if len(freeEnts.list) < entsCap {
+		freeEnts.list = append(freeEnts.list, e)
+	}
+	freeEnts.mu.Unlock()
+}
+
+// clearUsed empties the occupied slots.
+func (t *tlb) clearUsed() {
+	for m := t.used; m != 0; m &= m - 1 {
+		t.ents[bits.TrailingZeros64(m)] = tlbEntry{tag: tlbNoTag}
+	}
+	t.used = 0
+}
+
 // reset re-keys the TLB to the address space's current generation and
 // drops every entry and the fetch window. Called whenever the AS pointer
-// or generation moves. Slots outside the occupancy mask are already empty;
-// an un-keyed TLB (a new CPU, or after FlushTLB) holds zero-valued entries
-// whose tag 0 is a real page base, so every slot counts as occupied.
+// or generation moves. Slots outside the occupancy mask are already empty.
 func (t *tlb) reset(as *mem.AS) {
-	if t.as == nil {
-		t.used = ^uint64(0)
-	}
 	t.as = as
 	t.gen = as.Gen()
 	ps := as.PageSize()
 	t.mask = ps - 1
 	t.shift = uint32(bits.TrailingZeros32(ps))
-	for m := t.used; m != 0; m &= m - 1 {
-		t.ents[bits.TrailingZeros64(m)] = tlbEntry{tag: tlbNoTag}
-	}
-	t.used = 0
+	t.clearUsed()
 	t.win = fetchWin{}
+}
+
+// ReleaseTLB empties the entry array and gives it back, and drops the
+// fetch window; the key stays. The kernel calls it on the LWP's own CPU
+// when the LWP sleeps or exits. The next fill takes an array again.
+func (c *CPU) ReleaseTLB() {
+	t := &c.tlb
+	t.win = fetchWin{}
+	if t.ents == nil {
+		return
+	}
+	t.clearUsed()
+	putEnts(t.ents)
+	t.ents = nil
 }
 
 // FlushTLB drops every cached translation and un-keys the TLB; the next
@@ -108,7 +173,10 @@ func (t *tlb) reset(as *mem.AS) {
 // calls it: cached frames may describe an address space the restore just
 // discarded, and pointer+generation revalidation is not trusted across a
 // rewind.
-func (c *CPU) FlushTLB() { c.tlb = tlb{} }
+func (c *CPU) FlushTLB() {
+	c.ReleaseTLB()
+	c.tlb = tlb{}
+}
 
 // fillWindow copies the entry that just served an exec access at pc into
 // the fetch window.
@@ -130,6 +198,9 @@ func (c *CPU) tlbFrame(addr uint32, want mem.Prot, write bool) []byte {
 	t := &c.tlb
 	if t.as != c.AS || t.gen != c.AS.Gen() {
 		t.reset(c.AS)
+	}
+	if t.ents == nil {
+		t.ents = takeEnts()
 	}
 	i := (addr >> t.shift) & (tlbSize - 1)
 	e := &t.ents[i]

@@ -92,8 +92,8 @@ heap:	.space 4
 // TestBrkMillAllocBudget pins the allocation cost of the brk mill at NCPU=1:
 // per iteration, the page the store materializes plus a small constant. A
 // TLB refill at an unchanged object revision must not allocate — the text
-// of a program shorter than a page is a zero-padded copy that is memoized,
-// not rebuilt on each of the three refills an iteration causes.
+// of a program shorter than a page is served from the file's zeroed slack,
+// not copied on each of the three refills an iteration causes.
 func TestBrkMillAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under the race detector")
