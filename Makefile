@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-smoke bench-json bench-json-smoke fault-smoke bench-json-pr5 workload-smoke bench-json-pr6 verify-smp bench-json-pr7 bench-json-pr8 replay-smoke bench-json-pr9 crash-smoke bench-json-pr10 fuzz-smoke
+.PHONY: build test race vet gofmt verify bench bench-smoke bench-json bench-json-smoke fault-smoke bench-json-pr5 workload-smoke bench-json-pr6 verify-smp bench-json-pr7 bench-json-pr8 replay-smoke bench-json-pr9 crash-smoke bench-json-pr10 fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt fails, listing the files, if any Go file is not gofmt-clean.
+gofmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 # bench-smoke proves the pipelined-RFS benchmark still runs (one iteration,
 # no timing claims) so a protocol change cannot silently rot it, and pins
@@ -75,13 +79,13 @@ bench-json-pr6:
 # and the mutex-contention profile smoke (the global lock's share of
 # sampled wait time stays under budget). The kernel and SMP suites and
 # the NCPU=4 workload scenarios then run again under -tags lockdebug, which
-# panics on any out-of-order lock acquisition and on any sleep or wakeup
-# without the global lock. GOMAXPROCS is forced up so worker goroutines
-# genuinely interleave even on small hosts. Last, the whole suite runs
-# again with every default-width kernel at NCPU=2 (REPRO_NCPU=2), except
-# internal/procfs2: a simulated process's /proc file system call still
-# deadlocks on the global lock its vnode operations take at NCPU>1, until
-# one /proc control core takes the locks at its entry point (ROADMAP).
+# panics on any out-of-order or reentrant lock acquisition and on any
+# sleep, wakeup or /proc operation without the global lock. GOMAXPROCS is
+# forced up so worker goroutines genuinely interleave even on small hosts.
+# Last, both /proc packages run under -tags lockdebug with every
+# default-width kernel at NCPU=2 (REPRO_NCPU=2) — simulated processes
+# reaching /proc vnode operations from system calls that hold the global
+# lock — and then the whole suite runs at NCPU=2.
 verify-smp:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate|TestFetchWindowSeesPlantedBreakpoints|TestHeldSignalClearsIntr|TestSigsuspendPendingUnblocked' ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
@@ -91,7 +95,8 @@ verify-smp:
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestSMP|TestConcurrentControllers' . ./internal/procfs/
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
-	REPRO_NCPU=2 $(GO) test -count=1 $$($(GO) list ./... | grep -v '/internal/procfs2$$')
+	REPRO_NCPU=2 $(GO) test -tags lockdebug -count=1 ./internal/procfs/ ./internal/procfs2/
+	REPRO_NCPU=2 $(GO) test -count=1 ./...
 
 # bench-json-pr7 records the SMP scaling numbers as BENCH_PR7.json: the
 # KernelStep scaling curve across NCPU=1/2/4/8 (host_cpus records how many
@@ -156,11 +161,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime 3s ./internal/ktrace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayDecode$$' -fuzztime 3s ./internal/replay/
 
-# verify runs the tier-1 gate (build + test) plus the race detector, vet,
-# the fault-matrix smoke, the workload smoke, the SMP race suite, the
+# verify runs the gofmt check and the tier-1 gate (build + test) plus the
+# race detector, vet, the fault-matrix smoke, the workload smoke, the SMP race suite, the
 # record/replay smoke, the crash-consistency smoke, the fuzz smoke, and the
 # benchmark smoke runs.
-verify: build test race vet fault-smoke workload-smoke verify-smp replay-smoke crash-smoke fuzz-smoke bench-smoke bench-json-smoke
+verify: gofmt build test race vet fault-smoke workload-smoke verify-smp replay-smoke crash-smoke fuzz-smoke bench-smoke bench-json-smoke
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

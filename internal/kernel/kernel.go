@@ -212,6 +212,16 @@ func (k *Kernel) GlobalUnlock() {
 	}
 }
 
+// GlobalLocker returns the global lock as a sync.Locker, the lock the /proc
+// mounts carry (vfs.NS.MountLocked): host callers reaching /proc through a
+// vfs.Client hold it on entry to every vnode operation.
+func (k *Kernel) GlobalLocker() sync.Locker { return (*globalLocker)(k) }
+
+type globalLocker Kernel
+
+func (g *globalLocker) Lock()   { (*Kernel)(g).GlobalLock() }
+func (g *globalLocker) Unlock() { (*Kernel)(g).GlobalUnlock() }
+
 // Shutdown retires the persistent SMP worker goroutines and ends the
 // kernel's life: after it returns, Step panics. Deterministic kernels have
 // no workers and Shutdown is a no-op. It is idempotent and safe to call

@@ -20,7 +20,7 @@ func lockOrderAcquire(rank int) {}
 func lockOrderRelease(rank int) {}
 
 // assertGlobal checks, in lockdebug builds, that an SMP caller holds the
-// global lock.
+// global lock: sleeper lists and /proc operations require it.
 func (k *Kernel) assertGlobal() {}
 
 // assertBatchGate checks, in lockdebug builds, the batch invariant of

@@ -96,12 +96,13 @@ func countRank(held []int, rank int) int {
 }
 
 // assertGlobal panics if an SMP caller does not hold the global lock
-// (NCPU=1 never takes it).
+// (NCPU=1 never takes it): a sleeper list, or a /proc operation, reached
+// without it.
 func (k *Kernel) assertGlobal() {
 	lockDebug.mu.Lock()
 	defer lockDebug.mu.Unlock()
 	if k.smp != nil && countRank(lockDebug.held[goid()], rankGlobal) == 0 {
-		panic("lockdebug: a sleeper list is touched without the global lock")
+		panic("lockdebug: global-lock state touched without the global lock")
 	}
 }
 

@@ -105,8 +105,9 @@ func sysOpen(k *Kernel, l *LWP) sysResult {
 	if flags&(vfs.ORead|vfs.OWrite) == 0 {
 		flags |= vfs.ORead
 	}
-	cl := &vfs.Client{NS: k.NS, Cred: p.Cred}
-	f, err := cl.Open(p.absPath(path), flags)
+	// The system call holds the global lock, so it opens beneath the
+	// vfs.Client gateway, which would take it again.
+	f, err := k.NS.Open(p.absPath(path), flags, p.Cred)
 	if err != nil {
 		return rerr(mapErr(err))
 	}
@@ -135,8 +136,7 @@ func sysCreat(k *Kernel, l *LWP) sysResult {
 			return rerr(mapErr(cerr))
 		}
 	}
-	cl := &vfs.Client{NS: k.NS, Cred: p.Cred}
-	f, err := cl.Open(abs, vfs.OWrite|vfs.OTrunc)
+	f, err := k.NS.Open(abs, vfs.OWrite|vfs.OTrunc, p.Cred)
 	if err != nil {
 		return rerr(mapErr(err))
 	}

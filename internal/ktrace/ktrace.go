@@ -31,17 +31,17 @@ type Kind uint32
 
 // Event kinds.
 const (
-	KNone      Kind = iota
-	KSysEntry       // system call entry: What=sysnum, Args=arguments
-	KSysExit        // system call exit: What=sysnum, A=return value, B=errno
-	KFault          // machine fault: What=fault number, A=faulting address
-	KSigPost        // signal generated for the process: What=signal
-	KSigDeliver     // signal acted on by psig(): What=signal, A=handler
-	KLWPState       // LWP state transition: What=new state, A=old state, B=stop why, Args[0]=stop what
-	KFork           // process forked a child: What=child pid
-	KExit           // process exited: What=wait(2) status encoding
-	KSchedTick      // scheduling quantum expired (involuntary context switch)
-	KArgStr         // inline string argument of the preceding KSysEntry: see EncodeArgStr
+	KNone       Kind = iota
+	KSysEntry        // system call entry: What=sysnum, Args=arguments
+	KSysExit         // system call exit: What=sysnum, A=return value, B=errno
+	KFault           // machine fault: What=fault number, A=faulting address
+	KSigPost         // signal generated for the process: What=signal
+	KSigDeliver      // signal acted on by psig(): What=signal, A=handler
+	KLWPState        // LWP state transition: What=new state, A=old state, B=stop why, Args[0]=stop what
+	KFork            // process forked a child: What=child pid
+	KExit            // process exited: What=wait(2) status encoding
+	KSchedTick       // scheduling quantum expired (involuntary context switch)
+	KArgStr          // inline string argument of the preceding KSysEntry: see EncodeArgStr
 	kindMax
 )
 

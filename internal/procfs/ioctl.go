@@ -4,7 +4,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/types"
-	"repro/internal/vcpu"
 	"repro/internal/vfs"
 )
 
@@ -134,116 +133,116 @@ type PageData struct {
 }
 
 // HIoctl implements vfs.Handle: prioctl, the information and control half of
-// the interface. Operations that modify process state or behavior require
-// the descriptor to be open for writing; read-only inspection operations do
-// not.
+// the interface. Every operation that modifies process state or behavior is
+// decoded into a call of the kernel's /proc verb, which requires the
+// descriptor to be open for writing; the read-only operations are answered
+// by get.
 func (h *Handle) HIoctl(cmd int, arg interface{}) error {
-	// PIOCPSINFO works even on zombies; everything else requires a live,
-	// valid handle.
-	if cmd == PIOCPSINFO {
-		if h.closed {
-			return vfs.ErrBadFD
-		}
-		out, ok := arg.(*kernel.PSInfo)
-		if !ok {
-			return vfs.ErrInval
-		}
-		h.fs.K.GlobalLock()
-		h.p.Lock()
-		*out = h.p.PSInfo()
-		h.p.Unlock()
-		h.fs.K.GlobalUnlock()
-		return nil
-	}
-	p := h.p
-	k := h.fs.K
-
-	// check validates the handle and the operation; it runs with the locks
-	// below held because it reads process state (liveness, the exec
-	// generation) that the scheduler mutates. Operations that build scratch
-	// state (snapshots, map tables, watchpoint lists, descriptor images)
-	// are the ioctl layer's allocation choke point; an injected failure
-	// surfaces as EAGAIN, the paper's errno for a transiently unsatisfiable
-	// request.
-	check := func() error {
-		if err := h.valid(); err != nil {
-			return err
-		}
-		if h.writeOp(cmd) && h.flags&vfs.OWrite == 0 {
-			return vfs.ErrBadFD
-		}
-		switch cmd {
-		case PIOCACTION, PIOCMAP, PIOCGWATCH, PIOCPGD, PIOCGROUPS, PIOCOPENM:
-			if siteFaultIoctl.Hit(h.p.Pid) {
-				return vfs.ErrAgain
-			}
-		}
-		return nil
-	}
-
-	// Ioctls arrive from host-side controllers (debuggers, ps, tests) that
-	// may run concurrently with the SMP scheduler, so they follow the
-	// kernel's cross-process locking contract: the global kernel lock plus
-	// the target's per-process lock (both no-ops in deterministic mode).
-	// The two wait-style commands are exceptions — WaitStop drives the
-	// scheduler and must run unlocked — so they are handled first;
-	// PIOCSTOP locks only around the stop directive itself.
 	switch cmd {
 	case PIOCSTOP:
-		k.GlobalLock()
-		p.Lock()
-		if err := check(); err != nil {
-			p.Unlock()
-			k.GlobalUnlock()
+		if err := h.Stop(); err != nil {
 			return err
 		}
-		p.DirectStopAll()
-		p.Unlock()
-		k.GlobalUnlock()
-		l, err := k.WaitStop(p, h.fs.MaxWait)
-		if err != nil {
-			return vfs.Errorf("procfs: PIOCSTOP: %v", err)
-		}
-		if out, ok := arg.(*kernel.ProcStatus); ok && out != nil {
-			k.GlobalLock()
-			p.Lock()
-			*out = l.LWPStatus()
-			p.Unlock()
-			k.GlobalUnlock()
-		}
-		return nil
-
+		fallthrough
 	case PIOCWSTOP:
-		k.GlobalLock()
-		p.Lock()
-		err := check()
-		p.Unlock()
-		k.GlobalUnlock()
-		if err != nil {
-			return err
+		st, _ := arg.(*kernel.ProcStatus)
+		return h.WaitStop(h.fs.MaxWait, st)
+	case PIOCRUN:
+		var rf kernel.RunFlags
+		if in, ok := arg.(*kernel.RunFlags); ok && in != nil {
+			rf = *in
 		}
-		l, err := k.WaitStop(p, h.fs.MaxWait)
-		if err != nil {
-			return vfs.Errorf("procfs: PIOCWSTOP: %v", err)
+		return h.Run(rf)
+	case PIOCSSIG:
+		sig := 0
+		if in, ok := arg.(*int); ok && in != nil {
+			sig = *in
 		}
-		if out, ok := arg.(*kernel.ProcStatus); ok && out != nil {
-			k.GlobalLock()
-			p.Lock()
-			*out = l.LWPStatus()
-			p.Unlock()
-			k.GlobalUnlock()
+		return h.SetCurSig(sig)
+	case PIOCKILL:
+		return with(arg, h.Kill)
+	case PIOCUNKILL:
+		return with(arg, h.UnKill)
+	case PIOCNICE:
+		return with(arg, h.Nice)
+	case PIOCSTRACE:
+		return with(arg, h.SetSigTrace)
+	case PIOCSHOLD:
+		return with(arg, h.SetHold)
+	case PIOCSFAULT:
+		return with(arg, h.SetFaultTrace)
+	case PIOCCFAULT:
+		return h.ClearFault()
+	case PIOCSENTRY:
+		return with(arg, h.SetEntryTrace)
+	case PIOCSEXIT:
+		return with(arg, h.SetExitTrace)
+	case PIOCSFORK, PIOCRFORK:
+		return h.SetMode(kernel.ModeInhFork, cmd == PIOCSFORK)
+	case PIOCSRLC, PIOCRRLC:
+		return h.SetMode(kernel.ModeRunLC, cmd == PIOCSRLC)
+	case PIOCSREG:
+		return with(arg, h.SetRegs)
+	case PIOCSFPREG:
+		return with(arg, h.SetFPRegs)
+	case PIOCSWATCH:
+		return with(arg, func(w PrWatch) error { return h.Watch(w.Vaddr, w.Size, w.Mode) })
+	case PIOCCWATCH:
+		if addr, ok := arg.(*uint32); ok && addr != nil {
+			return h.ClearWatch(*addr, false)
 		}
-		return nil
+		return h.ClearWatch(0, true)
+	case PIOCPSINFO:
+		// PIOCPSINFO works even on zombies: it needs only an open
+		// descriptor.
+		if h.Closed() {
+			return vfs.ErrBadFD
+		}
+		h.P.Lock()
+		info := h.P.PSInfo()
+		h.P.Unlock()
+		return put(arg, info)
 	}
-
-	k.GlobalLock()
-	p.Lock()
-	defer func() {
-		p.Unlock()
-		k.GlobalUnlock()
-	}()
-	if err := check(); err != nil {
+	// No defer: with this many returns the compiler cannot open-code one,
+	// and the deferred call costs a measurable share of a status read.
+	if err := h.Lock(false); err != nil {
 		return err
+	}
+	err := get(h.P, cmd, arg)
+	h.Unlock()
+	return err
+}
+
+// with decodes an ioctl operand of type *T and passes its value to a verb.
+func with[T any](arg interface{}, verb func(T) error) error {
+	in, ok := arg.(*T)
+	if !ok || in == nil {
+		return vfs.ErrInval
+	}
+	return verb(*in)
+}
+
+// put stores a getter's result through an ioctl operand of type *T.
+func put[T any](arg interface{}, v T) error {
+	out, ok := arg.(*T)
+	if !ok || out == nil {
+		return vfs.ErrInval
+	}
+	*out = v
+	return nil
+}
+
+// get answers the read-only operations, which a read-only descriptor may
+// issue, with p locked. Operations that build scratch state (snapshots, map
+// tables, watchpoint lists, descriptor images) are the ioctl layer's
+// allocation choke point; an injected failure surfaces as EAGAIN, the
+// paper's errno for a transiently unsatisfiable request.
+func get(p *kernel.Proc, cmd int, arg interface{}) error {
+	switch cmd {
+	case PIOCACTION, PIOCMAP, PIOCGWATCH, PIOCPGD, PIOCGROUPS, PIOCOPENM:
+		if siteFaultIoctl.Hit(p.Pid) {
+			return vfs.ErrAgain
+		}
 	}
 	switch cmd {
 	case PIOCSTATUS:
@@ -255,382 +254,105 @@ func (h *Handle) HIoctl(cmd int, arg interface{}) error {
 			*out = st
 		}
 		return nil
-
-	case PIOCRUN:
-		l := p.EventStoppedLWP()
-		if l == nil {
-			return vfs.Errorf("procfs: PIOCRUN: %v", kernel.ErrNotStopped)
-		}
-		var flags kernel.RunFlags
-		if in, ok := arg.(*kernel.RunFlags); ok && in != nil {
-			flags = *in
-		}
-		return h.fs.K.RunLWP(l, flags)
-
-	case PIOCSTRACE:
-		in, ok := arg.(*types.SigSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		p.Trace.Sigs = *in
-		return nil
 	case PIOCGTRACE:
-		out, ok := arg.(*types.SigSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = p.Trace.Sigs
-		return nil
-
-	case PIOCSSIG:
-		sig := 0
-		if in, ok := arg.(*int); ok && in != nil {
-			sig = *in
-		}
-		if sig < 0 || sig > types.MaxSig {
-			return vfs.ErrInval
-		}
-		l := p.Rep()
-		if l == nil {
-			return vfs.ErrNotExist
-		}
-		l.SetCurSig(sig)
-		return nil
-	case PIOCKILL:
-		in, ok := arg.(*int)
-		if !ok || *in < 1 || *in > types.MaxSig {
-			return vfs.ErrInval
-		}
-		h.fs.K.PostSignal(p, *in)
-		return nil
-	case PIOCUNKILL:
-		in, ok := arg.(*int)
-		if !ok || *in < 1 || *in > types.MaxSig {
-			return vfs.ErrInval
-		}
-		p.UnKill(*in)
-		return nil
-
-	case PIOCSHOLD:
-		in, ok := arg.(*types.SigSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		l := p.Rep()
-		if l == nil {
-			return vfs.ErrNotExist
-		}
-		l.SetHold(*in)
-		return nil
+		return put(arg, p.Trace.Sigs)
 	case PIOCGHOLD:
-		out, ok := arg.(*types.SigSet)
-		if !ok {
-			return vfs.ErrInval
-		}
+		var hold types.SigSet
 		if l := p.Rep(); l != nil {
-			*out = l.SigHold
+			hold = l.SigHold
 		}
-		return nil
+		return put(arg, hold)
 	case PIOCMAXSIG:
-		out, ok := arg.(*int)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = types.MaxSig
-		return nil
+		return put(arg, types.MaxSig)
 	case PIOCACTION:
-		out, ok := arg.(*[]kernel.SigAction)
-		if !ok {
-			return vfs.ErrInval
-		}
 		acts := make([]kernel.SigAction, types.MaxSig+1)
 		for sig := 1; sig <= types.MaxSig; sig++ {
 			acts[sig] = p.SigActionOf(sig)
 		}
-		*out = acts
-		return nil
-
-	case PIOCSFAULT:
-		in, ok := arg.(*types.FltSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		p.Trace.Faults = *in
-		return nil
+		return put(arg, acts)
 	case PIOCGFAULT:
-		out, ok := arg.(*types.FltSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = p.Trace.Faults
-		return nil
-	case PIOCCFAULT:
-		l := p.EventStoppedLWP()
-		if l == nil {
-			return vfs.Errorf("procfs: PIOCCFAULT: %v", kernel.ErrNotStopped)
-		}
-		l.CurFlt = 0
-		return nil
-
-	case PIOCSENTRY:
-		in, ok := arg.(*types.SysSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		p.Trace.Entry = *in
-		return nil
+		return put(arg, p.Trace.Faults)
 	case PIOCGENTRY:
-		out, ok := arg.(*types.SysSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = p.Trace.Entry
-		return nil
-	case PIOCSEXIT:
-		in, ok := arg.(*types.SysSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		p.Trace.Exit = *in
-		return nil
+		return put(arg, p.Trace.Entry)
 	case PIOCGEXIT:
-		out, ok := arg.(*types.SysSet)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = p.Trace.Exit
-		return nil
-
-	case PIOCSFORK:
-		p.Trace.InhFork = true
-		return nil
-	case PIOCRFORK:
-		p.Trace.InhFork = false
-		return nil
-	case PIOCSRLC:
-		p.Trace.RunLC = true
-		return nil
-	case PIOCRRLC:
-		p.Trace.RunLC = false
-		return nil
-
-	case PIOCGREG:
-		out, ok := arg.(*vcpu.Regs)
-		if !ok {
-			return vfs.ErrInval
-		}
+		return put(arg, p.Trace.Exit)
+	case PIOCGREG, PIOCGFPREG:
 		l := p.Rep()
 		if l == nil {
 			return vfs.ErrNotExist
 		}
-		*out = l.CPU.Regs
-		return nil
-	case PIOCSREG:
-		in, ok := arg.(*vcpu.Regs)
-		if !ok {
-			return vfs.ErrInval
+		if cmd == PIOCGREG {
+			return put(arg, l.CPU.Regs)
 		}
-		l := p.Rep()
-		if l == nil {
-			return vfs.ErrNotExist
-		}
-		l.CPU.Regs = *in
-		return nil
-	case PIOCGFPREG:
-		out, ok := arg.(*vcpu.FPRegs)
-		if !ok {
-			return vfs.ErrInval
-		}
-		l := p.Rep()
-		if l == nil {
-			return vfs.ErrNotExist
-		}
-		*out = l.CPU.FP
-		return nil
-	case PIOCSFPREG:
-		in, ok := arg.(*vcpu.FPRegs)
-		if !ok {
-			return vfs.ErrInval
-		}
-		l := p.Rep()
-		if l == nil {
-			return vfs.ErrNotExist
-		}
-		l.CPU.FP = *in
-		return nil
-
+		return put(arg, l.CPU.FP)
 	case PIOCNMAP:
-		out, ok := arg.(*int)
-		if !ok {
-			return vfs.ErrInval
+		n := 0
+		if p.AS != nil {
+			n = p.AS.NSegs()
 		}
-		if p.AS == nil {
-			*out = 0
-			return nil
-		}
-		*out = p.AS.NSegs()
-		return nil
+		return put(arg, n)
 	case PIOCMAP:
-		out, ok := arg.(*[]PrMap)
-		if !ok {
-			return vfs.ErrInval
+		var maps []PrMap
+		if p.AS != nil {
+			for _, s := range p.AS.SegsView() {
+				maps = append(maps, PrMap{
+					Vaddr: s.Base, Size: s.Len, Off: s.Off,
+					Prot: s.Prot, Shared: s.Shared, Kind: s.Kind, Name: s.ObjName(),
+				})
+			}
 		}
-		*out = h.MapEntries()
-		return nil
-
+		return put(arg, maps)
 	case PIOCOPENM:
 		om, ok := arg.(*OpenMap)
-		if !ok {
+		if !ok || om == nil {
 			return vfs.ErrInval
 		}
-		return h.openMapped(om)
-
+		return openMapped(p, om)
 	case PIOCCRED:
-		out, ok := arg.(*types.Cred)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = p.Credentials()
-		return nil
+		return put(arg, p.Credentials())
 	case PIOCGROUPS:
-		out, ok := arg.(*[]int)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = append([]int(nil), p.Cred.Groups...)
-		return nil
-
-	case PIOCNICE:
-		in, ok := arg.(*int)
-		if !ok {
-			return vfs.ErrInval
-		}
-		p.SetNice(*in)
-		return nil
-
+		return put(arg, append([]int(nil), p.Cred.Groups...))
 	case PIOCGETPR:
 		// Deprecated: exposes the implementation's proc structure, tying
 		// the caller to this version of the system.
-		out, ok := arg.(**kernel.Proc)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = p
-		return nil
+		return put(arg, p)
 	case PIOCGETU:
-		out, ok := arg.(*UArea)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = UArea{
+		return put(arg, UArea{
 			CWD: p.CWD, Umask: p.Umask,
 			Args: append([]string(nil), p.Args...),
 			FDs:  p.FDs(),
-		}
-		return nil
-
+		})
 	case PIOCUSAGE:
-		out, ok := arg.(*PrUsage)
-		if !ok {
-			return vfs.ErrInval
-		}
-		*out = UsageOf(p)
-		return nil
-
-	case PIOCSWATCH:
-		in, ok := arg.(*PrWatch)
-		if !ok || in.Size == 0 {
-			return vfs.ErrInval
-		}
-		if p.AS == nil {
-			return vfs.ErrInval
-		}
-		p.AS.SetWatch(in.Vaddr, in.Size, in.Mode)
-		return nil
-	case PIOCCWATCH:
-		if p.AS == nil {
-			return vfs.ErrInval
-		}
-		if addr, ok := arg.(*uint32); ok && addr != nil {
-			p.AS.ClearWatch(*addr)
-		} else {
-			p.AS.ClearAllWatches()
-		}
-		return nil
+		return put(arg, UsageOf(p))
 	case PIOCGWATCH:
-		out, ok := arg.(*[]PrWatch)
-		if !ok {
-			return vfs.ErrInval
-		}
-		if p.AS == nil {
-			*out = nil
-			return nil
-		}
 		var ws []PrWatch
-		for _, w := range p.AS.WatchesView() {
-			ws = append(ws, PrWatch{Vaddr: w.Addr, Size: w.Len, Mode: w.Mode})
+		if p.AS != nil {
+			for _, w := range p.AS.WatchesView() {
+				ws = append(ws, PrWatch{Vaddr: w.Addr, Size: w.Len, Mode: w.Mode})
+			}
 		}
-		*out = ws
-		return nil
-
+		return put(arg, ws)
 	case PIOCPGD:
-		out, ok := arg.(*[]PageData)
-		if !ok {
-			return vfs.ErrInval
-		}
-		if p.AS == nil {
-			*out = nil
-			return nil
-		}
 		var pd []PageData
-		ps := int(p.AS.PageSize())
-		for _, s := range p.AS.SegsView() {
-			pd = append(pd, PageData{
-				Vaddr:        s.Base,
-				Pages:        (int(s.Len) + ps - 1) / ps,
-				PrivatePages: s.PrivatePages(),
-			})
+		if p.AS != nil {
+			ps := int(p.AS.PageSize())
+			for _, s := range p.AS.SegsView() {
+				pd = append(pd, PageData{
+					Vaddr:        s.Base,
+					Pages:        (int(s.Len) + ps - 1) / ps,
+					PrivatePages: s.PrivatePages(),
+				})
+			}
 		}
-		*out = pd
-		return nil
+		return put(arg, pd)
 	}
 	return vfs.ErrNoIoctl
-}
-
-// writeOp classifies operations that modify process state or behavior
-// ("read/write" operations) versus those that merely inspect it
-// ("read-only" operations).
-func (h *Handle) writeOp(cmd int) bool {
-	switch cmd {
-	case PIOCSTATUS, PIOCGTRACE, PIOCGFAULT, PIOCGENTRY, PIOCGEXIT,
-		PIOCGREG, PIOCGFPREG, PIOCNMAP, PIOCMAP, PIOCCRED, PIOCGROUPS,
-		PIOCPSINFO, PIOCGHOLD, PIOCMAXSIG, PIOCACTION, PIOCGETPR, PIOCGETU,
-		PIOCUSAGE, PIOCGWATCH, PIOCPGD, PIOCOPENM:
-		return false
-	}
-	return true
-}
-
-// MapEntries extracts the memory map (PIOCMAP).
-func (h *Handle) MapEntries() []PrMap {
-	if h.p.AS == nil {
-		return nil
-	}
-	var out []PrMap
-	for _, s := range h.p.AS.SegsView() {
-		out = append(out, PrMap{
-			Vaddr: s.Base, Size: s.Len, Off: s.Off,
-			Prot: s.Prot, Shared: s.Shared, Kind: s.Kind, Name: s.ObjName(),
-		})
-	}
-	return out
 }
 
 // openMapped implements PIOCOPENM: return a read-only descriptor for the
 // object mapped at a virtual address (or the a.out itself), enabling a
 // debugger to find symbol tables without knowing pathnames.
-func (h *Handle) openMapped(om *OpenMap) error {
-	p := h.p
+func openMapped(p *kernel.Proc, om *OpenMap) error {
 	var vn vfs.Vnode
 	if om.Vaddr == nil {
 		vn = p.ExecVN

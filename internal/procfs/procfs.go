@@ -23,7 +23,6 @@ import (
 	"strconv"
 
 	"repro/internal/kernel"
-	"repro/internal/mem"
 	"repro/internal/types"
 	"repro/internal/vfs"
 )
@@ -49,16 +48,14 @@ func PidName(pid int) string { return fmt.Sprintf("%05d", pid) }
 
 // rootVnode is the /proc directory: its contents are synthesized from the
 // process table on every operation, the "fantasy world" of the paper.
+//
+// Every vnode and handle operation below runs with the kernel's global lock
+// already held by its entry point: a simulated process's file system call,
+// or the vfs.Client gateway of the locked /proc mount for host callers
+// (debuggers, ps, rfs). The operations take only a target's Proc lock.
 type rootVnode struct{ fs *FS }
 
 // VAttr implements vfs.Vnode.
-//
-// The vnode operations below are host-side entry points (debuggers, ps,
-// tests); they may run concurrently with the SMP scheduler. Process-table
-// enumeration (Proc, Procs, TableRev) is internally synchronized, but any
-// per-process state is read or written under the kernel's cross-process
-// contract — the global kernel lock plus the per-process lock, both no-ops
-// in deterministic mode.
 func (r *rootVnode) VAttr() (vfs.Attr, error) {
 	return vfs.Attr{
 		Type: vfs.VDIR, Mode: 0o555, UID: 0, GID: 0,
@@ -95,13 +92,8 @@ func (r *rootVnode) VLookup(name string, c types.Cred) (vfs.Vnode, error) {
 // processes in the system.
 func (r *rootVnode) VReadDir(c types.Cred) ([]vfs.Dirent, error) {
 	var out []vfs.Dirent
-	r.fs.K.GlobalLock()
-	defer r.fs.K.GlobalUnlock()
 	for _, p := range r.fs.K.Procs() {
-		vn := &ProcVnode{FS: r.fs, P: p}
-		p.Lock()
-		attr, _ := vn.attrLocked()
-		p.Unlock()
+		attr, _ := (&ProcVnode{FS: r.fs, P: p}).VAttr()
 		out = append(out, vfs.Dirent{Name: PidName(p.Pid), Attr: attr})
 	}
 	return out, nil
@@ -118,17 +110,8 @@ type ProcVnode struct {
 // memory size (system processes such as 0 and 2 have no user-level address
 // space, so their sizes are zero).
 func (v *ProcVnode) VAttr() (vfs.Attr, error) {
-	v.FS.K.GlobalLock()
 	v.P.Lock()
-	attr, err := v.attrLocked()
-	v.P.Unlock()
-	v.FS.K.GlobalUnlock()
-	return attr, err
-}
-
-// attrLocked builds the attributes with the global and per-process locks
-// already held (VReadDir batches them under one global acquisition).
-func (v *ProcVnode) attrLocked() (vfs.Attr, error) {
+	defer v.P.Unlock()
 	return vfs.Attr{
 		Type: vfs.VPROC, Mode: 0o600,
 		UID: v.P.Cred.RUID, GID: v.P.Cred.RGID,
@@ -142,191 +125,32 @@ func (v *ProcVnode) attrLocked() (vfs.Attr, error) {
 // be opened only by the super-user. A /proc file may be opened for exclusive
 // read/write use with O_EXCL; read-only opens are unaffected by exclusivity.
 func (v *ProcVnode) VOpen(flags int, c types.Cred) (vfs.Handle, error) {
-	p := v.P
-	v.FS.K.GlobalLock()
-	p.Lock()
-	defer func() {
-		p.Unlock()
-		v.FS.K.GlobalUnlock()
-	}()
-	if p.State() == kernel.PGone {
-		return nil, vfs.ErrNotExist
+	pf, err := v.FS.K.OpenProcFile(v.P, nil, flags, c)
+	if err != nil {
+		return nil, err
 	}
-	if !CanOpen(p, c) {
-		return nil, vfs.ErrPerm
-	}
-	writer := flags&vfs.OWrite != 0
-	if writer {
-		if p.Trace.Excl {
-			return nil, vfs.ErrBusy
-		}
-		if flags&vfs.OExcl != 0 {
-			if p.Trace.Writers > 0 {
-				return nil, vfs.ErrBusy
-			}
-			p.Trace.Excl = true
-		}
-		p.Trace.Writers++
-	}
-	return &Handle{
-		fs: v.FS, p: p, flags: flags, gen: p.Trace.Gen,
-		excl: writer && flags&vfs.OExcl != 0,
-	}, nil
+	return &Handle{ProcFile: pf, fs: v.FS}, nil
 }
 
 var _ vfs.Vnode = (*ProcVnode)(nil)
 
-// Handle is the open state of a process file.
+// Handle is the open state of a process file: the kernel's shared /proc
+// descriptor (validity, writer accounting, close and poll) plus the ioctl
+// decoder.
 type Handle struct {
-	fs     *FS
-	p      *kernel.Proc
-	flags  int
-	gen    int
-	excl   bool
-	closed bool
-}
-
-// valid checks the handle before an operation. When a traced process execs a
-// set-id file, previously-opened descriptors become invalid: no further
-// operation succeeds except close.
-func (h *Handle) valid() error {
-	if h.closed {
-		return vfs.ErrBadFD
-	}
-	if h.gen != h.p.Trace.Gen {
-		return vfs.ErrStale
-	}
-	if !h.p.Alive() {
-		return vfs.ErrNotExist
-	}
-	return nil
-}
-
-// addrSpace validates the handle and returns the process's address space,
-// taking the cross-process locks around the state reads. The address-space
-// I/O itself runs outside the kernel locks: the AS serializes internally,
-// and page copies should not extend global-lock hold times.
-func (h *Handle) addrSpace() (*mem.AS, error) {
-	h.fs.K.GlobalLock()
-	h.p.Lock()
-	defer func() {
-		h.p.Unlock()
-		h.fs.K.GlobalUnlock()
-	}()
-	if err := h.valid(); err != nil {
-		return nil, err
-	}
-	if h.p.AS == nil {
-		return nil, vfs.ErrInval
-	}
-	return h.p.AS, nil
+	*kernel.ProcFile
+	fs *FS
 }
 
 // HRead implements vfs.Handle: reads the process address space at the
 // virtual address given by the file offset.
-func (h *Handle) HRead(b []byte, off int64) (int, error) {
-	as, err := h.addrSpace()
-	if err != nil {
-		return 0, err
-	}
-	n, err := as.ReadAt(b, off)
-	if err != nil {
-		return 0, vfs.Errorf("procfs: read at unmapped offset %#x", off)
-	}
-	return n, nil
-}
+func (h *Handle) HRead(b []byte, off int64) (int, error) { return h.ReadAS(b, off) }
 
-// HWrite implements vfs.Handle: writes the process address space. Writes to
-// MAP_PRIVATE mappings (including read/exec text) are satisfied by
-// copy-on-write, so planting breakpoints corrupts neither the executable
-// file nor other processes running the same code.
-func (h *Handle) HWrite(b []byte, off int64) (int, error) {
-	as, err := h.addrSpace()
-	if err != nil {
-		return 0, err
-	}
-	if h.flags&vfs.OWrite == 0 {
-		return 0, vfs.ErrBadFD
-	}
-	n, err := as.WriteAt(b, off)
-	if err != nil {
-		if err == mem.ErrNoMem {
-			// A refused page materialization is a transient resource
-			// failure, not an address error; report it as such.
-			return 0, vfs.ErrAgain
-		}
-		return 0, vfs.Errorf("procfs: write at unmapped offset %#x", off)
-	}
-	return n, nil
-}
-
-// HClose implements vfs.Handle. With run-on-last-close set, when the last
-// writable descriptor is closed all tracing flags are cleared and the
-// process, if stopped, is set running — so a controlled process is released
-// even if its controller is killed with SIGKILL.
-func (h *Handle) HClose() error {
-	if h.closed {
-		return vfs.ErrBadFD
-	}
-	h.closed = true
-	p := h.p
-	h.fs.K.GlobalLock()
-	p.Lock()
-	defer func() {
-		p.Unlock()
-		h.fs.K.GlobalUnlock()
-	}()
-	stale := h.gen != p.Trace.Gen
-	if h.flags&vfs.OWrite != 0 && !stale {
-		if h.excl {
-			p.Trace.Excl = false
-		}
-		if p.Trace.Writers > 0 {
-			p.Trace.Writers--
-		}
-		if p.Trace.Writers == 0 && p.Trace.RunLC && p.Alive() {
-			h.fs.K.ReleaseTracing(p)
-		}
-	}
-	return nil
-}
-
-// HPoll implements vfs.Poller — the paper's proposed extension: a /proc file
-// descriptor is "ready" (exceptional condition) when the process is stopped
-// on an event of interest, so a debugger can wait for any one of a set of
-// controlled processes with poll(2).
-func (h *Handle) HPoll(mask int) int {
-	if h.closed {
-		return 0
-	}
-	h.fs.K.GlobalLock()
-	h.p.Lock()
-	defer func() {
-		h.p.Unlock()
-		h.fs.K.GlobalUnlock()
-	}()
-	if !h.p.Alive() {
-		return 0
-	}
-	if mask&vfs.PollPri != 0 && h.p.EventStoppedLWP() != nil {
-		return vfs.PollPri
-	}
-	return 0
-}
-
-// HSaveState / HLoadState implement vfs.HandleSnapshotter: the only
-// mutable per-open state is the closed flag (gen, excl and flags are fixed
-// at open; the writer accounting they feed lives in the Proc, which the
-// kernel snapshot covers).
-func (h *Handle) HSaveState() any      { return h.closed }
-func (h *Handle) HLoadState(st any) {
-	if c, ok := st.(bool); ok {
-		h.closed = c
-	}
-}
+// HWrite implements vfs.Handle: writes the process address space.
+func (h *Handle) HWrite(b []byte, off int64) (int, error) { return h.WriteAS(b, off) }
 
 var (
-	_ vfs.Handle           = (*Handle)(nil)
-	_ vfs.Poller           = (*Handle)(nil)
+	_ vfs.Handle            = (*Handle)(nil)
+	_ vfs.Poller            = (*Handle)(nil)
 	_ vfs.HandleSnapshotter = (*Handle)(nil)
 )

@@ -33,13 +33,6 @@ type PrSnap struct {
 	Procs   []PrSnapRec
 }
 
-// canSee applies the /proc open permission rule to a snapshot record: the
-// batched path must never reveal a process the per-pid path would have
-// refused to open. It is the shared CanOpen predicate, by construction.
-func canSee(p *kernel.Proc, c types.Cred) bool {
-	return CanOpen(p, c)
-}
-
 // Snapshot implements PIOCSNAP: walk the process table once, under the
 // caller's credentials, and fill sn with one record per visible process in
 // table (creation) order — the same order readdir presents. Each record is
@@ -47,7 +40,17 @@ func canSee(p *kernel.Proc, c types.Cred) bool {
 // whether the collection as a whole is one too. The restructured /proc
 // serves the same records through its snapshot file, so both interfaces
 // share this walk (and its fault site).
+//
+// Snapshot takes the global kernel lock, for direct Go callers; the /proc
+// handlers, whose entry point already holds it, call SnapshotLocked.
 func Snapshot(k *kernel.Kernel, c types.Cred, sn *PrSnap) error {
+	k.GlobalLock()
+	defer k.GlobalUnlock()
+	return SnapshotLocked(k, c, sn)
+}
+
+// SnapshotLocked is Snapshot with the global kernel lock held by the caller.
+func SnapshotLocked(k *kernel.Kernel, c types.Cred, sn *PrSnap) error {
 	if sn == nil {
 		return vfs.ErrInval
 	}
@@ -63,12 +66,9 @@ func Snapshot(k *kernel.Kernel, c types.Cred, sn *PrSnap) error {
 			want[pid] = true
 		}
 	}
-	// The walk holds the global kernel lock (table order, revision and
-	// liveness are global-domain state) and takes each process's lock
-	// around its record, the cross-process contract for the per-process
-	// fields PSInfo and Usage read. Both are no-ops in deterministic mode.
-	k.GlobalLock()
-	defer k.GlobalUnlock()
+	// Table order, revision and liveness are global-domain state; each
+	// record is read under its process's lock, the cross-process contract
+	// for the per-process fields PSInfo and Usage read.
 	prev := sn.Rev
 	sn.Rev = k.TableRev()
 	sn.Churned = prev != 0 && prev != sn.Rev
@@ -89,7 +89,7 @@ func Snapshot(k *kernel.Kernel, c types.Cred, sn *PrSnap) error {
 			continue
 		}
 		p.Lock()
-		if !canSee(p, c) {
+		if !p.CanOpen(c) {
 			p.Unlock()
 			continue
 		}
@@ -126,7 +126,7 @@ func (h *rootHandle) HIoctl(cmd int, arg interface{}) error {
 	if !ok || sn == nil {
 		return vfs.ErrInval
 	}
-	return Snapshot(h.fs.K, h.cred, sn)
+	return SnapshotLocked(h.fs.K, h.cred, sn)
 }
 
 func (h *rootHandle) HClose() error {

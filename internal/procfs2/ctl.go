@@ -46,29 +46,25 @@ const (
 	RunSetPC                  // PRSVADDR: use the pc operand
 )
 
-// PCSET/PCUNSET flag bits.
+// PCSET/PCUNSET flag bits: the kernel's /proc mode bits.
 const (
-	SetFork = 1 << iota // inherit-on-fork
-	SetRLC              // run-on-last-close
+	SetFork = kernel.ModeInhFork // inherit-on-fork
+	SetRLC  = kernel.ModeRunLC   // run-on-last-close
 )
 
-// runCtl executes a batch of control messages against a process (or one
-// LWP, when l is non-nil). It returns the number of bytes consumed; an error
-// aborts the batch at the failing message, with everything before it
-// applied — like a partial write.
-func (fs *FS) runCtl(p *kernel.Proc, l *kernel.LWP, b []byte) (int, error) {
+// runCtl executes a batch of control messages against the file's process
+// (or its LWP, for an lwpctl file). It returns the number of bytes
+// consumed; an error aborts the batch at the failing message, with
+// everything before it applied — like a partial write. Each message is one
+// kernel verb, and each verb checks the descriptor first, so a batch stops
+// at the first message after a set-id exec invalidated the descriptor.
+func (h *fileHandle) runCtl(b []byte) (int, error) {
 	w := &wire{b: b}
 	done := 0
 	for w.off < len(w.b) {
-		if err := fs.runOneCtl(p, l, w); err != nil {
+		if err := h.runOneCtl(w); err != nil {
 			if done == 0 {
 				return 0, err
-			}
-			return done, nil
-		}
-		if w.err != nil {
-			if done == 0 {
-				return 0, w.err
 			}
 			return done, nil
 		}
@@ -77,210 +73,97 @@ func (fs *FS) runCtl(p *kernel.Proc, l *kernel.LWP, b []byte) (int, error) {
 	return done, nil
 }
 
-// target picks the LWP a control message applies to.
-func (fs *FS) target(p *kernel.Proc, l *kernel.LWP) *kernel.LWP {
-	if l != nil {
-		return l
-	}
-	return p.Rep()
-}
-
-// eventTarget picks the LWP for run directives.
-func (fs *FS) eventTarget(p *kernel.Proc, l *kernel.LWP) *kernel.LWP {
-	if l != nil {
-		return l
-	}
-	return p.EventStoppedLWP()
-}
-
-func (fs *FS) runOneCtl(p *kernel.Proc, l *kernel.LWP, w *wire) error {
-	code := int(w.u32())
+// runOneCtl decodes one message and its operand, then applies the verb. A
+// truncated operand fails the message with nothing applied.
+func (h *fileHandle) runOneCtl(w *wire) error {
+	code := w.u32()
 	if w.err != nil {
 		return w.err
 	}
-	// Control messages arrive from host-side controllers that may run
-	// concurrently with the SMP scheduler, so each message applies under
-	// the kernel's cross-process locks: the global kernel lock plus the
-	// target's per-process lock (no-ops in deterministic mode). The
-	// wait-style messages are the exception — WaitStop/WaitLWPStop drive
-	// the scheduler and must run unlocked — so they are dispatched first,
-	// with only the stop directive itself under the locks.
 	switch code {
+	case PCNULL:
+		return h.Check()
 	case PCSTOP, PCDSTOP:
-		fs.K.GlobalLock()
-		p.Lock()
-		if l != nil {
-			l.DirectStop()
-		} else {
-			p.DirectStopAll()
-		}
-		p.Unlock()
-		fs.K.GlobalUnlock()
-		if code == PCDSTOP {
-			return nil
+		if err := h.Stop(); err != nil || code == PCDSTOP {
+			return err
 		}
 		fallthrough
 	case PCWSTOP:
-		if l != nil {
-			return fs.K.WaitLWPStop(l, fs.MaxWait)
-		}
-		_, err := fs.K.WaitStop(p, fs.MaxWait)
-		return err
-	}
-
-	fs.K.GlobalLock()
-	p.Lock()
-	defer func() {
-		p.Unlock()
-		fs.K.GlobalUnlock()
-	}()
-	switch code {
-	case PCNULL:
-		return nil
+		return h.WaitStop(h.v.fs.MaxWait, nil)
 	case PCRUN:
-		flags := w.u32()
-		pc := w.u32()
-		if w.err != nil {
-			return w.err
+		if flags, pc := w.u32(), w.u32(); w.err == nil {
+			return h.Run(kernel.RunFlags{
+				ClearSig:   flags&RunClearSig != 0,
+				ClearFault: flags&RunClearFault != 0,
+				Abort:      flags&RunAbort != 0,
+				Step:       flags&RunStep != 0,
+				Stop:       flags&RunStop != 0,
+				SetPC:      flags&RunSetPC != 0,
+				PC:         pc,
+			})
 		}
-		t := fs.eventTarget(p, l)
-		if t == nil {
-			return vfs.Errorf("procfs2: PCRUN: %v", kernel.ErrNotStopped)
-		}
-		return fs.K.RunLWP(t, kernel.RunFlags{
-			ClearSig:   flags&RunClearSig != 0,
-			ClearFault: flags&RunClearFault != 0,
-			Abort:      flags&RunAbort != 0,
-			Step:       flags&RunStep != 0,
-			Stop:       flags&RunStop != 0,
-			SetPC:      flags&RunSetPC != 0,
-			PC:         pc,
-		})
 	case PCSTRACE:
-		p.Trace.Sigs = w.sigSet()
-		return w.err
+		if s := w.sigSet(); w.err == nil {
+			return h.SetSigTrace(s)
+		}
 	case PCSFAULT:
-		p.Trace.Faults = w.fltSet()
-		return w.err
+		if s := w.fltSet(); w.err == nil {
+			return h.SetFaultTrace(s)
+		}
 	case PCSENTRY:
-		p.Trace.Entry = w.sysSet()
-		return w.err
+		if s := w.sysSet(); w.err == nil {
+			return h.SetEntryTrace(s)
+		}
 	case PCSEXIT:
-		p.Trace.Exit = w.sysSet()
-		return w.err
+		if s := w.sysSet(); w.err == nil {
+			return h.SetExitTrace(s)
+		}
 	case PCSSIG:
-		sig := int(w.u32())
-		if w.err != nil {
-			return w.err
+		if sig := w.u32(); w.err == nil {
+			return h.SetCurSig(int(sig))
 		}
-		if sig < 0 || sig > types.MaxSig {
-			return vfs.ErrInval
-		}
-		t := fs.target(p, l)
-		if t == nil {
-			return vfs.ErrNotExist
-		}
-		t.SetCurSig(sig)
-		return nil
 	case PCKILL:
-		sig := int(w.u32())
-		if w.err != nil {
-			return w.err
+		if sig := w.u32(); w.err == nil {
+			return h.Kill(int(sig))
 		}
-		if sig < 1 || sig > types.MaxSig {
-			return vfs.ErrInval
-		}
-		fs.K.PostSignal(p, sig)
-		return nil
 	case PCUNKILL:
-		sig := int(w.u32())
-		if w.err != nil {
-			return w.err
+		if sig := w.u32(); w.err == nil {
+			return h.UnKill(int(sig))
 		}
-		p.UnKill(sig)
-		return nil
 	case PCSHOLD:
-		hold := w.sigSet()
-		if w.err != nil {
-			return w.err
+		if s := w.sigSet(); w.err == nil {
+			return h.SetHold(s)
 		}
-		t := fs.target(p, l)
-		if t == nil {
-			return vfs.ErrNotExist
-		}
-		t.SetHold(hold)
-		return nil
 	case PCSREG:
-		regs := w.regs()
-		if w.err != nil {
-			return w.err
+		if r := w.regs(); w.err == nil {
+			return h.SetRegs(r)
 		}
-		t := fs.target(p, l)
-		if t == nil {
-			return vfs.ErrNotExist
-		}
-		t.CPU.Regs = regs
-		return nil
 	case PCWATCH:
-		addr, length, mode := w.u32(), w.u32(), w.u32()
-		if w.err != nil {
-			return w.err
+		if addr, length, mode := w.u32(), w.u32(), w.u32(); w.err == nil {
+			return h.Watch(addr, length, mem.Prot(mode))
 		}
-		if p.AS == nil || length == 0 {
-			return vfs.ErrInval
-		}
-		p.AS.SetWatch(addr, length, mem.Prot(mode))
-		return nil
 	case PCCWATCH:
-		addr := w.u32()
-		if w.err != nil {
-			return w.err
+		if addr := w.u32(); w.err == nil {
+			return h.ClearWatch(addr, addr == 0)
 		}
-		if p.AS == nil {
-			return vfs.ErrInval
-		}
-		if addr == 0 {
-			p.AS.ClearAllWatches()
-		} else {
-			p.AS.ClearWatch(addr)
-		}
-		return nil
 	case PCSET, PCUNSET:
-		flags := w.u32()
-		if w.err != nil {
-			return w.err
+		if flags := w.u32(); w.err == nil {
+			return h.SetMode(int(flags), code == PCSET)
 		}
-		on := code == PCSET
-		if flags&SetFork != 0 {
-			p.Trace.InhFork = on
-		}
-		if flags&SetRLC != 0 {
-			p.Trace.RunLC = on
-		}
-		return nil
 	case PCNICE:
-		incr := int(w.i32())
-		if w.err != nil {
-			return w.err
+		if incr := w.i32(); w.err == nil {
+			return h.Nice(int(incr))
 		}
-		p.SetNice(incr)
-		return nil
 	case PCCFAULT:
-		t := fs.eventTarget(p, l)
-		if t == nil {
-			return vfs.Errorf("procfs2: PCCFAULT: %v", kernel.ErrNotStopped)
-		}
-		t.CurFlt = 0
-		return nil
+		return h.ClearFault()
 	case PCTRACE:
-		capacity := w.u32()
-		if w.err != nil {
-			return w.err
+		if capacity := w.u32(); w.err == nil {
+			return h.SetKTrace(int(capacity))
 		}
-		p.SetKTrace(int(capacity))
-		return nil
+	default:
+		return vfs.ErrInval
 	}
-	return vfs.ErrInval
+	return w.err
 }
 
 // CtlBuf builds a batch of control messages client-side; its Bytes are

@@ -6,6 +6,7 @@ import (
 	"repro"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/procfs"
 	"repro/internal/procfs2"
 	"repro/internal/types"
 	"repro/internal/vcpu"
@@ -237,4 +238,86 @@ func TestLWPPoll(t *testing.T) {
 	}
 	ctl.Offset = 0
 	ctl.Write((&procfs2.CtlBuf{}).Run(0, 0).Bytes())
+}
+
+// Each ctl message is checked against its descriptor when it is applied, not
+// once per write: a set-id exec that invalidates the descriptor while a
+// batch waits in PCWSTOP ends the batch there. The write is short — only the
+// PCWSTOP is consumed — and the register store meant for the unprivileged
+// process never reaches the now set-id one.
+func TestCtlBatchStopsAtSetIDExec(t *testing.T) {
+	s := repro.NewSystem()
+	if err := s.Install("/bin/su3", spin, 0o4755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	user := types.UserCred(100, 10)
+	p, err := s.SpawnProg("bsu", `
+	movi r0, SYS_exec
+	la r1, path
+	syscall
+loop:	jmp loop
+.data
+path:	.asciz "/bin/su3"
+`, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := openf(t, s, dir(p.Pid)+"/ctl", vfs.OWrite)
+	batch := (&procfs2.CtlBuf{}).WStop().SReg(vcpu.Regs{PC: 0xdead0000}).Bytes()
+	n, err := ctl.Write(batch)
+	if err != nil || n != 4 {
+		t.Fatalf("write = %d, %v; want 4 (the PCWSTOP only), nil", n, err)
+	}
+	if !p.SugidDirty || p.Cred.EUID != 0 {
+		t.Fatalf("the set-id exec did not happen: euid %d", p.Cred.EUID)
+	}
+	if pc := p.Rep().CPU.Regs.PC; pc == 0xdead0000 {
+		t.Fatal("PCSREG applied through an invalidated descriptor")
+	}
+	if err := ctl.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// PIOCUNKILL and PCUNKILL are one verb, so they agree on every operand:
+// EINVAL for a number outside 1..MaxSig, and a valid signal deletes the
+// pending one.
+func TestUnKillAgreesAcrossInterfaces(t *testing.T) {
+	s := repro.NewSystem()
+	p, _ := s.SpawnProg("unk", spin, types.UserCred(100, 10))
+	s.Run(2)
+	flat, err := s.OpenProc(p.Pid, vfs.ORead|vfs.OWrite, types.RootCred())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flat.Close()
+	ctl := openf(t, s, dir(p.Pid)+"/ctl", vfs.OWrite)
+	defer ctl.Close()
+	send := func(b *procfs2.CtlBuf) error {
+		ctl.Offset = 0
+		_, err := ctl.Write(b.Bytes())
+		return err
+	}
+	var hold types.SigSet
+	hold.Add(types.SIGUSR1)
+	if err := send((&procfs2.CtlBuf{}).SHold(hold)); err != nil {
+		t.Fatal(err)
+	}
+	unkills := map[string]func(sig int) error{
+		"PIOCUNKILL": func(sig int) error { return flat.Ioctl(procfs.PIOCUNKILL, &sig) },
+		"PCUNKILL":   func(sig int) error { return send((&procfs2.CtlBuf{}).UnKill(sig)) },
+	}
+	for name, unkill := range unkills {
+		for _, sig := range []int{0, types.MaxSig + 1} {
+			if err := unkill(sig); err != vfs.ErrInval {
+				t.Errorf("%s(%d) = %v, want EINVAL", name, sig, err)
+			}
+		}
+		if err := send((&procfs2.CtlBuf{}).Kill(types.SIGUSR1)); err != nil || !p.SigPend.Has(types.SIGUSR1) {
+			t.Fatalf("%s: SIGUSR1 not pending (%v)", name, err)
+		}
+		if err := unkill(types.SIGUSR1); err != nil || p.SigPend.Has(types.SIGUSR1) {
+			t.Errorf("%s(SIGUSR1) = %v, pending %v; want it deleted", name, err, p.SigPend.Has(types.SIGUSR1))
+		}
+	}
 }

@@ -23,7 +23,7 @@ type rootFaultsVnode struct {
 // VAttr implements vfs.Vnode.
 func (v *rootFaultsVnode) VAttr() (vfs.Attr, error) {
 	return vfs.Attr{Type: vfs.VPROC, Mode: 0o600,
-		Size: int64(len(fault.Default.EncodeText())),
+		Size:  int64(len(fault.Default.EncodeText())),
 		MTime: v.fs.K.Now(), Nlink: 1}, nil
 }
 

@@ -45,26 +45,15 @@ const (
 	FileLWPCtl    = "lwpctl"
 )
 
-// checkOpen enforces the /proc security rule via the predicate shared with
-// the flat /proc and the batched snapshot (procfs.CanOpen): uid and gid of
-// the traced process must match the controlling process; set-id processes
-// require the super-user.
-func checkOpen(p *kernel.Proc, c types.Cred) error {
-	if !procfs.CanOpen(p, c) {
-		return vfs.ErrPerm
-	}
-	return nil
-}
-
 // rootDir lists one directory per process.
 type rootDir struct{ fs *FS }
 
 // VAttr implements vfs.Vnode.
 //
-// As in the flat interface, these directory operations are host-side entry
-// points that may run concurrently with the SMP scheduler: process-table
-// walks hold the global kernel lock, per-process attribute reads add the
-// per-process lock (no-ops in deterministic mode).
+// As in the flat interface, every vnode and handle operation runs with the
+// kernel's global lock already held by its entry point (a simulated
+// process's system call, or the vfs.Client gateway of the locked /procx
+// mount) and takes only a target's Proc lock.
 func (r *rootDir) VAttr() (vfs.Attr, error) {
 	return vfs.Attr{Type: vfs.VDIR, Mode: 0o555,
 		Size: int64(len(r.fs.K.Procs())), MTime: r.fs.K.Now(), Nlink: 2}, nil
@@ -140,12 +129,8 @@ type pidDir struct {
 
 // VAttr implements vfs.Vnode.
 func (d *pidDir) VAttr() (vfs.Attr, error) {
-	d.fs.K.GlobalLock()
 	d.p.Lock()
-	defer func() {
-		d.p.Unlock()
-		d.fs.K.GlobalUnlock()
-	}()
+	defer d.p.Unlock()
 	return vfs.Attr{Type: vfs.VDIR, Mode: 0o555,
 		UID: d.p.Cred.RUID, GID: d.p.Cred.RGID,
 		Size: d.p.VirtSize(), MTime: d.fs.K.Now(), Nlink: 2}, nil
@@ -189,12 +174,8 @@ type lwpDir struct {
 
 // VAttr implements vfs.Vnode.
 func (d *lwpDir) VAttr() (vfs.Attr, error) {
-	d.fs.K.GlobalLock()
 	d.p.Lock()
-	defer func() {
-		d.p.Unlock()
-		d.fs.K.GlobalUnlock()
-	}()
+	defer d.p.Unlock()
 	return vfs.Attr{Type: vfs.VDIR, Mode: 0o555,
 		UID: d.p.Cred.RUID, GID: d.p.Cred.RGID,
 		Size: int64(d.p.NLiveLWPs()), MTime: d.fs.K.Now(), Nlink: 2}, nil
@@ -214,9 +195,7 @@ func (d *lwpDir) VLookup(name string, c types.Cred) (vfs.Vnode, error) {
 	if err != nil {
 		return nil, vfs.ErrNotExist
 	}
-	d.fs.K.GlobalLock()
 	l := d.p.LWP(id)
-	d.fs.K.GlobalUnlock()
 	if l == nil {
 		return nil, vfs.ErrNotExist
 	}
@@ -226,10 +205,7 @@ func (d *lwpDir) VLookup(name string, c types.Cred) (vfs.Vnode, error) {
 // VReadDir implements vfs.Dir.
 func (d *lwpDir) VReadDir(c types.Cred) ([]vfs.Dirent, error) {
 	var out []vfs.Dirent
-	d.fs.K.GlobalLock()
-	lwps := d.p.LiveLWPs()
-	d.fs.K.GlobalUnlock()
-	for _, l := range lwps {
+	for _, l := range d.p.LiveLWPs() {
 		sub := &lwpSubDir{fs: d.fs, p: d.p, l: l}
 		attr, _ := sub.VAttr()
 		out = append(out, vfs.Dirent{Name: fmt.Sprint(l.ID), Attr: attr})
@@ -246,12 +222,8 @@ type lwpSubDir struct {
 
 // VAttr implements vfs.Vnode.
 func (d *lwpSubDir) VAttr() (vfs.Attr, error) {
-	d.fs.K.GlobalLock()
 	d.p.Lock()
-	defer func() {
-		d.p.Unlock()
-		d.fs.K.GlobalUnlock()
-	}()
+	defer d.p.Unlock()
 	return vfs.Attr{Type: vfs.VDIR, Mode: 0o555,
 		UID: d.p.Cred.RUID, GID: d.p.Cred.RGID, MTime: d.fs.K.Now(), Nlink: 2}, nil
 }

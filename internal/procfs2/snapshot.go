@@ -50,7 +50,7 @@ func (h *rootSnapHandle) HRead(b []byte, off int64) (int, error) {
 	}
 	if h.buf == nil || off == 0 {
 		sn := procfs.PrSnap{WithUsage: true}
-		if err := procfs.Snapshot(h.fs.K, h.cred, &sn); err != nil {
+		if err := procfs.SnapshotLocked(h.fs.K, h.cred, &sn); err != nil {
 			return 0, err
 		}
 		h.buf = AppendSnap(h.buf[:0], &sn)

@@ -50,13 +50,13 @@ func FmtEvent(e ktrace.Event) string {
 // the file system backing it, the fault registry mid-plan, the RFS server's
 // fd table, and the replay cursors.
 type checkpoint struct {
-	step       uint64
-	opIdx      int
-	evIdx      int
-	kern       *kernel.Snapshot
-	fs         *memfs.FSState
-	faults     []fault.SiteState
-	rfs        *rfs.ServerState
+	step   uint64
+	opIdx  int
+	evIdx  int
+	kern   *kernel.Snapshot
+	fs     *memfs.FSState
+	faults []fault.SiteState
+	rfs    *rfs.ServerState
 }
 
 // ReplayOptions tunes a replay.

@@ -89,12 +89,12 @@ func NewSession(r *Replayer) *Session { return &Session{R: r} }
 
 // Stop describes why motion stopped.
 type Stop struct {
-	Step       uint64      // position after the motion
-	EventIndex int         // matching event, -1 for watchpoints / end
+	Step       uint64       // position after the motion
+	EventIndex int          // matching event, -1 for watchpoints / end
 	Event      ktrace.Event // valid when EventIndex >= 0
-	Watch      *Watch      // the tripped watchpoint, if any
-	AtEnd      bool        // ran off the recorded end
-	AtStart    bool        // ran back to step 0
+	Watch      *Watch       // the tripped watchpoint, if any
+	AtEnd      bool         // ran off the recorded end
+	AtStart    bool         // ran back to step 0
 }
 
 // String renders the stop reason.

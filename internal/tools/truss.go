@@ -69,10 +69,10 @@ type trussTarget struct {
 
 // pendCall is a system call seen at entry and not yet exited, in trace mode.
 type pendCall struct {
-	num    int
-	args   [6]uint32
-	str    map[int]string // inline-captured string arguments
-	strOK  map[int]bool   // whether the capture was complete
+	num   int
+	args  [6]uint32
+	str   map[int]string // inline-captured string arguments
+	strOK map[int]bool   // whether the capture was complete
 }
 
 // NewTruss creates a tracer acting under cred.

@@ -160,3 +160,100 @@ func TestIoctlOnClosedFile(t *testing.T) {
 		t.Fatal("poll after close should be 0")
 	}
 }
+
+// gateFS is a one-file file system whose every vnode and handle operation
+// counts a violation unless its mount lock is held: the contract of a
+// locked mount.
+type gateFS struct {
+	held, taken int // lock depth and acquisitions
+	bad         int // operations that ran without the lock
+}
+
+func (g *gateFS) Lock() {
+	if g.held != 0 {
+		panic("reentrant acquire of a mount lock")
+	}
+	g.held++
+	g.taken++
+}
+func (g *gateFS) Unlock() { g.held-- }
+func (g *gateFS) op() {
+	if g.held != 1 {
+		g.bad++
+	}
+}
+
+type gateDir struct{ g *gateFS }
+
+func (d gateDir) VAttr() (vfs.Attr, error) {
+	d.g.op()
+	return vfs.Attr{Type: vfs.VDIR, Mode: 0o555}, nil
+}
+func (d gateDir) VOpen(int, types.Cred) (vfs.Handle, error) { d.g.op(); return nil, vfs.ErrIsDir }
+func (d gateDir) VLookup(string, types.Cred) (vfs.Vnode, error) {
+	d.g.op()
+	return gateFile(d), nil
+}
+func (d gateDir) VReadDir(types.Cred) ([]vfs.Dirent, error) { d.g.op(); return nil, nil }
+
+type gateFile struct{ g *gateFS }
+
+func (f gateFile) VAttr() (vfs.Attr, error) {
+	f.g.op()
+	return vfs.Attr{Type: vfs.VREG, Mode: 0o666, Size: 8}, nil
+}
+func (f gateFile) VOpen(int, types.Cred) (vfs.Handle, error) { f.g.op(); return f, nil }
+func (f gateFile) HRead(p []byte, off int64) (int, error)    { f.g.op(); return 0, vfs.EOF }
+func (f gateFile) HWrite(p []byte, off int64) (int, error)   { f.g.op(); return len(p), nil }
+func (f gateFile) HIoctl(int, interface{}) error             { f.g.op(); return nil }
+func (f gateFile) HClose() error                             { f.g.op(); return nil }
+func (f gateFile) HPoll(int) int                             { f.g.op(); return 0 }
+
+// A Client, and every method of a File it opens, holds a locked mount's
+// lock around each vnode and handle operation on that mount, once per
+// call; the NS methods beneath it take no lock, for callers that hold it.
+func TestLockedMountGateway(t *testing.T) {
+	fs, cl := clientFixture()
+	fs.MkdirAll("/gate", 0o755)
+	g := &gateFS{}
+	if err := cl.NS.MountLocked("/gate", gateDir{g}, g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Stat("/gate/f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ReadDir("/gate"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := cl.Open("/gate/f", vfs.ORead|vfs.OWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Read(make([]byte, 1))
+	f.Pwrite([]byte("x"), 0)
+	f.Ioctl(1, nil)
+	f.Poll(vfs.PollPri)
+	f.Seek(0, vfs.SeekEnd)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if g.bad != 0 || g.held != 0 || g.taken != 9 {
+		t.Fatalf("through the client: %d unlocked operations, held %d, taken %d times (want 0, 0, 9)", g.bad, g.held, g.taken)
+	}
+	if _, err := cl.Stat("/"); err != nil || g.taken != 9 {
+		t.Fatalf("a path outside the mount took its lock (%v)", err)
+	}
+
+	// The lock-free path, under a lock its caller holds.
+	g.Lock()
+	h, err := cl.NS.Open("/gate/f", vfs.ORead, cl.Cred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Read(make([]byte, 1))
+	h.Close()
+	g.Unlock()
+	if g.bad != 0 || g.taken != 10 {
+		t.Fatalf("lock-free path: %d unlocked operations, taken %d times (want 0, 10)", g.bad, g.taken)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/types"
 )
@@ -185,24 +186,59 @@ func CheckAccess(a Attr, c types.Cred, want uint16) error {
 // NS is a name space: a root directory plus a mount table. Mounting a file
 // system type's root vnode over a path splices it into the name space, which
 // is how /proc appears alongside conventional file systems.
+//
+// A mount may carry a lock (MountLocked): the lock that every operation on
+// the mounted file system's vnodes and handles expects its caller to hold on
+// entry — the vnode-interface rule that each operation states the locks held
+// when it is called rather than taking them itself. The NS methods are the
+// lock-free path beneath Client, for callers that already hold the lock
+// (the kernel's own system calls); Client and the Files it opens are the
+// gateway that takes it for everyone else.
 type NS struct {
 	root   Dir
 	mounts map[string]Vnode
+	locks  map[string]sync.Locker // the locked subset of mounts
 }
 
 // NewNS returns a name space rooted at root.
 func NewNS(root Dir) *NS {
-	return &NS{root: root, mounts: make(map[string]Vnode)}
+	return &NS{root: root, mounts: make(map[string]Vnode), locks: make(map[string]sync.Locker)}
 }
 
 // Mount splices a file system root over path.
-func (ns *NS) Mount(path string, root Vnode) error {
+func (ns *NS) Mount(path string, root Vnode) error { return ns.MountLocked(path, root, nil) }
+
+// MountLocked splices a file system root over path whose vnode operations
+// run with lock held by their caller. A nil lock is a plain Mount.
+func (ns *NS) MountLocked(path string, root Vnode, lock sync.Locker) error {
 	clean := Clean(path)
 	if _, dup := ns.mounts[clean]; dup {
 		return ErrBusy
 	}
 	ns.mounts[clean] = root
+	if lock != nil {
+		ns.locks[clean] = lock
+	}
 	return nil
+}
+
+// gate is one Client operation's hold on a locked mount: the walk takes the
+// lock on entering the mount, the operation releases it when done. A nil
+// gate is the lock-free path. One lock is held at a time: a locked mount
+// beneath another is covered by the outer lock.
+type gate struct{ lk sync.Locker }
+
+func (g *gate) enter(lk sync.Locker) {
+	if g != nil && lk != nil && g.lk == nil {
+		lk.Lock()
+		g.lk = lk
+	}
+}
+
+func (g *gate) exit() {
+	if g.lk != nil {
+		g.lk.Unlock()
+	}
 }
 
 // Syncer is implemented by the root vnode of file system types with delayed
@@ -258,10 +294,13 @@ func Split(path string) []string {
 
 // Lookup resolves an absolute path to a vnode, honoring mounts. Directory
 // search permission is required at each step.
-func (ns *NS) Lookup(path string, c types.Cred) (Vnode, error) {
+func (ns *NS) Lookup(path string, c types.Cred) (Vnode, error) { return ns.lookup(path, c, nil) }
+
+func (ns *NS) lookup(path string, c types.Cred, g *gate) (Vnode, error) {
 	var cur Vnode = ns.root
 	if m, ok := ns.mounts["/"]; ok {
 		cur = m
+		g.enter(ns.locks["/"])
 	}
 	walked := ""
 	for _, name := range Split(path) {
@@ -283,6 +322,7 @@ func (ns *NS) Lookup(path string, c types.Cred) (Vnode, error) {
 		walked += "/" + name
 		if m, ok := ns.mounts[walked]; ok {
 			next = m
+			g.enter(ns.locks[walked])
 		}
 		cur = next
 	}
@@ -292,12 +332,16 @@ func (ns *NS) Lookup(path string, c types.Cred) (Vnode, error) {
 // LookupDir resolves the parent directory of path and returns it with the
 // final component, for create/remove operations.
 func (ns *NS) LookupDir(path string, c types.Cred) (DirWriter, string, error) {
+	return ns.lookupDir(path, c, nil)
+}
+
+func (ns *NS) lookupDir(path string, c types.Cred, g *gate) (DirWriter, string, error) {
 	parts := Split(path)
 	if len(parts) == 0 {
 		return nil, "", ErrInval
 	}
 	parent := "/" + strings.Join(parts[:len(parts)-1], "/")
-	vn, err := ns.Lookup(parent, c)
+	vn, err := ns.lookup(parent, c, g)
 	if err != nil {
 		return nil, "", err
 	}
@@ -306,6 +350,40 @@ func (ns *NS) LookupDir(path string, c types.Cred) (DirWriter, string, error) {
 		return nil, "", ErrNotSup
 	}
 	return dw, parts[len(parts)-1], nil
+}
+
+// Open opens a path (creating it first under OCreat) on the lock-free path:
+// the caller holds the lock of any locked mount the path reaches, and so
+// does every caller of the returned File's methods.
+func (ns *NS) Open(path string, flags int, c types.Cred) (*File, error) {
+	return ns.open(path, flags, c, nil)
+}
+
+func (ns *NS) open(path string, flags int, c types.Cred, g *gate) (*File, error) {
+	if flags&OCreat != 0 {
+		if _, err := ns.lookup(path, c, g); err == ErrNotExist {
+			dw, name, derr := ns.lookupDir(path, c, g)
+			if derr != nil {
+				return nil, derr
+			}
+			if _, cerr := dw.VCreate(name, 0o644, c); cerr != nil {
+				return nil, cerr
+			}
+		}
+	}
+	vn, err := ns.lookup(path, c, g)
+	if err != nil {
+		return nil, err
+	}
+	h, err := vn.VOpen(flags, c)
+	if err != nil {
+		return nil, err
+	}
+	f := &File{VN: vn, H: h, Flags: flags}
+	if g != nil {
+		f.lock = g.lk
+	}
+	return f, nil
 }
 
 // File is an open file description: a vnode, its open handle, the current
@@ -317,7 +395,22 @@ type File struct {
 	Flags  int
 	Offset int64
 	closed bool
-	extra  int // extra references beyond the first (fork/dup sharing)
+	extra  int         // extra references beyond the first (fork/dup sharing)
+	lock   sync.Locker // a locked mount's lock, held around every handle call
+}
+
+// enter and leave hold the File's mount lock, if any, around a call into
+// its vnode or handle.
+func (f *File) enter() {
+	if f.lock != nil {
+		f.lock.Lock()
+	}
+}
+
+func (f *File) leave() {
+	if f.lock != nil {
+		f.lock.Unlock()
+	}
 }
 
 // IncRef adds a reference to the open file description; fork(2) and dup(2)
@@ -330,6 +423,8 @@ func (f *File) Read(p []byte) (int, error) {
 	if f.closed || f.Flags&ORead == 0 {
 		return 0, ErrBadFD
 	}
+	f.enter()
+	defer f.leave()
 	n, err := f.H.HRead(p, f.Offset)
 	f.Offset += int64(n)
 	return n, err
@@ -340,6 +435,8 @@ func (f *File) Write(p []byte) (int, error) {
 	if f.closed || f.Flags&OWrite == 0 {
 		return 0, ErrBadFD
 	}
+	f.enter()
+	defer f.leave()
 	n, err := f.H.HWrite(p, f.Offset)
 	f.Offset += int64(n)
 	return n, err
@@ -350,6 +447,8 @@ func (f *File) Pread(p []byte, off int64) (int, error) {
 	if f.closed || f.Flags&ORead == 0 {
 		return 0, ErrBadFD
 	}
+	f.enter()
+	defer f.leave()
 	return f.H.HRead(p, off)
 }
 
@@ -358,6 +457,8 @@ func (f *File) Pwrite(p []byte, off int64) (int, error) {
 	if f.closed || f.Flags&OWrite == 0 {
 		return 0, ErrBadFD
 	}
+	f.enter()
+	defer f.leave()
 	return f.H.HWrite(p, off)
 }
 
@@ -380,7 +481,9 @@ func (f *File) Seek(off int64, whence int) (int64, error) {
 	case SeekCur:
 		f.Offset += off
 	case SeekEnd:
+		f.enter()
 		attr, err := f.VN.VAttr()
+		f.leave()
 		if err != nil {
 			return 0, err
 		}
@@ -396,6 +499,8 @@ func (f *File) Ioctl(cmd int, arg interface{}) error {
 	if f.closed {
 		return ErrBadFD
 	}
+	f.enter()
+	defer f.leave()
 	return f.H.HIoctl(cmd, arg)
 }
 
@@ -406,6 +511,8 @@ func (f *File) Poll(mask int) int {
 		return 0
 	}
 	if p, ok := f.H.(Poller); ok {
+		f.enter()
+		defer f.leave()
 		return p.HPoll(mask)
 	}
 	return 0
@@ -423,6 +530,8 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.closed = true
+	f.enter()
+	defer f.leave()
 	return f.H.HClose()
 }
 
@@ -473,7 +582,8 @@ func (f *File) LoadState(st FileState) {
 // Client is a controlling program's view of a name space: a credential plus
 // path-based convenience operations. Debuggers, ps and truss act through a
 // Client exactly as user-level SVR4 programs act through the system call
-// interface.
+// interface. Client is the gateway to locked mounts: each operation, and
+// each method of a File it opens, holds the lock of the mount it reaches.
 type Client struct {
 	NS   *NS
 	Cred types.Cred
@@ -481,31 +591,16 @@ type Client struct {
 
 // Open opens a path.
 func (cl *Client) Open(path string, flags int) (*File, error) {
-	if flags&OCreat != 0 {
-		if _, err := cl.NS.Lookup(path, cl.Cred); err == ErrNotExist {
-			dw, name, derr := cl.NS.LookupDir(path, cl.Cred)
-			if derr != nil {
-				return nil, derr
-			}
-			if _, cerr := dw.VCreate(name, 0o644, cl.Cred); cerr != nil {
-				return nil, cerr
-			}
-		}
-	}
-	vn, err := cl.NS.Lookup(path, cl.Cred)
-	if err != nil {
-		return nil, err
-	}
-	h, err := vn.VOpen(flags, cl.Cred)
-	if err != nil {
-		return nil, err
-	}
-	return &File{VN: vn, H: h, Flags: flags}, nil
+	var g gate
+	defer g.exit()
+	return cl.NS.open(path, flags, cl.Cred, &g)
 }
 
 // Stat returns the attributes of a path.
 func (cl *Client) Stat(path string) (Attr, error) {
-	vn, err := cl.NS.Lookup(path, cl.Cred)
+	var g gate
+	defer g.exit()
+	vn, err := cl.NS.lookup(path, cl.Cred, &g)
 	if err != nil {
 		return Attr{}, err
 	}
@@ -514,7 +609,9 @@ func (cl *Client) Stat(path string) (Attr, error) {
 
 // ReadDir lists a directory path.
 func (cl *Client) ReadDir(path string) ([]Dirent, error) {
-	vn, err := cl.NS.Lookup(path, cl.Cred)
+	var g gate
+	defer g.exit()
+	vn, err := cl.NS.lookup(path, cl.Cred, &g)
 	if err != nil {
 		return nil, err
 	}

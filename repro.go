@@ -98,10 +98,12 @@ func NewSystem(opts ...Options) *System {
 	fs.Chmod("/tmp", 0o777)
 
 	s := &System{K: k, FS: fs, NS: ns}
+	// Both /proc mounts carry the global kernel lock: every vnode operation
+	// on them runs with it held, taken by a vfs.Client for host callers.
 	s.Proc = procfs.New(k)
-	ns.Mount("/proc", s.Proc.Root())
+	ns.MountLocked("/proc", s.Proc.Root(), k.GlobalLocker())
 	s.Proc2 = procfs2.New(k)
-	ns.Mount("/procx", s.Proc2.Root())
+	ns.MountLocked("/procx", s.Proc2.Root(), k.GlobalLocker())
 
 	if o.DiskBlocks > 0 || o.DiskImage != "" {
 		if err := s.attachDisk(o); err != nil {
