@@ -24,11 +24,13 @@ gofmt:
 # (steady-state passes must not allocate; see TestSMPStepAllocBudget), the
 # brk mill's per iteration (the one materialized page plus a small constant,
 # so TLB refills stay allocation-free; see TestBrkMillAllocBudget), the
-# bytes one fork allocates (TestForkAllocBudget) and the live heap of a
-# parked process (TestParkedProcessFootprint).
+# bytes one fork allocates (TestForkAllocBudget), the live heap of a
+# parked process (TestParkedProcessFootprint) and the file system calls'
+# (a 512-byte write/lseek/read loop allocates nothing on memfs or blockfs;
+# see TestFileSyscallAllocBudget).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRFSPipelined' -benchtime 1x .
-	$(GO) test -count=1 -run 'TestSMPStepAllocBudget|TestBrkMillAllocBudget|TestForkAllocBudget|TestParkedProcessFootprint' .
+	$(GO) test -count=1 -run 'TestSMPStepAllocBudget|TestFileSyscallAllocBudget|TestBrkMillAllocBudget|TestForkAllocBudget|TestParkedProcessFootprint' .
 
 # bench-json records the key memory-pipeline and /proc benchmarks as JSON:
 # one run under the NoTLB reference interpreter labeled "before", one with

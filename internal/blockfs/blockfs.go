@@ -306,8 +306,11 @@ func (fs *FS) truncate(di *dinode) error {
 // --- directory access ---
 
 // dirScan iterates a directory's entries, calling f with each live slot's
-// byte offset, ino and name; f returns true to stop.
-func (fs *FS) dirScan(di *dinode, f func(off uint64, ino uint32, name string) bool) error {
+// byte offset, ino and name. The name aliases the cached block and is valid
+// only during the call; f must not touch the cache, and returns true to
+// stop. Every slot costs one cache get, free slots included, so the LRU
+// order does not depend on which slots are live.
+func (fs *FS) dirScan(di *dinode, f func(off uint64, ino uint32, name []byte) bool) error {
 	for off := uint64(0); off < di.size; off += DirentSize {
 		z, err := fs.zoneAt(di, uint32(off/BlockSize))
 		if err != nil {
@@ -320,9 +323,13 @@ func (fs *FS) dirScan(di *dinode, f func(off uint64, ino uint32, name string) bo
 		if err != nil {
 			return err
 		}
-		ino, name := decodeDirent(b.data[off%BlockSize:])
+		slot := b.data[off%BlockSize:]
+		stop := false
+		if ino := le32(slot, 0); ino != 0 {
+			stop = f(off, ino, direntName(slot))
+		}
 		fs.c.put(b)
-		if ino != 0 && f(off, ino, name) {
+		if stop {
 			return nil
 		}
 	}
@@ -333,8 +340,8 @@ func (fs *FS) dirScan(di *dinode, f func(off uint64, ino uint32, name string) bo
 func (fs *FS) dirLookup(di *dinode, name string) (uint32, uint64, error) {
 	var foundIno uint32
 	var foundOff uint64
-	err := fs.dirScan(di, func(off uint64, ino uint32, n string) bool {
-		if n == name {
+	err := fs.dirScan(di, func(off uint64, ino uint32, n []byte) bool {
+		if string(n) == name {
 			foundIno, foundOff = ino, off
 			return true
 		}
@@ -385,8 +392,7 @@ func (fs *FS) dirAddEntry(dirIno uint32, di *dinode, ino uint32, name string) er
 		if err != nil {
 			return err
 		}
-		slotIno, _ := decodeDirent(b.data[off%BlockSize:])
-		if slotIno == 0 {
+		if le32(b.data, int(off%BlockSize)) == 0 {
 			fs.bmod(b)
 			encodeDirent(b.data[off%BlockSize:], ino, name)
 			fs.c.put(b)
@@ -449,7 +455,7 @@ func (n *bnode) VAttr() (vfs.Attr, error) {
 	a := n.fs.attrOf(di)
 	if di.typ == typeDir {
 		live := int64(0)
-		if err := n.fs.dirScan(&di, func(uint64, uint32, string) bool { live++; return false }); err != nil {
+		if err := n.fs.dirScan(&di, func(uint64, uint32, []byte) bool { live++; return false }); err != nil {
 			return vfs.Attr{}, err
 		}
 		a.Size = live
@@ -550,8 +556,8 @@ func (n *bnode) VReadDir(c types.Cred) ([]vfs.Dirent, error) {
 		ino  uint32
 	}
 	var ents []ent
-	if err := n.fs.dirScan(&di, func(_ uint64, ino uint32, name string) bool {
-		ents = append(ents, ent{name, ino})
+	if err := n.fs.dirScan(&di, func(_ uint64, ino uint32, name []byte) bool {
+		ents = append(ents, ent{string(name), ino})
 		return false
 	}); err != nil {
 		return nil, err
@@ -659,7 +665,7 @@ func (n *bnode) VRemove(name string, c types.Cred) error {
 	}
 	if tdi.typ == typeDir {
 		empty := true
-		if err := n.fs.dirScan(&tdi, func(uint64, uint32, string) bool { empty = false; return true }); err != nil {
+		if err := n.fs.dirScan(&tdi, func(uint64, uint32, []byte) bool { empty = false; return true }); err != nil {
 			return err
 		}
 		if !empty {

@@ -11,6 +11,7 @@
 package blockfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -227,14 +228,13 @@ func encodeDirent(p []byte, ino uint32, name string) {
 	copy(p[4:DirentSize], name)
 }
 
-// decodeDirent reads one slot; ino 0 means the slot is free.
-func decodeDirent(p []byte) (uint32, string) {
-	ino := le32(p, 0)
-	name := string(p[4:DirentSize])
-	if i := strings.IndexByte(name, 0); i >= 0 {
+// direntName returns the name of one slot, cut at its NUL padding.
+func direntName(p []byte) []byte {
+	name := p[4:DirentSize]
+	if i := bytes.IndexByte(name, 0); i >= 0 {
 		name = name[:i]
 	}
-	return ino, name
+	return name
 }
 
 // validName rejects names that cannot be stored or would alias path syntax.

@@ -105,8 +105,8 @@ func (fs *FS) Fsck() []string {
 				badf("ino %d: directory size %d not slot-aligned", ino, di.size)
 				continue
 			}
-			_ = fs.dirScan(&di, func(off uint64, child uint32, name string) bool {
-				if !validName(name) {
+			_ = fs.dirScan(&di, func(off uint64, child uint32, nb []byte) bool {
+				if name := string(nb); !validName(name) {
 					badf("ino %d: entry %q at %d has invalid name", ino, name, off)
 				}
 				refs[child]++

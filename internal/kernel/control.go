@@ -345,8 +345,10 @@ func (f *ProcFile) Stop() error {
 
 // WaitStop waits until the file's LWP, or some LWP, stops on an event of
 // interest (PIOCWSTOP, PCWSTOP) and fills st, if non-nil, with its status.
-// It releases the global lock around the wait. A simulated process cannot
-// wait at NCPU>1: a CPU cannot drive the scheduler it runs on.
+// The wait drives the scheduler, so it releases the global lock around it.
+// A simulated process cannot wait, at any width: its system call runs
+// inside a scheduling pass, which cannot drive the scheduler it is part of.
+// Called during a pass, WaitStop fails with EDEADLK and waits for nothing.
 func (f *ProcFile) WaitStop(maxSteps int, st *ProcStatus) error {
 	if err := f.Lock(true); err != nil {
 		return err
@@ -354,6 +356,9 @@ func (f *ProcFile) WaitStop(maxSteps int, st *ProcStatus) error {
 	f.Unlock()
 	p, l := f.P, f.L
 	k := p.k
+	if k.inPass.Load() {
+		return EDEADLK
+	}
 	k.GlobalUnlock()
 	var err error
 	if l != nil {

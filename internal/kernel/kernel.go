@@ -110,6 +110,14 @@ type Kernel struct {
 	global sync.Mutex
 	lwpsMu sync.Mutex
 
+	// stage is the staging slice of the file system calls' data, guarded
+	// by the global lock (takeStage).
+	stage []byte
+	// inPass is set while Step runs a scheduling pass. A /proc wait verb
+	// reached from a simulated process during the pass fails with EDEADLK:
+	// it would have to drive the scheduler it runs on.
+	inPass atomic.Bool
+
 	initProc *Proc
 	clockQ   waitq   // timed sleeps (sleep(2)) block here
 	alarms   []*Proc // processes with an armed alarm(2), in pid order
@@ -325,11 +333,8 @@ func (k *Kernel) removeProc(p *Proc) {
 	delete(sh.m, p.Pid)
 	sh.mu.Unlock()
 	k.orderMu.Lock()
-	for i, q := range k.order {
-		if q == p {
-			k.order = append(k.order[:i], k.order[i+1:]...)
-			break
-		}
+	if i, ok := slices.BinarySearchFunc(k.order, p.Pid, procPidCmp); ok {
+		k.order = slices.Delete(k.order, i, i+1)
 	}
 	k.orderMu.Unlock()
 	q := k.homeQueue(p)
@@ -382,6 +387,8 @@ var ErrDeadlock = errors.New("kernel: deadlock: nothing runnable")
 // the table at pass start. It jumps between run-queue members, charging
 // the positions in between, and never walks the table.
 func (k *Kernel) Step() bool {
+	k.inPass.Store(true)
+	defer k.inPass.Store(false)
 	k.GlobalLock()
 	k.tickClock()
 	k.checkTimers()

@@ -1,6 +1,10 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // Errno is a simulated UNIX error number; 0 means success.
 type Errno int
@@ -31,6 +35,7 @@ const (
 	ENOSPC  Errno = 28
 	EPIPE   Errno = 32
 	ERANGE  Errno = 34
+	EDEADLK Errno = 45
 	ENOSYS  Errno = 89
 )
 
@@ -41,7 +46,7 @@ var errnoNames = map[Errno]string{
 	EBUSY: "EBUSY", EEXIST: "EEXIST", ENOTDIR: "ENOTDIR", EISDIR: "EISDIR",
 	EINVAL: "EINVAL", ENFILE: "ENFILE", EMFILE: "EMFILE", ENOTTY: "ENOTTY",
 	EFBIG: "EFBIG", ENOSPC: "ENOSPC", EPIPE: "EPIPE", ERANGE: "ERANGE",
-	ENOSYS: "ENOSYS",
+	EDEADLK: "EDEADLK", ENOSYS: "ENOSYS",
 }
 
 // String names the errno.
@@ -292,33 +297,64 @@ func Predefs() map[string]uint32 {
 	return m
 }
 
-// copyinStr reads a NUL-terminated string from user memory.
+// copyinStr reads a NUL-terminated string from user memory, straight from
+// the address space into the returned string. With its NUL, the string
+// must fit in maxPathLen bytes.
 func (k *Kernel) copyinStr(l *LWP, addr uint32) (string, Errno) {
-	var out []byte
-	buf := make([]byte, 64)
-	for len(out) < 4096 {
-		n, err := l.CPU.AS.ReadAt(buf, int64(addr)+int64(len(out)))
-		if err != nil || n == 0 {
-			return "", EFAULT
-		}
-		for i := 0; i < n; i++ {
-			if buf[i] == 0 {
-				return string(out), 0
-			}
-			out = append(out, buf[i])
-		}
+	s, err := l.CPU.AS.CString(addr, maxPathLen)
+	switch err {
+	case nil:
+		return s, 0
+	case mem.ErrTooLong:
+		return "", ERANGE
 	}
-	return "", ERANGE
+	return "", EFAULT
 }
 
-// copyin reads n bytes of user memory.
-func (k *Kernel) copyin(l *LWP, addr uint32, n int) ([]byte, Errno) {
-	buf := make([]byte, n)
-	got, err := l.CPU.AS.ReadAt(buf, int64(addr))
-	if err != nil || got != n {
-		return nil, EFAULT
+// maxPathLen bounds a string argument, its NUL included.
+const maxPathLen = 4096
+
+// copyin fills dst from user memory at addr.
+func (k *Kernel) copyin(l *LWP, addr uint32, dst []byte) Errno {
+	got, err := l.CPU.AS.ReadAt(dst, int64(addr))
+	if err != nil || got != len(dst) {
+		return EFAULT
 	}
-	return buf, 0
+	return 0
+}
+
+// stageCap caps the capacity the staging slice keeps between calls: 64 KiB,
+// like the mem package's frame free list. A larger request gets a one-off
+// slice that is not kept.
+const stageCap = 64 << 10
+
+// takeStage lends the caller the kernel's staging slice, n bytes long, for
+// the data of one file system call (read, write, getdents); putStage gives
+// it back. The slice is guarded by the global lock, which those calls hold.
+// While it is lent the kernel holds none, so a nested take gets a slice of
+// its own and never aliases the caller's. The slice is allocated on first
+// use and grows to the largest request up to stageCap. It is not zeroed: it
+// holds an earlier call's bytes, so a caller passes on only the bytes it
+// filled.
+func (k *Kernel) takeStage(n int) []byte {
+	k.assertGlobal()
+	if n > stageCap {
+		return make([]byte, n)
+	}
+	b := k.stage
+	k.stage = nil
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	return b[:n]
+}
+
+// putStage returns a slice from takeStage, keeping it if it is within
+// stageCap.
+func (k *Kernel) putStage(b []byte) {
+	if cap(b) <= stageCap {
+		k.stage = b[:0]
+	}
 }
 
 // copyout writes bytes to user memory.

@@ -43,15 +43,20 @@ func sysGetdents(k *Kernel, l *LWP) sysResult {
 	if idx >= len(ents) {
 		return ret(0) // end of directory
 	}
-	var out []byte
-	for ; idx < len(ents) && len(out)+DirentSize <= n; idx++ {
-		rec := make([]byte, DirentSize)
-		name := ents[idx].Name
+	// Build the records in the staging slice; every byte of each record is
+	// written, so none of an earlier call's bytes shows through.
+	cnt := min(n/DirentSize, len(ents)-idx)
+	out := k.takeStage(cnt * DirentSize)
+	defer k.putStage(out)
+	for i := range cnt {
+		rec := out[i*DirentSize : (i+1)*DirentSize]
+		ent := &ents[idx+i]
+		name := ent.Name
 		if len(name) > direntName-1 {
 			name = name[:direntName-1]
 		}
-		copy(rec, name)
-		switch ents[idx].Attr.Type {
+		clear(rec[copy(rec, name):])
+		switch ent.Attr.Type {
 		case vfs.VDIR:
 			rec[direntName] = 1
 		case vfs.VPROC:
@@ -59,11 +64,10 @@ func sysGetdents(k *Kernel, l *LWP) sysResult {
 		case vfs.VFIFO:
 			rec[direntName] = 3
 		}
-		out = append(out, rec...)
 	}
 	if e := k.copyout(l, buf, out); e != 0 {
 		return rerr(e)
 	}
-	f.Offset = int64(idx)
+	f.Offset = int64(idx + cnt)
 	return ret(uint32(len(out)))
 }

@@ -42,6 +42,9 @@ func mapErr(err error) Errno {
 	case vfs.EOF:
 		return 0
 	}
+	if e, ok := err.(Errno); ok {
+		return e
+	}
 	return EIO
 }
 
@@ -187,7 +190,8 @@ func sysRead(k *Kernel, l *LWP) sysResult {
 	if n > 1<<20 {
 		n = 1 << 20
 	}
-	tmp := make([]byte, n)
+	tmp := k.takeStage(n)
+	defer k.putStage(tmp)
 	got, err := f.Read(tmp)
 	if err == vfs.ErrAgain {
 		// Blocking read (a pipe with no data): sleep until a writer acts.
@@ -199,6 +203,8 @@ func sysRead(k *Kernel, l *LWP) sysResult {
 	if err != nil && err != vfs.EOF {
 		return rerr(mapErr(err))
 	}
+	// The staging slice holds an earlier call's bytes past got: copy out
+	// only what the handler filled.
 	if got > 0 {
 		if e := k.copyout(l, buf, tmp[:got]); e != 0 {
 			return rerr(e)
@@ -220,8 +226,9 @@ func sysWrite(k *Kernel, l *LWP) sysResult {
 	if n > 1<<20 {
 		return rerr(EINVAL)
 	}
-	tmp, e := k.copyin(l, buf, n)
-	if e != 0 {
+	tmp := k.takeStage(n)
+	defer k.putStage(tmp)
+	if e := k.copyin(l, buf, tmp); e != 0 {
 		return rerr(e)
 	}
 	got, err := f.Write(tmp)
@@ -241,13 +248,21 @@ func sysWrite(k *Kernel, l *LWP) sysResult {
 	return rerr(mapErr(err))
 }
 
+// sysLseek moves a descriptor's offset. A SEEK_SET offset is an unsigned
+// word, so a /proc as-file can be positioned at any address, 0x80000000
+// and up included; SEEK_CUR and SEEK_END take a signed one.
 func sysLseek(k *Kernel, l *LWP) sysResult {
 	p := l.Proc
 	f, e := p.getFD(int(l.sysArgs[0]))
 	if e != 0 {
 		return rerr(e)
 	}
-	off, err := f.Seek(int64(int32(l.sysArgs[1])), int(l.sysArgs[2]))
+	whence := int(l.sysArgs[2])
+	off := int64(int32(l.sysArgs[1]))
+	if whence == vfs.SeekSet {
+		off = int64(l.sysArgs[1])
+	}
+	off, err := f.Seek(off, whence)
 	if err != nil {
 		return rerr(mapErr(err))
 	}

@@ -1,0 +1,51 @@
+package mem
+
+import "testing"
+
+// CString reads a string wherever ReadAt could: in a materialized private
+// page, across a page boundary, in an object that exposes its bytes (ending
+// where the object does), in an object that does not, and in untouched
+// anonymous memory (empty). It fails at an unmapped byte and past max.
+func TestCString(t *testing.T) {
+	as := newTestAS()
+	mustMap(t, as, MapArgs{Base: 0x10000, Len: 0x2000, Prot: ProtRW, Fixed: true})
+	mustMap(t, as, MapArgs{Base: 0x20000, Len: 0x1000, Prot: ProtRead, Fixed: true,
+		Obj: &ByteObject{Name: "obj", Data: []byte("xyz")}})
+	mustMap(t, as, MapArgs{Base: 0x30000, Len: 0x1000, Prot: ProtRW, Fixed: true,
+		Shared: true, Obj: NewAnon("", 4096)})
+	for _, w := range []struct {
+		at uint32
+		s  string
+	}{
+		{0x10100, "hello\x00"},
+		{0x10ffd, "abcdef\x00"}, // spans the page boundary at 0x11000
+		{0x11ffc, "tail"},       // runs into the unmapped page at 0x12000
+		{0x30010, "shared\x00"},
+	} {
+		if _, err := as.WriteAt([]byte(w.s), int64(w.at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		at   uint32
+		max  int
+		want string
+		err  error
+	}{
+		{0x10100, 64, "hello", nil},
+		{0x10ffd, 64, "abcdef", nil},
+		{0x10800, 64, "", nil},
+		{0x20000, 64, "xyz", nil},
+		{0x20001, 64, "yz", nil},
+		{0x30010, 64, "shared", nil},
+		{0x11ffc, 64, "", ErrNotMapped},
+		{0x12000, 64, "", ErrNotMapped},
+		{0x10100, 5, "", ErrTooLong},
+		{0x10100, 6, "hello", nil},
+	} {
+		got, err := as.CString(c.at, c.max)
+		if got != c.want || err != c.err {
+			t.Errorf("CString(%#x, %d) = %q, %v; want %q, %v", c.at, c.max, got, err, c.want, c.err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 
 	"repro/internal/types"
@@ -11,6 +12,10 @@ import (
 // fail". Operations that merely extend into unmapped areas do not fail but
 // are truncated at the boundary.
 var ErrNotMapped = errors.New("mem: address not mapped")
+
+// ErrTooLong is returned by CString when no NUL ends the string within its
+// bound.
+var ErrTooLong = errors.New("mem: string too long")
 
 // CheckAccess validates a CPU access of n bytes at addr needing permissions
 // want. It grows the stack automatically when the reference falls in the
@@ -90,6 +95,72 @@ func (as *AS) readAt(p []byte, off int64) (int, error) {
 		return 0, ErrNotMapped
 	}
 	return n, nil
+}
+
+// CString returns the NUL-terminated string at addr, excluding the NUL,
+// read with the ReadAt rules: any mapped byte, whatever its protection. It
+// scans the pages in place and copies the string's bytes once, into the
+// result. It fails with ErrNotMapped if the string runs into an unmapped
+// address before its NUL, and with ErrTooLong if the first max bytes hold
+// no NUL.
+func (as *AS) CString(addr uint32, max int) (string, error) {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	var head []byte // the bytes of earlier chunks, when the string spans several
+	for n := 0; n < max; {
+		at := uint64(addr) + uint64(n)
+		var s *Seg
+		if at < 1<<32 {
+			s = as.FindSeg(uint32(at))
+		}
+		if s == nil {
+			return "", ErrNotMapped
+		}
+		chunk := int(min64(min64(s.End(), at+uint64(max-n)), as.pageEnd(at)) - at)
+		v := as.peekChunk(s, uint32(at), chunk)
+		// A view shorter than the chunk ends at its object's end, past
+		// which the bytes read zero: the string ends there too.
+		if i := bytes.IndexByte(v, 0); i >= 0 || len(v) < chunk {
+			if i >= 0 {
+				v = v[:i]
+			}
+			if head == nil {
+				return string(v), nil
+			}
+			return string(append(head, v...)), nil
+		}
+		head = append(head, v...)
+		n += chunk
+	}
+	return "", ErrTooLong
+}
+
+// peekChunk returns the bytes of a chunk within a single mapping and a
+// single page, like readChunk, but as a view of the storage where one
+// exists: a materialized private page, the zero page, or an object that
+// exposes its bytes (RevBytes), cut short where the object ends. Any other
+// object is read into a fresh slice.
+func (as *AS) peekChunk(s *Seg, addr uint32, n int) []byte {
+	pb := as.pageBase(addr)
+	if !s.Shared {
+		if pg, ok := s.priv[pb]; ok {
+			return pg[addr-pb:][:n]
+		}
+	}
+	switch o := s.Obj.(type) {
+	case nil:
+		return as.zero[:n]
+	case RevBytes:
+		data, _ := o.ObjBytes()
+		off := s.Off + int64(addr) - int64(s.Base)
+		if off >= int64(len(data)) {
+			return as.zero[:n]
+		}
+		return data[off:min(off+int64(n), int64(len(data)))]
+	}
+	p := make([]byte, n)
+	s.Obj.ReadObj(p, s.Off+int64(addr)-int64(s.Base))
+	return p
 }
 
 // WriteAt implements the /proc write semantics: writes to private mappings

@@ -42,21 +42,11 @@ digs:	mov r1, r5
 	movi r2, 3
 	syscall
 	mov r6, r0
-	; seek to the address of magic and read it back through /proc; the
-	; text sits at 2 GB and lseek's offset is a signed 32-bit word, so
-	; the seek is two halves: SEEK_SET to magic/2, then SEEK_CUR the rest
-	la r7, magic
-	mov r2, r7
-	shr r2, 1
-	sub r7, r2
+	; seek to the address of magic, above 2 GB, and read it back
 	movi r0, SYS_lseek
 	mov r1, r6
+	la r2, magic
 	movi r3, 0
-	syscall
-	movi r0, SYS_lseek
-	mov r1, r6
-	mov r2, r7
-	movi r3, 1
 	syscall
 	movi r0, SYS_read
 	mov r1, r6

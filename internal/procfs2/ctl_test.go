@@ -1,6 +1,7 @@
 package procfs2_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro"
@@ -319,5 +320,92 @@ func TestUnKillAgreesAcrossInterfaces(t *testing.T) {
 		if err := unkill(types.SIGUSR1); err != nil || p.SigPend.Has(types.SIGUSR1) {
 			t.Errorf("%s(SIGUSR1) = %v, pending %v; want it deleted", name, err, p.SigPend.Has(types.SIGUSR1))
 		}
+	}
+}
+
+// A wait verb from a simulated process fails with EDEADLK instead of
+// driving the scheduler from inside its own pass (a nil-Proc panic at
+// NCPU=1, a hang at NCPU=2). A parent forks a spinning child and writes
+// [PCSTOP][PCKILL 9] to the child's ctl file: the directed stop applies,
+// the wait fails and the batch stops there, so the write returns EDEADLK
+// and the kill is not sent. Once the child has stopped, a second write,
+// [PCKILL 9][PCRUN], kills it, and the parent reaps it and exits with the
+// first write's errno.
+func TestCtlWaitFromProcessIsEDEADLK(t *testing.T) {
+	s := repro.NewSystem()
+	defer s.Close()
+	p, err := s.SpawnProg("waiter", fmt.Sprintf(`
+	movi r0, SYS_fork
+	syscall
+	cmpi r0, 0
+	jne parent
+loop:	jmp loop
+parent:	mov r5, r0		; the child's pid
+	la r4, name		; render it as the 5-digit directory name, backwards
+	addi r4, 4
+	movi r3, 5
+digs:	mov r1, r5
+	movi r2, 10
+	mod r1, r2
+	addi r1, 48
+	stb r1, [r4]
+	movi r2, 10
+	div r5, r2
+	addi r4, -1
+	addi r3, -1
+	cmpi r3, 0
+	jne digs
+	movi r0, SYS_open
+	la r1, path
+	movi r2, %d
+	syscall
+	mov r6, r0
+	movi r0, SYS_write
+	mov r1, r6
+	la r2, stopkill
+	movi r3, 12
+	syscall
+	mov r7, r0		; the errno
+	movi r5, 100
+again:	movi r0, SYS_sleep	; let the child reach its directed stop
+	movi r1, 1
+	syscall
+	movi r0, SYS_write
+	mov r1, r6
+	la r2, killrun
+	movi r3, 20
+	syscall
+	cmpi r0, 20
+	je reap
+	addi r5, -1
+	cmpi r5, 0
+	jne again
+	jmp bad
+reap:	movi r0, SYS_wait
+	movi r1, 0
+	syscall
+	mov r1, r7
+	movi r0, SYS_exit
+	syscall
+bad:	mov r1, r0
+	movi r0, SYS_exit
+	syscall
+.data
+.align 4
+stopkill: .word %d, %d, 9
+killrun: .word %d, 9, %d, 0, 0
+path:	.ascii "/procx/"
+name:	.ascii "00000"
+	.asciz "/ctl"
+`, vfs.OWrite, procfs2.PCSTOP, procfs2.PCKILL, procfs2.PCKILL, procfs2.PCRUN), types.UserCred(100, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := s.WaitExit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, code := kernel.WIfExited(status); code != int(kernel.EDEADLK) {
+		t.Fatalf("exit code %d, want EDEADLK (%d) from the waiting write", code, kernel.EDEADLK)
 	}
 }

@@ -144,10 +144,15 @@ type Dirent struct {
 
 // Handle is the per-open state of a vnode, through which I/O and control
 // operations flow.
+//
+// HRead and HWrite never keep p past the call, and HRead fills p[:n] for
+// the n it returns. The kernel's read(2) and write(2) pass a staging slice
+// they reuse from call to call, which holds an earlier call's bytes, and
+// rely on both.
 type Handle interface {
-	// HRead reads at an absolute offset.
+	// HRead reads at an absolute offset into p[:n], returning n.
 	HRead(p []byte, off int64) (int, error)
-	// HWrite writes at an absolute offset.
+	// HWrite writes p at an absolute offset.
 	HWrite(p []byte, off int64) (int, error)
 	// HIoctl performs a control operation.
 	HIoctl(cmd int, arg interface{}) error
