@@ -156,12 +156,18 @@ bench-json-pr10:
 
 # fuzz-smoke runs each native fuzzer for a few seconds past its checked-in
 # seed corpus (testdata/fuzz): the snapshot decoder, both halves of the
-# PIOCSNAP ioctl codec, the trace decoder and the replay artifact decoder.
+# PIOCSNAP ioctl codec, the trace decoder, the replay artifact decoder,
+# both halves of every ioctl codec, the rfs server fed request sequences
+# over a live /proc, the xout loader and the core file parser.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnap$$' -fuzztime 3s ./internal/procfs2/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapCodec$$' -fuzztime 3s ./internal/rfs/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime 3s ./internal/ktrace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayDecode$$' -fuzztime 3s ./internal/replay/
+	$(GO) test -run '^$$' -fuzz '^FuzzIoctlCodec$$' -fuzztime 3s ./internal/rfs/
+	$(GO) test -run '^$$' -fuzz '^FuzzServerHandle$$' -fuzztime 3s ./internal/rfs/
+	$(GO) test -run '^$$' -fuzz '^FuzzXoutUnmarshal$$' -fuzztime 3s ./internal/xout/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCore$$' -fuzztime 3s ./internal/kernel/
 
 # verify runs the gofmt check and the tier-1 gate (build + test) plus the
 # race detector, vet, the fault-matrix smoke, the workload smoke, the SMP race suite, the

@@ -392,3 +392,52 @@ name:	.asciz "00000"
 		t.Fatalf("exit code %d: 11 lseek's result, 12 the read, 13 the word read", code)
 	}
 }
+
+// TestLseekRefusesNegativeOffset: an lseek whose result would be negative
+// fails with EINVAL and leaves the offset at 0, so the read that follows
+// finds end of file instead of reading before byte 0.
+func TestLseekRefusesNegativeOffset(t *testing.T) {
+	s := repro.NewSystem(repro.Options{})
+	defer s.Close()
+	p, err := s.SpawnProg("negseek", `
+	movi r0, SYS_open
+	la r1, path
+	movi r2, 11		; ORead|OWrite|OCreat
+	syscall
+	mov r6, r0
+	movi r0, SYS_lseek
+	mov r1, r6
+	li r2, 0xFFFFFFF8	; -8
+	movi r3, 1		; SEEK_CUR
+	syscall
+	mov r7, r0
+	movi r0, SYS_read
+	mov r1, r6
+	la r2, buf
+	movi r3, 4
+	syscall
+	movi r1, 12
+	cmpi r0, 0
+	jne out
+	movi r1, 11
+	cmpi r7, 22		; EINVAL
+	jne out
+	movi r1, 0
+out:	movi r0, SYS_exit
+	syscall
+.data
+.align 4
+buf:	.word 0
+path:	.asciz "/tmp/negseek"
+`, types.UserCred(100, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := s.WaitExit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, code := kernel.WIfExited(status); code != 0 {
+		t.Fatalf("exit code %d: 11 lseek did not fail with EINVAL, 12 the read did not return 0", code)
+	}
+}

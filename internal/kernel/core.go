@@ -1,11 +1,12 @@
 package kernel
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 
 	"repro/internal/types"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Core dumps. When a signal's default disposition is DispCore, the dying
@@ -38,26 +39,26 @@ func (k *Kernel) writeCore(p *Proc, sig int) {
 	if l == nil || p.AS == nil {
 		return
 	}
-	var out []byte
-	out = append(out, CoreMagic[:]...)
-	out = binary.BigEndian.AppendUint32(out, uint32(p.Pid))
-	out = binary.BigEndian.AppendUint32(out, uint32(sig))
+	w := wire.Cursor{B: append([]byte(nil), CoreMagic[:]...)}
+	w.PutU32(uint32(p.Pid))
+	w.PutU32(uint32(sig))
 	regs := l.CPU.Regs
 	for _, v := range regs.R {
-		out = binary.BigEndian.AppendUint32(out, v)
+		w.PutU32(v)
 	}
-	out = binary.BigEndian.AppendUint32(out, regs.PC)
-	out = binary.BigEndian.AppendUint32(out, regs.SP)
-	out = binary.BigEndian.AppendUint32(out, regs.PSW)
+	w.PutU32(regs.PC)
+	w.PutU32(regs.SP)
+	w.PutU32(regs.PSW)
 	segs := p.AS.SegsView()
-	out = binary.BigEndian.AppendUint32(out, uint32(len(segs)))
+	w.PutU32(uint32(len(segs)))
 	for _, s := range segs {
-		out = binary.BigEndian.AppendUint32(out, s.Base)
-		out = binary.BigEndian.AppendUint32(out, s.Len)
-		data := make([]byte, s.Len)
-		p.AS.ReadAt(data, int64(s.Base))
-		out = append(out, data...)
+		w.PutU32(s.Base)
+		w.PutU32(s.Len)
+		at := len(w.B)
+		w.B = append(w.B, make([]byte, s.Len)...)
+		p.AS.ReadAt(w.B[at:], int64(s.Base))
 	}
+	out := w.B
 	name := fmt.Sprintf("core.%d", p.Pid)
 	dir := p.CWD
 	if dir == "" {
@@ -85,56 +86,29 @@ func (k *Kernel) writeCore(p *Proc, sig int) {
 
 // ParseCore parses a core file.
 func ParseCore(b []byte) (*CoreImage, error) {
-	if len(b) < 4 || b[0] != 'C' || b[1] != 'O' || b[2] != 'R' || b[3] != 'E' {
+	if len(b) < 4 || [4]byte(b) != CoreMagic {
 		return nil, fmt.Errorf("kernel: not a core file")
 	}
-	off := 4
-	u32 := func() (uint32, error) {
-		if off+4 > len(b) {
-			return 0, fmt.Errorf("kernel: truncated core file")
-		}
-		v := binary.BigEndian.Uint32(b[off:])
-		off += 4
-		return v, nil
-	}
-	img := &CoreImage{}
-	v, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	img.Pid = int(v)
-	if v, err = u32(); err != nil {
-		return nil, err
-	}
-	img.Signal = int(v)
+	r := wire.Cursor{B: b, Off: 4}
+	img := &CoreImage{Pid: int(r.U32()), Signal: int(r.U32())}
 	for i := range img.Regs {
-		if img.Regs[i], err = u32(); err != nil {
-			return nil, err
-		}
+		img.Regs[i] = r.U32()
 	}
-	n, err := u32()
-	if err != nil {
-		return nil, err
-	}
+	// A segment is at least its address and length words.
+	n := r.Count(8)
 	if n > 1024 {
 		return nil, fmt.Errorf("kernel: unreasonable core segment count")
 	}
-	for i := uint32(0); i < n; i++ {
-		base, err := u32()
-		if err != nil {
-			return nil, err
+	for i := 0; i < n; i++ {
+		base := r.U32()
+		data := bytes.Clone(r.Next(int(r.U32())))
+		if r.Err != nil {
+			break
 		}
-		size, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		if off+int(size) > len(b) {
-			return nil, fmt.Errorf("kernel: truncated core segment")
-		}
-		data := make([]byte, size)
-		copy(data, b[off:])
-		off += int(size)
 		img.Segs = append(img.Segs, CoreSeg{Vaddr: base, Data: data})
+	}
+	if r.Err != nil {
+		return nil, fmt.Errorf("kernel: core file: %w", r.Err)
 	}
 	return img, nil
 }

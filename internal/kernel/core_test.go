@@ -8,6 +8,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/types"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // TestCoreFileGolden pins the core file format: a program that stores a
@@ -41,4 +42,38 @@ tag:	.byte 0
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("core file (%d bytes) sha256\n got %s\nwant %s", len(data), got, want)
 	}
+}
+
+// FuzzParseCore: no input panics the parser, and the segments of an
+// accepted core fit inside the input, so a hostile count or length cannot
+// make it allocate more than it was given.
+func FuzzParseCore(f *testing.F) {
+	var c wire.Cursor
+	c.B = append(c.B, kernel.CoreMagic[:]...)
+	c.PutU32(7)                    // pid
+	c.PutU32(uint32(types.SIGFPE)) // signal
+	for i := 0; i < 11; i++ {
+		c.PutU32(uint32(0x80000000 + i))
+	}
+	c.PutU32(2)
+	c.PutU32(0x80000000)
+	c.PutBytes([]byte{1, 2, 3, 4})
+	c.PutU32(0x7FFF7000)
+	c.PutBytes([]byte("stack"))
+	f.Add([]byte{})
+	f.Add(c.B)
+	f.Add(c.B[:len(c.B)-3])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		img, err := kernel.ParseCore(b)
+		if err != nil {
+			return
+		}
+		n := 0
+		for _, s := range img.Segs {
+			n += len(s.Data)
+		}
+		if n > len(b) {
+			t.Fatalf("%d bytes of segments from a %d-byte core", n, len(b))
+		}
+	})
 }

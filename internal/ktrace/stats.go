@@ -1,8 +1,9 @@
 package ktrace
 
 import (
-	"encoding/binary"
 	"errors"
+
+	"repro/internal/wire"
 )
 
 // MaxSysHist bounds the per-syscall histogram (comfortably above the
@@ -34,47 +35,46 @@ func (s *Stats) AddDropped(n uint64) { s.Dropped += n }
 // non-zero histogram entries as (syscall, count) pairs. The encoding is
 // deterministic (ascending syscall number).
 func EncodeStats(s Stats) []byte {
-	var b []byte
-	b = binary.BigEndian.AppendUint64(b, s.Emitted)
-	b = binary.BigEndian.AppendUint64(b, s.Dropped)
+	var w wire.Cursor
+	w.PutU64(s.Emitted)
+	w.PutU64(s.Dropped)
 	n := uint32(0)
 	for _, c := range s.PerSys {
 		if c != 0 {
 			n++
 		}
 	}
-	b = binary.BigEndian.AppendUint32(b, n)
+	w.PutU32(n)
 	for num, c := range s.PerSys {
 		if c != 0 {
-			b = binary.BigEndian.AppendUint32(b, uint32(num))
-			b = binary.BigEndian.AppendUint64(b, c)
+			w.PutU32(uint32(num))
+			w.PutU64(c)
 		}
 	}
-	return b
+	return w.B
 }
 
 // errBadStats reports a malformed counters page.
 var errBadStats = errors.New("ktrace: malformed counters page")
 
+// histEntry is the encoded size of one (syscall, count) pair.
+const histEntry = 4 + 8
+
 // DecodeStats parses the counters page.
 func DecodeStats(b []byte) (Stats, error) {
 	var s Stats
-	if len(b) < 20 {
-		return s, errBadStats
-	}
-	s.Emitted = binary.BigEndian.Uint64(b)
-	s.Dropped = binary.BigEndian.Uint64(b[8:])
-	n := int(binary.BigEndian.Uint32(b[16:]))
-	b = b[20:]
-	if n < 0 || n > MaxSysHist || len(b) != n*12 {
+	r := wire.Cursor{B: b}
+	s.Emitted, s.Dropped = r.U64(), r.U64()
+	n := r.Count(histEntry)
+	if r.Err != nil || n > MaxSysHist || r.Len() != n*histEntry {
 		return s, errBadStats
 	}
 	for i := 0; i < n; i++ {
-		num := binary.BigEndian.Uint32(b[i*12:])
+		num := r.U32()
 		if num >= MaxSysHist {
 			return s, errBadStats
 		}
-		s.PerSys[num] = binary.BigEndian.Uint64(b[i*12+4:])
+		s.PerSys[num] = r.U64()
 	}
 	return s, nil
 }

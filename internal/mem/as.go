@@ -154,7 +154,6 @@ type AS struct {
 	brk      *Seg   // the mapping grown by brk(2)
 	stackLim uint32 // lowest address the stack may grow to
 	watches  []Watch
-	watchPgs map[uint32]bool // pages containing any watched byte
 	Stats    Stats
 	refs     int // vfork sharing count
 	owner    int // pid charged for fault-injection hits (0: unattributed)
@@ -174,7 +173,7 @@ func NewAS(pagesize int) *AS {
 	if pagesize <= 0 {
 		pagesize = DefaultPageSize
 	}
-	return &AS{pagesize: uint32(pagesize), watchPgs: make(map[uint32]bool), refs: 1,
+	return &AS{pagesize: uint32(pagesize), refs: 1,
 		zero: zeroPage(uint32(pagesize))}
 }
 

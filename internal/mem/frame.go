@@ -83,7 +83,7 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 	defer as.mu.Unlock()
 	pb := as.pageBase(addr)
 	s := as.FindSeg(pb)
-	if s == nil || s.Shared || as.watchPgs[pb] {
+	if s == nil || s.Shared || as.pagesWatched(uint64(pb), uint64(pb)+1) {
 		return Frame{}, false
 	}
 	if uint64(pb)+uint64(as.pagesize) > s.End() {

@@ -67,26 +67,9 @@ func (as *AS) CheckInvariants() error {
 	if as.brk != nil && !brkSeen {
 		return fmt.Errorf("mem: break segment not in the mapping list")
 	}
-	// watchPgs must be exactly the pages spanned by the watch list.
-	want := make(map[uint32]bool)
 	for _, w := range as.watches {
 		if w.Len == 0 {
 			return fmt.Errorf("mem: zero-length watchpoint at %#x", w.Addr)
-		}
-		for pb := as.pageBase(w.Addr); ; pb += as.pagesize {
-			want[pb] = true
-			if uint64(pb)+ps >= uint64(w.Addr)+uint64(w.Len) {
-				break
-			}
-		}
-	}
-	if len(want) != len(as.watchPgs) {
-		return fmt.Errorf("mem: watch page cache has %d pages, watch list spans %d",
-			len(as.watchPgs), len(want))
-	}
-	for pb := range want {
-		if !as.watchPgs[pb] {
-			return fmt.Errorf("mem: watch page cache missing page %#x", pb)
 		}
 	}
 	return nil

@@ -88,5 +88,5 @@ func (as *AS) LoadState(st *ASState) {
 	as.Stats = st.stats
 	as.refs = st.refs
 	as.owner = st.owner
-	as.rebuildWatchPages() // also invalidates cached translations
+	as.invalidate()
 }

@@ -35,7 +35,7 @@ func (as *AS) SetWatch(addr, length uint32, mode Prot) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	as.watches = append(as.watches, Watch{Addr: addr, Len: length, Mode: mode})
-	as.rebuildWatchPages()
+	as.invalidate()
 }
 
 // ClearWatch removes all watchpoints starting at addr. It builds a fresh
@@ -51,7 +51,7 @@ func (as *AS) ClearWatch(addr uint32) {
 		}
 	}
 	as.watches = out
-	as.rebuildWatchPages()
+	as.invalidate()
 }
 
 // ClearAllWatches removes every watchpoint.
@@ -59,7 +59,7 @@ func (as *AS) ClearAllWatches() {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	as.watches = nil
-	as.rebuildWatchPages()
+	as.invalidate()
 }
 
 // Watches returns a copy of the active watchpoints.
@@ -75,19 +75,20 @@ func (as *AS) WatchesView() []Watch { return as.watches }
 // NWatches returns the number of active watchpoints without copying.
 func (as *AS) NWatches() int { return len(as.watches) }
 
-func (as *AS) rebuildWatchPages() {
-	as.watchPgs = make(map[uint32]bool)
+// pagesWatched reports whether a page overlapping [addr, end) holds a
+// watched byte. It is computed from the watch list itself, so a watch
+// costs the same whatever its length, up to the whole address space.
+// Watched pages are never frame-cached (PageFrame refuses them), so every
+// change to the watch list invalidates the cached translations.
+func (as *AS) pagesWatched(addr, end uint64) bool {
+	ps := uint64(as.pagesize)
+	lo, hi := addr&^(ps-1), (end+ps-1)&^(ps-1)
 	for _, w := range as.watches {
-		for pb := as.pageBase(w.Addr); ; pb += as.pagesize {
-			as.watchPgs[pb] = true
-			if uint64(pb)+uint64(as.pagesize) >= uint64(w.Addr)+uint64(w.Len) {
-				break
-			}
+		if uint64(w.Addr) < hi && uint64(w.Addr)+uint64(w.Len) > lo {
+			return true
 		}
 	}
-	// Watched pages are never frame-cached; any change to the watched set
-	// must drop every cached translation.
-	as.invalidate()
+	return false
 }
 
 // checkWatch implements the page-protection watchpoint model. If the access
@@ -100,18 +101,7 @@ func (as *AS) checkWatch(addr uint32, n int, want Prot) error {
 	if len(as.watches) == 0 {
 		return nil
 	}
-	touched := false
-	end := uint64(addr) + uint64(n)
-	for pb := as.pageBase(addr); uint64(pb) < end; pb += as.pagesize {
-		if as.watchPgs[pb] {
-			touched = true
-			break
-		}
-		if uint64(pb)+uint64(as.pagesize) >= 1<<32 {
-			break
-		}
-	}
-	if !touched {
+	if !as.pagesWatched(uint64(addr), uint64(addr)+uint64(n)) {
 		return nil
 	}
 	for _, w := range as.watches {

@@ -106,6 +106,28 @@ func TestWatchpointSpansPages(t *testing.T) {
 	}
 }
 
+// A watch may cover the whole address space, or run past its top, and
+// still cost no more than a small one: setting it returns at once, pages
+// under it refuse frame caching, and accesses through it fire.
+func TestWatchpointHugeRange(t *testing.T) {
+	as := newTestAS()
+	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRW, Fixed: true})
+	as.SetWatch(0xFFFFF000, 0x2000, ProtWrite) // ends past 4 GiB
+	as.SetWatch(0x100, 0xFFFFFF00, ProtRead)
+	if _, ok := as.PageFrame(0x10000); ok {
+		t.Fatal("a page under a watch was frame-cached")
+	}
+	if err := as.CheckAccess(0x10010, 4, ProtRead); err == nil {
+		t.Fatal("read under the whole-space watch should fault")
+	}
+	if err := as.CheckAccess(0x10010, 4, ProtWrite); err != nil {
+		t.Fatalf("write under a read watch should recover: %v", err)
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAnonObject(t *testing.T) {
 	a := NewAnon("", 4096)
 	if a.ObjName() != "[anon]" {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/types"
 	"repro/internal/vcpu"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Control message codes written to ctl/lwpctl files. Each message is a
@@ -59,26 +60,26 @@ const (
 // kernel verb, and each verb checks the descriptor first, so a batch stops
 // at the first message after a set-id exec invalidated the descriptor.
 func (h *fileHandle) runCtl(b []byte) (int, error) {
-	w := &wire{b: b}
+	w := &wire.Cursor{B: b}
 	done := 0
-	for w.off < len(w.b) {
+	for w.Len() > 0 {
 		if err := h.runOneCtl(w); err != nil {
 			if done == 0 {
 				return 0, err
 			}
 			return done, nil
 		}
-		done = w.off
+		done = w.Off
 	}
 	return done, nil
 }
 
 // runOneCtl decodes one message and its operand, then applies the verb. A
 // truncated operand fails the message with nothing applied.
-func (h *fileHandle) runOneCtl(w *wire) error {
-	code := w.u32()
-	if w.err != nil {
-		return w.err
+func (h *fileHandle) runOneCtl(w *wire.Cursor) error {
+	code := w.U32()
+	if w.Err != nil {
+		return w.Err
 	}
 	switch code {
 	case PCNULL:
@@ -91,7 +92,7 @@ func (h *fileHandle) runOneCtl(w *wire) error {
 	case PCWSTOP:
 		return h.WaitStop(h.v.fs.MaxWait, nil)
 	case PCRUN:
-		if flags, pc := w.u32(), w.u32(); w.err == nil {
+		if flags, pc := w.U32(), w.U32(); w.Err == nil {
 			return h.Run(kernel.RunFlags{
 				ClearSig:   flags&RunClearSig != 0,
 				ClearFault: flags&RunClearFault != 0,
@@ -103,200 +104,200 @@ func (h *fileHandle) runOneCtl(w *wire) error {
 			})
 		}
 	case PCSTRACE:
-		if s := w.sigSet(); w.err == nil {
+		if s := GetSigSet(w); w.Err == nil {
 			return h.SetSigTrace(s)
 		}
 	case PCSFAULT:
-		if s := w.fltSet(); w.err == nil {
+		if s := GetFltSet(w); w.Err == nil {
 			return h.SetFaultTrace(s)
 		}
 	case PCSENTRY:
-		if s := w.sysSet(); w.err == nil {
+		if s := GetSysSet(w); w.Err == nil {
 			return h.SetEntryTrace(s)
 		}
 	case PCSEXIT:
-		if s := w.sysSet(); w.err == nil {
+		if s := GetSysSet(w); w.Err == nil {
 			return h.SetExitTrace(s)
 		}
 	case PCSSIG:
-		if sig := w.u32(); w.err == nil {
+		if sig := w.U32(); w.Err == nil {
 			return h.SetCurSig(int(sig))
 		}
 	case PCKILL:
-		if sig := w.u32(); w.err == nil {
+		if sig := w.U32(); w.Err == nil {
 			return h.Kill(int(sig))
 		}
 	case PCUNKILL:
-		if sig := w.u32(); w.err == nil {
+		if sig := w.U32(); w.Err == nil {
 			return h.UnKill(int(sig))
 		}
 	case PCSHOLD:
-		if s := w.sigSet(); w.err == nil {
+		if s := GetSigSet(w); w.Err == nil {
 			return h.SetHold(s)
 		}
 	case PCSREG:
-		if r := w.regs(); w.err == nil {
+		if r := GetRegs(w); w.Err == nil {
 			return h.SetRegs(r)
 		}
 	case PCWATCH:
-		if addr, length, mode := w.u32(), w.u32(), w.u32(); w.err == nil {
+		if addr, length, mode := w.U32(), w.U32(), w.U32(); w.Err == nil {
 			return h.Watch(addr, length, mem.Prot(mode))
 		}
 	case PCCWATCH:
-		if addr := w.u32(); w.err == nil {
+		if addr := w.U32(); w.Err == nil {
 			return h.ClearWatch(addr, addr == 0)
 		}
 	case PCSET, PCUNSET:
-		if flags := w.u32(); w.err == nil {
+		if flags := w.U32(); w.Err == nil {
 			return h.SetMode(int(flags), code == PCSET)
 		}
 	case PCNICE:
-		if incr := w.i32(); w.err == nil {
+		if incr := w.I32(); w.Err == nil {
 			return h.Nice(int(incr))
 		}
 	case PCCFAULT:
 		return h.ClearFault()
 	case PCTRACE:
-		if capacity := w.u32(); w.err == nil {
+		if capacity := w.U32(); w.Err == nil {
 			return h.SetKTrace(int(capacity))
 		}
 	default:
 		return vfs.ErrInval
 	}
-	return w.err
+	return w.Err
 }
 
 // CtlBuf builds a batch of control messages client-side; its Bytes are
 // written to a ctl file in one write(2).
-type CtlBuf struct{ w wire }
+type CtlBuf struct{ w wire.Cursor }
 
 // Bytes returns the encoded batch.
-func (c *CtlBuf) Bytes() []byte { return c.w.b }
+func (c *CtlBuf) Bytes() []byte { return c.w.B }
 
 // Stop appends PCSTOP.
-func (c *CtlBuf) Stop() *CtlBuf { c.w.putU32(PCSTOP); return c }
+func (c *CtlBuf) Stop() *CtlBuf { c.w.PutU32(PCSTOP); return c }
 
 // DStop appends PCDSTOP.
-func (c *CtlBuf) DStop() *CtlBuf { c.w.putU32(PCDSTOP); return c }
+func (c *CtlBuf) DStop() *CtlBuf { c.w.PutU32(PCDSTOP); return c }
 
 // WStop appends PCWSTOP.
-func (c *CtlBuf) WStop() *CtlBuf { c.w.putU32(PCWSTOP); return c }
+func (c *CtlBuf) WStop() *CtlBuf { c.w.PutU32(PCWSTOP); return c }
 
 // Run appends PCRUN.
 func (c *CtlBuf) Run(flags uint32, pc uint32) *CtlBuf {
-	c.w.putU32(PCRUN)
-	c.w.putU32(flags)
-	c.w.putU32(pc)
+	c.w.PutU32(PCRUN)
+	c.w.PutU32(flags)
+	c.w.PutU32(pc)
 	return c
 }
 
 // STrace appends PCSTRACE.
 func (c *CtlBuf) STrace(s types.SigSet) *CtlBuf {
-	c.w.putU32(PCSTRACE)
-	c.w.putSigSet(s)
+	c.w.PutU32(PCSTRACE)
+	PutSigSet(&c.w, s)
 	return c
 }
 
 // SFault appends PCSFAULT.
 func (c *CtlBuf) SFault(s types.FltSet) *CtlBuf {
-	c.w.putU32(PCSFAULT)
-	c.w.putFltSet(s)
+	c.w.PutU32(PCSFAULT)
+	PutFltSet(&c.w, s)
 	return c
 }
 
 // SEntry appends PCSENTRY.
 func (c *CtlBuf) SEntry(s types.SysSet) *CtlBuf {
-	c.w.putU32(PCSENTRY)
-	c.w.putSysSet(s)
+	c.w.PutU32(PCSENTRY)
+	PutSysSet(&c.w, s)
 	return c
 }
 
 // SExit appends PCSEXIT.
 func (c *CtlBuf) SExit(s types.SysSet) *CtlBuf {
-	c.w.putU32(PCSEXIT)
-	c.w.putSysSet(s)
+	c.w.PutU32(PCSEXIT)
+	PutSysSet(&c.w, s)
 	return c
 }
 
 // SSig appends PCSSIG.
 func (c *CtlBuf) SSig(sig int) *CtlBuf {
-	c.w.putU32(PCSSIG)
-	c.w.putU32(uint32(sig))
+	c.w.PutU32(PCSSIG)
+	c.w.PutU32(uint32(sig))
 	return c
 }
 
 // Kill appends PCKILL.
 func (c *CtlBuf) Kill(sig int) *CtlBuf {
-	c.w.putU32(PCKILL)
-	c.w.putU32(uint32(sig))
+	c.w.PutU32(PCKILL)
+	c.w.PutU32(uint32(sig))
 	return c
 }
 
 // UnKill appends PCUNKILL.
 func (c *CtlBuf) UnKill(sig int) *CtlBuf {
-	c.w.putU32(PCUNKILL)
-	c.w.putU32(uint32(sig))
+	c.w.PutU32(PCUNKILL)
+	c.w.PutU32(uint32(sig))
 	return c
 }
 
 // SHold appends PCSHOLD.
 func (c *CtlBuf) SHold(s types.SigSet) *CtlBuf {
-	c.w.putU32(PCSHOLD)
-	c.w.putSigSet(s)
+	c.w.PutU32(PCSHOLD)
+	PutSigSet(&c.w, s)
 	return c
 }
 
 // SReg appends PCSREG.
 func (c *CtlBuf) SReg(r vcpu.Regs) *CtlBuf {
-	c.w.putU32(PCSREG)
-	c.w.putRegs(r)
+	c.w.PutU32(PCSREG)
+	PutRegs(&c.w, r)
 	return c
 }
 
 // Watch appends PCWATCH.
 func (c *CtlBuf) Watch(addr, length, mode uint32) *CtlBuf {
-	c.w.putU32(PCWATCH)
-	c.w.putU32(addr)
-	c.w.putU32(length)
-	c.w.putU32(mode)
+	c.w.PutU32(PCWATCH)
+	c.w.PutU32(addr)
+	c.w.PutU32(length)
+	c.w.PutU32(mode)
 	return c
 }
 
 // CWatch appends PCCWATCH.
 func (c *CtlBuf) CWatch(addr uint32) *CtlBuf {
-	c.w.putU32(PCCWATCH)
-	c.w.putU32(addr)
+	c.w.PutU32(PCCWATCH)
+	c.w.PutU32(addr)
 	return c
 }
 
 // Set appends PCSET.
 func (c *CtlBuf) Set(flags uint32) *CtlBuf {
-	c.w.putU32(PCSET)
-	c.w.putU32(flags)
+	c.w.PutU32(PCSET)
+	c.w.PutU32(flags)
 	return c
 }
 
 // Unset appends PCUNSET.
 func (c *CtlBuf) Unset(flags uint32) *CtlBuf {
-	c.w.putU32(PCUNSET)
-	c.w.putU32(flags)
+	c.w.PutU32(PCUNSET)
+	c.w.PutU32(flags)
 	return c
 }
 
 // Nice appends PCNICE.
 func (c *CtlBuf) Nice(incr int) *CtlBuf {
-	c.w.putU32(PCNICE)
-	c.w.putI32(int32(incr))
+	c.w.PutU32(PCNICE)
+	c.w.PutU32(uint32(incr))
 	return c
 }
 
 // CFault appends PCCFAULT.
-func (c *CtlBuf) CFault() *CtlBuf { c.w.putU32(PCCFAULT); return c }
+func (c *CtlBuf) CFault() *CtlBuf { c.w.PutU32(PCCFAULT); return c }
 
 // Trace appends PCTRACE: enable (or resize) per-process event tracing with
 // a ring of capacity events; 0 disables.
 func (c *CtlBuf) Trace(capacity int) *CtlBuf {
-	c.w.putU32(PCTRACE)
-	c.w.putU32(uint32(capacity))
+	c.w.PutU32(PCTRACE)
+	c.w.PutU32(uint32(capacity))
 	return c
 }

@@ -14,227 +14,167 @@
 package procfs2
 
 import (
-	"encoding/binary"
-	"errors"
 	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/procfs"
 	"repro/internal/types"
 	"repro/internal/vcpu"
+	"repro/internal/wire"
 )
 
-// wire is a little-endian-free (big-endian) append/consume codec.
-type wire struct {
-	b   []byte
-	off int
-	err error
+// The operand encodings below are shared by the ctl messages and the RFS
+// ioctl codecs: a signal or fault set is two u64 words, a system call set
+// eight, and a register set the eight general registers, PC, SP and PSW.
+
+// PutSigSet appends a signal set.
+func PutSigSet(w *wire.Cursor, s types.SigSet) {
+	w.PutU64(s[0])
+	w.PutU64(s[1])
 }
 
-func (w *wire) putU32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wire) putU64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *wire) putI32(v int32)  { w.putU32(uint32(v)) }
-func (w *wire) putStr(s string) {
-	w.putU32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
+// GetSigSet reads a signal set.
+func GetSigSet(w *wire.Cursor) types.SigSet { return types.SigSet{w.U64(), w.U64()} }
 
-// errShortWire reports a truncated buffer.
-var errShortWire = errors.New("procfs2: truncated message")
+// PutFltSet appends a fault set.
+func PutFltSet(w *wire.Cursor, s types.FltSet) { PutSigSet(w, types.SigSet(s)) }
 
-func (w *wire) u32() uint32 {
-	if w.err != nil {
-		return 0
-	}
-	if w.off+4 > len(w.b) {
-		w.err = errShortWire
-		return 0
-	}
-	v := binary.BigEndian.Uint32(w.b[w.off:])
-	w.off += 4
-	return v
-}
+// GetFltSet reads a fault set.
+func GetFltSet(w *wire.Cursor) types.FltSet { return types.FltSet(GetSigSet(w)) }
 
-func (w *wire) u64() uint64 {
-	if w.err != nil {
-		return 0
-	}
-	if w.off+8 > len(w.b) {
-		w.err = errShortWire
-		return 0
-	}
-	v := binary.BigEndian.Uint64(w.b[w.off:])
-	w.off += 8
-	return v
-}
-
-func (w *wire) i32() int32 { return int32(w.u32()) }
-
-func (w *wire) str() string { return w.strAs("") }
-
-// strAs decodes a string into a field that may already hold it: an equal
-// string is kept, not allocated again. A snapshot decoded into a reused
-// record table mostly finds each record's names unchanged.
-func (w *wire) strAs(old string) string {
-	n := int(w.u32())
-	if w.err != nil {
-		return ""
-	}
-	if n < 0 || w.off+n > len(w.b) {
-		w.err = errShortWire
-		return ""
-	}
-	b := w.b[w.off : w.off+n]
-	w.off += n
-	if string(b) == old {
-		return old
-	}
-	return string(b)
-}
-
-func (w *wire) putSigSet(s types.SigSet) {
-	w.putU64(s[0])
-	w.putU64(s[1])
-}
-
-func (w *wire) sigSet() types.SigSet { return types.SigSet{w.u64(), w.u64()} }
-
-func (w *wire) putFltSet(s types.FltSet) {
-	w.putU64(s[0])
-	w.putU64(s[1])
-}
-
-func (w *wire) fltSet() types.FltSet { return types.FltSet{w.u64(), w.u64()} }
-
-func (w *wire) putSysSet(s types.SysSet) {
+// PutSysSet appends a system call set.
+func PutSysSet(w *wire.Cursor, s types.SysSet) {
 	for _, v := range s {
-		w.putU64(v)
+		w.PutU64(v)
 	}
 }
 
-func (w *wire) sysSet() types.SysSet {
+// GetSysSet reads a system call set.
+func GetSysSet(w *wire.Cursor) types.SysSet {
 	var s types.SysSet
 	for i := range s {
-		s[i] = w.u64()
+		s[i] = w.U64()
 	}
 	return s
 }
 
-func (w *wire) putRegs(r vcpu.Regs) {
+// PutRegs appends a register set.
+func PutRegs(w *wire.Cursor, r vcpu.Regs) {
 	for _, v := range r.R {
-		w.putU32(v)
+		w.PutU32(v)
 	}
-	w.putU32(r.PC)
-	w.putU32(r.SP)
-	w.putU32(r.PSW)
+	w.PutU32(r.PC)
+	w.PutU32(r.SP)
+	w.PutU32(r.PSW)
 }
 
-func (w *wire) regs() vcpu.Regs {
+// GetRegs reads a register set.
+func GetRegs(w *wire.Cursor) vcpu.Regs {
 	var r vcpu.Regs
 	for i := range r.R {
-		r.R[i] = w.u32()
+		r.R[i] = w.U32()
 	}
-	r.PC = w.u32()
-	r.SP = w.u32()
-	r.PSW = w.u32()
+	r.PC = w.U32()
+	r.SP = w.U32()
+	r.PSW = w.U32()
 	return r
 }
 
 // EncodeStatus serializes a ProcStatus for the status/lwpstatus files.
 func EncodeStatus(st kernel.ProcStatus) []byte {
-	w := &wire{}
-	w.putI32(int32(st.Flags))
-	w.putI32(int32(st.Why))
-	w.putI32(int32(st.What))
-	w.putI32(int32(st.CurSig))
-	w.putI32(int32(st.Pid))
-	w.putI32(int32(st.PPid))
-	w.putI32(int32(st.Pgrp))
-	w.putI32(int32(st.Sid))
-	w.putI32(int32(st.LWPID))
-	w.putI32(int32(st.NLWP))
-	w.putSigSet(st.SigPend)
-	w.putSigSet(st.SigHold)
-	w.putRegs(st.Reg)
-	w.putI32(int32(st.Syscall))
+	w := &wire.Cursor{}
+	w.PutU32(uint32(st.Flags))
+	w.PutU32(uint32(st.Why))
+	w.PutU32(uint32(st.What))
+	w.PutU32(uint32(st.CurSig))
+	w.PutU32(uint32(st.Pid))
+	w.PutU32(uint32(st.PPid))
+	w.PutU32(uint32(st.Pgrp))
+	w.PutU32(uint32(st.Sid))
+	w.PutU32(uint32(st.LWPID))
+	w.PutU32(uint32(st.NLWP))
+	PutSigSet(w, st.SigPend)
+	PutSigSet(w, st.SigHold)
+	PutRegs(w, st.Reg)
+	w.PutU32(uint32(st.Syscall))
 	for _, a := range st.SysArgs {
-		w.putU32(a)
+		w.PutU32(a)
 	}
-	w.putU64(st.Instret)
-	w.putU64(uint64(st.UTime))
-	w.putU64(uint64(st.STime))
-	w.putU32(st.BrkBase)
-	w.putU32(st.BrkSize)
-	w.putU32(st.StkBase)
-	w.putU32(st.StkSize)
-	w.putU64(uint64(st.VSize))
-	return w.b
+	w.PutU64(st.Instret)
+	w.PutU64(uint64(st.UTime))
+	w.PutU64(uint64(st.STime))
+	w.PutU32(st.BrkBase)
+	w.PutU32(st.BrkSize)
+	w.PutU32(st.StkBase)
+	w.PutU32(st.StkSize)
+	w.PutU64(uint64(st.VSize))
+	return w.B
 }
 
 // DecodeStatus parses the status file contents.
 func DecodeStatus(b []byte) (kernel.ProcStatus, error) {
-	w := &wire{b: b}
+	w := &wire.Cursor{B: b}
 	var st kernel.ProcStatus
-	st.Flags = int(w.i32())
-	st.Why = kernel.StopWhy(w.i32())
-	st.What = int(w.i32())
-	st.CurSig = int(w.i32())
-	st.Pid = int(w.i32())
-	st.PPid = int(w.i32())
-	st.Pgrp = int(w.i32())
-	st.Sid = int(w.i32())
-	st.LWPID = int(w.i32())
-	st.NLWP = int(w.i32())
-	st.SigPend = w.sigSet()
-	st.SigHold = w.sigSet()
-	st.Reg = w.regs()
-	st.Syscall = int(w.i32())
+	st.Flags = int(w.I32())
+	st.Why = kernel.StopWhy(w.I32())
+	st.What = int(w.I32())
+	st.CurSig = int(w.I32())
+	st.Pid = int(w.I32())
+	st.PPid = int(w.I32())
+	st.Pgrp = int(w.I32())
+	st.Sid = int(w.I32())
+	st.LWPID = int(w.I32())
+	st.NLWP = int(w.I32())
+	st.SigPend = GetSigSet(w)
+	st.SigHold = GetSigSet(w)
+	st.Reg = GetRegs(w)
+	st.Syscall = int(w.I32())
 	for i := range st.SysArgs {
-		st.SysArgs[i] = w.u32()
+		st.SysArgs[i] = w.U32()
 	}
-	st.Instret = w.u64()
-	st.UTime = int64(w.u64())
-	st.STime = int64(w.u64())
-	st.BrkBase = w.u32()
-	st.BrkSize = w.u32()
-	st.StkBase = w.u32()
-	st.StkSize = w.u32()
-	st.VSize = int64(w.u64())
-	return st, w.err
+	st.Instret = w.U64()
+	st.UTime = w.I64()
+	st.STime = w.I64()
+	st.BrkBase = w.U32()
+	st.BrkSize = w.U32()
+	st.StkBase = w.U32()
+	st.StkSize = w.U32()
+	st.VSize = w.I64()
+	return st, w.Err
 }
 
-func (w *wire) putPSInfo(info *kernel.PSInfo) {
-	w.putI32(int32(info.Pid))
-	w.putI32(int32(info.PPid))
-	w.putI32(int32(info.Pgrp))
-	w.putI32(int32(info.Sid))
-	w.putI32(int32(info.UID))
-	w.putI32(int32(info.GID))
-	w.putU32(uint32(info.State))
-	w.putI32(int32(info.Nice))
-	w.putU64(uint64(info.VSize))
-	w.putU64(uint64(info.Time))
-	w.putU64(uint64(info.Start))
-	w.putI32(int32(info.NLWP))
-	w.putStr(info.Comm)
-	w.putStr(info.Args)
+func putPSInfo(w *wire.Cursor, info *kernel.PSInfo) {
+	w.PutU32(uint32(info.Pid))
+	w.PutU32(uint32(info.PPid))
+	w.PutU32(uint32(info.Pgrp))
+	w.PutU32(uint32(info.Sid))
+	w.PutU32(uint32(info.UID))
+	w.PutU32(uint32(info.GID))
+	w.PutU32(uint32(info.State))
+	w.PutU32(uint32(info.Nice))
+	w.PutU64(uint64(info.VSize))
+	w.PutU64(uint64(info.Time))
+	w.PutU64(uint64(info.Start))
+	w.PutU32(uint32(info.NLWP))
+	w.PutStr(info.Comm)
+	w.PutStr(info.Args)
 }
 
-func (w *wire) psInfo(info *kernel.PSInfo) {
-	info.Pid = int(w.i32())
-	info.PPid = int(w.i32())
-	info.Pgrp = int(w.i32())
-	info.Sid = int(w.i32())
-	info.UID = int(w.i32())
-	info.GID = int(w.i32())
-	info.State = byte(w.u32())
-	info.Nice = int(w.i32())
-	info.VSize = int64(w.u64())
-	info.Time = int64(w.u64())
-	info.Start = int64(w.u64())
-	info.NLWP = int(w.i32())
-	info.Comm = w.strAs(info.Comm)
-	info.Args = w.strAs(info.Args)
+func psInfo(w *wire.Cursor, info *kernel.PSInfo) {
+	info.Pid = int(w.I32())
+	info.PPid = int(w.I32())
+	info.Pgrp = int(w.I32())
+	info.Sid = int(w.I32())
+	info.UID = int(w.I32())
+	info.GID = int(w.I32())
+	info.State = byte(w.U32())
+	info.Nice = int(w.I32())
+	info.VSize = w.I64()
+	info.Time = w.I64()
+	info.Start = w.I64()
+	info.NLWP = int(w.I32())
+	info.Comm = w.StrAs(info.Comm)
+	info.Args = w.StrAs(info.Args)
 }
 
 // psInfoFixed is the encoded size of a psinfo record with empty strings:
@@ -243,17 +183,17 @@ const psInfoFixed = 9*4 + 3*8 + 2*4
 
 // EncodePSInfo serializes a PSInfo for the psinfo file.
 func EncodePSInfo(info kernel.PSInfo) []byte {
-	w := &wire{}
-	w.putPSInfo(&info)
-	return w.b
+	w := &wire.Cursor{}
+	putPSInfo(w, &info)
+	return w.B
 }
 
 // DecodePSInfo parses the psinfo file contents.
 func DecodePSInfo(b []byte) (kernel.PSInfo, error) {
-	w := &wire{b: b}
+	w := &wire.Cursor{B: b}
 	var info kernel.PSInfo
-	w.psInfo(&info)
-	return info, w.err
+	psInfo(w, &info)
+	return info, w.Err
 }
 
 // MapEntry is one mapping in the map file.
@@ -269,22 +209,22 @@ type MapEntry struct {
 
 // EncodeMap serializes the memory map.
 func EncodeMap(entries []MapEntry) []byte {
-	w := &wire{}
-	w.putU32(uint32(len(entries)))
+	w := &wire.Cursor{}
+	w.PutU32(uint32(len(entries)))
 	for _, e := range entries {
-		w.putU32(e.Vaddr)
-		w.putU32(e.Size)
-		w.putU64(uint64(e.Off))
-		w.putU32(e.Prot)
+		w.PutU32(e.Vaddr)
+		w.PutU32(e.Size)
+		w.PutU64(uint64(e.Off))
+		w.PutU32(e.Prot)
 		if e.Shared {
-			w.putU32(1)
+			w.PutU32(1)
 		} else {
-			w.putU32(0)
+			w.PutU32(0)
 		}
-		w.putI32(e.Kind)
-		w.putStr(e.Name)
+		w.PutU32(uint32(e.Kind))
+		w.PutStr(e.Name)
 	}
-	return w.b
+	return w.B
 }
 
 // mapEntryFixed is the encoded size of a map entry with an empty name:
@@ -293,88 +233,84 @@ const mapEntryFixed = 6*4 + 8
 
 // DecodeMap parses the map file contents.
 func DecodeMap(b []byte) ([]MapEntry, error) {
-	w := &wire{b: b}
-	n := int(w.u32())
-	if w.err != nil {
-		return nil, w.err
-	}
-	// The count is untrusted: one the remaining bytes cannot hold is
-	// rejected before the entries are allocated.
-	if n < 0 || n > (len(b)-w.off)/mapEntryFixed {
-		return nil, errors.New("procfs2: unreasonable map size")
+	w := &wire.Cursor{B: b}
+	n := w.Count(mapEntryFixed)
+	if w.Err != nil {
+		return nil, w.Err
 	}
 	out := make([]MapEntry, 0, n)
-	for i := 0; i < n && w.err == nil; i++ {
+	for i := 0; i < n && w.Err == nil; i++ {
 		var e MapEntry
-		e.Vaddr = w.u32()
-		e.Size = w.u32()
-		e.Off = int64(w.u64())
-		e.Prot = w.u32()
-		e.Shared = w.u32() != 0
-		e.Kind = w.i32()
-		e.Name = w.str()
+		e.Vaddr = w.U32()
+		e.Size = w.U32()
+		e.Off = w.I64()
+		e.Prot = w.U32()
+		e.Shared = w.U32() != 0
+		e.Kind = w.I32()
+		e.Name = w.Str()
 		out = append(out, e)
 	}
-	return out, w.err
+	return out, w.Err
 }
 
 // EncodeCred serializes credentials for the cred file.
 func EncodeCred(c types.Cred) []byte {
-	w := &wire{}
-	w.putI32(int32(c.RUID))
-	w.putI32(int32(c.EUID))
-	w.putI32(int32(c.SUID))
-	w.putI32(int32(c.RGID))
-	w.putI32(int32(c.EGID))
-	w.putI32(int32(c.SGID))
-	w.putU32(uint32(len(c.Groups)))
+	w := &wire.Cursor{}
+	w.PutU32(uint32(c.RUID))
+	w.PutU32(uint32(c.EUID))
+	w.PutU32(uint32(c.SUID))
+	w.PutU32(uint32(c.RGID))
+	w.PutU32(uint32(c.EGID))
+	w.PutU32(uint32(c.SGID))
+	w.PutU32(uint32(len(c.Groups)))
 	for _, g := range c.Groups {
-		w.putI32(int32(g))
+		w.PutU32(uint32(g))
 	}
-	return w.b
+	return w.B
 }
 
 // DecodeCred parses the cred file contents.
 func DecodeCred(b []byte) (types.Cred, error) {
-	w := &wire{b: b}
+	w := &wire.Cursor{B: b}
 	var c types.Cred
-	c.RUID = int(w.i32())
-	c.EUID = int(w.i32())
-	c.SUID = int(w.i32())
-	c.RGID = int(w.i32())
-	c.EGID = int(w.i32())
-	c.SGID = int(w.i32())
-	n := int(w.u32())
-	for i := 0; i < n && w.err == nil && i < 256; i++ {
-		c.Groups = append(c.Groups, int(w.i32()))
+	c.RUID = int(w.I32())
+	c.EUID = int(w.I32())
+	c.SUID = int(w.I32())
+	c.RGID = int(w.I32())
+	c.EGID = int(w.I32())
+	c.SGID = int(w.I32())
+	// At most 256 groups are kept; the rest of a longer list is ignored.
+	n := min(w.Count(4), 256)
+	for i := 0; i < n; i++ {
+		c.Groups = append(c.Groups, int(w.I32()))
 	}
-	return c, w.err
+	return c, w.Err
 }
 
 // EncodeUsage serializes resource usage for the usage file.
 func EncodeUsage(u procfs.PrUsage) []byte {
-	w := &wire{}
-	w.putUsage(&u)
-	return w.b
+	w := &wire.Cursor{}
+	putUsage(w, &u)
+	return w.B
 }
 
-func (w *wire) putUsage(u *procfs.PrUsage) {
+func putUsage(w *wire.Cursor, u *procfs.PrUsage) {
 	for _, v := range [...]int64{
 		u.UserTicks, u.SysTicks, u.Syscalls, u.Faults, u.Signals,
 		u.ForkedKids, u.VolCtx, u.InvolCtx,
 		u.MinorFaults, u.COWFaults, u.WatchRecover, u.StackGrows,
 	} {
-		w.putU64(uint64(v))
+		w.PutU64(uint64(v))
 	}
 }
 
-func (w *wire) usage(u *procfs.PrUsage) {
+func usage(w *wire.Cursor, u *procfs.PrUsage) {
 	for _, f := range [...]*int64{
 		&u.UserTicks, &u.SysTicks, &u.Syscalls, &u.Faults, &u.Signals,
 		&u.ForkedKids, &u.VolCtx, &u.InvolCtx,
 		&u.MinorFaults, &u.COWFaults, &u.WatchRecover, &u.StackGrows,
 	} {
-		*f = int64(w.u64())
+		*f = w.I64()
 	}
 }
 
@@ -383,10 +319,10 @@ const usageSize = 12 * 8
 
 // DecodeUsage parses the usage file contents.
 func DecodeUsage(b []byte) (procfs.PrUsage, error) {
-	w := &wire{b: b}
+	w := &wire.Cursor{B: b}
 	var u procfs.PrUsage
-	w.usage(&u)
-	return u, w.err
+	usage(w, &u)
+	return u, w.Err
 }
 
 // snapHeader is the encoded size of a snapshot's revision, churn flag and
@@ -406,19 +342,19 @@ func AppendSnap(dst []byte, sn *procfs.PrSnap) []byte {
 	for i := range sn.Procs {
 		size += len(sn.Procs[i].Info.Comm) + len(sn.Procs[i].Info.Args)
 	}
-	w := wire{b: slices.Grow(dst, size)}
-	w.putU64(sn.Rev)
+	w := wire.Cursor{B: slices.Grow(dst, size)}
+	w.PutU64(sn.Rev)
 	if sn.Churned {
-		w.putU32(1)
+		w.PutU32(1)
 	} else {
-		w.putU32(0)
+		w.PutU32(0)
 	}
-	w.putU32(uint32(len(sn.Procs)))
+	w.PutU32(uint32(len(sn.Procs)))
 	for i := range sn.Procs {
-		w.putPSInfo(&sn.Procs[i].Info)
-		w.putUsage(&sn.Procs[i].Usage)
+		putPSInfo(&w, &sn.Procs[i].Info)
+		putUsage(&w, &sn.Procs[i].Usage)
 	}
-	return w.b
+	return w.B
 }
 
 // DecodeSnapInto parses an encoded snapshot into sn's outputs (Rev,
@@ -427,16 +363,13 @@ func AppendSnap(dst []byte, sn *procfs.PrSnap) []byte {
 // cannot hold is rejected before anything is allocated. On error sn.Procs
 // is left empty.
 func DecodeSnapInto(b []byte, sn *procfs.PrSnap) error {
-	w := wire{b: b}
-	rev := w.u64()
-	churned := w.u32() != 0
-	n := int(w.u32())
+	w := wire.Cursor{B: b}
+	rev := w.U64()
+	churned := w.U32() != 0
+	n := w.Count(minSnapRec)
 	sn.Procs = sn.Procs[:0]
-	if w.err != nil {
-		return w.err
-	}
-	if n < 0 || n > (len(b)-w.off)/minSnapRec {
-		return errShortWire
+	if w.Err != nil {
+		return w.Err
 	}
 	if cap(sn.Procs) < n {
 		sn.Procs = make([]procfs.PrSnapRec, n)
@@ -444,12 +377,12 @@ func DecodeSnapInto(b []byte, sn *procfs.PrSnap) error {
 		sn.Procs = sn.Procs[:n]
 	}
 	for i := range sn.Procs {
-		w.psInfo(&sn.Procs[i].Info)
-		w.usage(&sn.Procs[i].Usage)
+		psInfo(&w, &sn.Procs[i].Info)
+		usage(&w, &sn.Procs[i].Usage)
 	}
-	if w.err != nil {
+	if w.Err != nil {
 		sn.Procs = sn.Procs[:0]
-		return w.err
+		return w.Err
 	}
 	sn.Rev, sn.Churned = rev, churned
 	return nil

@@ -17,12 +17,14 @@
 package replay
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 
 	"repro/internal/ktrace"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // Magic opens every artifact file.
@@ -109,164 +111,100 @@ const (
 	secFinal  = 4
 )
 
-// Codec errors.
+// Codec errors. ErrTruncated is the codec's truncation error, under the
+// name this package has always returned.
 var (
 	ErrBadMagic  = errors.New("replay: not a replay artifact (bad magic)")
-	ErrTruncated = errors.New("replay: truncated artifact")
+	ErrTruncated = wire.ErrShort
 )
-
-// wbuf is the artifact writer: append-only big-endian primitives.
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *wbuf) u16(v uint16) { w.b = append(w.b, byte(v>>8), byte(v)) }
-func (w *wbuf) u32(v uint32) {
-	w.b = append(w.b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func (w *wbuf) u64(v uint64) { w.u32(uint32(v >> 32)); w.u32(uint32(v)) }
-func (w *wbuf) i32(v int)    { w.u32(uint32(int32(v))) }
-func (w *wbuf) i64(v int64)  { w.u64(uint64(v)) }
-func (w *wbuf) bytes(p []byte) {
-	w.u32(uint32(len(p)))
-	w.b = append(w.b, p...)
-}
-func (w *wbuf) str(s string) { w.bytes([]byte(s)) }
-func (w *wbuf) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-// rbuf is the artifact reader: sequential big-endian primitives with sticky
-// error handling, so decoders read straight through and check once.
-type rbuf struct {
-	b   []byte
-	err error
-}
-
-func (r *rbuf) fail() {
-	if r.err == nil {
-		r.err = ErrTruncated
-	}
-}
-func (r *rbuf) u8() uint8 {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-func (r *rbuf) u16() uint16 {
-	if r.err != nil || len(r.b) < 2 {
-		r.fail()
-		return 0
-	}
-	v := uint16(r.b[0])<<8 | uint16(r.b[1])
-	r.b = r.b[2:]
-	return v
-}
-func (r *rbuf) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := uint32(r.b[0])<<24 | uint32(r.b[1])<<16 | uint32(r.b[2])<<8 | uint32(r.b[3])
-	r.b = r.b[4:]
-	return v
-}
-func (r *rbuf) u64() uint64 { return uint64(r.u32())<<32 | uint64(r.u32()) }
-func (r *rbuf) i32() int    { return int(int32(r.u32())) }
-func (r *rbuf) i64() int64  { return int64(r.u64()) }
-func (r *rbuf) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return v
-}
-func (r *rbuf) str() string { return string(r.bytes()) }
-func (r *rbuf) bool() bool  { return r.u8() != 0 }
 
 // Marshal serializes the artifact.
 func (a *Artifact) Marshal() []byte {
-	w := &wbuf{}
-	w.b = append(w.b, Magic...)
-	w.u32(Version)
+	w := &wire.Cursor{}
+	w.B = append(w.B, Magic...)
+	w.PutU32(Version)
 
-	section(w, secHeader, func(w *wbuf) {
-		w.i32(a.PageSize)
-		w.i32(a.Quantum)
-		w.i32(a.KTCap)
-		w.bool(a.NoInit)
-		w.i64(a.StartClock)
-		w.u64(a.Steps)
+	section(w, secHeader, func(w *wire.Cursor) {
+		w.PutU32(uint32(a.PageSize))
+		w.PutU32(uint32(a.Quantum))
+		w.PutU32(uint32(a.KTCap))
+		putBool(w, a.NoInit)
+		w.PutU64(uint64(a.StartClock))
+		w.PutU64(a.Steps)
 	})
-	section(w, secOps, func(w *wbuf) {
-		w.u32(uint32(len(a.Ops)))
+	section(w, secOps, func(w *wire.Cursor) {
+		w.PutU32(uint32(len(a.Ops)))
 		for i := range a.Ops {
 			op := &a.Ops[i]
-			w.u64(op.Step)
-			w.u8(uint8(op.Kind))
-			w.str(op.Path)
-			w.bytes(op.Data)
-			w.bytes(op.Resp)
-			w.u32(uint32(len(op.Args)))
+			w.PutU64(op.Step)
+			w.PutU8(uint8(op.Kind))
+			w.PutStr(op.Path)
+			w.PutBytes(op.Data)
+			w.PutBytes(op.Resp)
+			w.PutU32(uint32(len(op.Args)))
 			for _, s := range op.Args {
-				w.str(s)
+				w.PutStr(s)
 			}
-			w.u16(op.Mode)
-			w.i32(op.UID)
-			w.i32(op.GID)
+			w.PutU16(op.Mode)
+			w.PutU32(uint32(op.UID))
+			w.PutU32(uint32(op.GID))
 			encodeCred(w, op.Cred)
-			w.i32(op.Pid)
+			w.PutU32(uint32(op.Pid))
 		}
 	})
-	section(w, secEvents, func(w *wbuf) {
-		w.u64(uint64(len(a.Events)))
+	section(w, secEvents, func(w *wire.Cursor) {
+		w.PutU64(uint64(len(a.Events)))
 		for i, e := range a.Events {
-			w.u64(a.EvSteps[i])
-			w.b = ktrace.AppendEncode(w.b, e)
+			w.PutU64(a.EvSteps[i])
+			w.B = ktrace.AppendEncode(w.B, e)
 		}
 	})
-	section(w, secFinal, func(w *wbuf) {
-		w.u64(a.Stats.Emitted)
-		w.u64(a.Stats.Dropped)
+	section(w, secFinal, func(w *wire.Cursor) {
+		w.PutU64(a.Stats.Emitted)
+		w.PutU64(a.Stats.Dropped)
 		var nz uint32
 		for _, c := range a.Stats.PerSys {
 			if c != 0 {
 				nz++
 			}
 		}
-		w.u32(nz)
+		w.PutU32(nz)
 		for sys, c := range a.Stats.PerSys {
 			if c != 0 {
-				w.u32(uint32(sys))
-				w.u64(c)
+				w.PutU32(uint32(sys))
+				w.PutU64(c)
 			}
 		}
-		w.bytes(a.Table)
+		w.PutBytes(a.Table)
 	})
-	return w.b
+	return w.B
+}
+
+func putBool(w *wire.Cursor, v bool) {
+	if v {
+		w.PutU8(1)
+	} else {
+		w.PutU8(0)
+	}
 }
 
 // section writes one tagged, length-prefixed section.
-func section(w *wbuf, tag uint32, body func(*wbuf)) {
-	w.u32(tag)
-	lenAt := len(w.b)
-	w.u64(0) // patched below
+func section(w *wire.Cursor, tag uint32, body func(*wire.Cursor)) {
+	w.PutU32(tag)
+	lenAt := len(w.B)
+	w.PutU64(0) // patched below
 	body(w)
-	n := uint64(len(w.b) - lenAt - 8)
-	for i := 0; i < 8; i++ {
-		w.b[lenAt+i] = byte(n >> (56 - 8*i))
-	}
+	binary.BigEndian.PutUint64(w.B[lenAt:], uint64(len(w.B)-lenAt-8))
 }
+
+// Minimum encoded sizes, for bounding untrusted counts: an op with empty
+// strings, no args and no groups; a recorded event and its step; a
+// histogram entry.
+const (
+	minOpSize = 8 + 1 + 3*4 + 4 + 2 + 2*4 + minCredSize + 4
+	evRecSize = 8 + ktrace.EventSize
+	histEnt   = 4 + 8
+)
 
 // Unmarshal parses an artifact, rejecting truncation, corruption and
 // version skew with distinct errors.
@@ -277,54 +215,47 @@ func Unmarshal(b []byte) (*Artifact, error) {
 	if string(b[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
 	}
-	r := &rbuf{b: b[len(Magic):]}
-	if v := r.u32(); v != Version {
+	r := &wire.Cursor{B: b, Off: len(Magic)}
+	if v := r.U32(); v != Version {
 		return nil, fmt.Errorf("replay: artifact version %d unsupported (this build reads version %d)", v, Version)
 	}
 	a := &Artifact{}
 	var haveHeader, haveOps, haveEvents, haveFinal bool
-	for len(r.b) > 0 && r.err == nil {
-		tag := r.u32()
-		n := r.u64()
-		if r.err != nil || n > uint64(len(r.b)) {
+	for r.Len() > 0 && r.Err == nil {
+		tag := r.U32()
+		n := r.U64()
+		if r.Err != nil || n > uint64(r.Len()) {
 			return nil, ErrTruncated
 		}
-		body := &rbuf{b: r.b[:n]}
-		r.b = r.b[n:]
+		body := &wire.Cursor{B: r.Next(int(n))}
 		switch tag {
 		case secHeader:
-			a.PageSize = body.i32()
-			a.Quantum = body.i32()
-			a.KTCap = body.i32()
-			a.NoInit = body.bool()
-			a.StartClock = body.i64()
-			a.Steps = body.u64()
+			a.PageSize = int(body.I32())
+			a.Quantum = int(body.I32())
+			a.KTCap = int(body.I32())
+			a.NoInit = body.U8() != 0
+			a.StartClock = body.I64()
+			a.Steps = body.U64()
 			haveHeader = true
 		case secOps:
-			cnt := int(body.u32())
-			if body.err == nil && cnt > len(body.b) {
-				return nil, fmt.Errorf("replay: corrupt artifact: %d ops in %d-byte section", cnt, len(body.b))
-			}
-			for i := 0; i < cnt && body.err == nil; i++ {
+			cnt := body.Count(minOpSize)
+			for i := 0; i < cnt && body.Err == nil; i++ {
 				var op Op
-				op.Step = body.u64()
-				op.Kind = OpKind(body.u8())
-				op.Path = body.str()
-				op.Data = body.bytes()
-				op.Resp = body.bytes()
-				na := int(body.u32())
-				if body.err == nil && na > len(body.b) {
-					return nil, fmt.Errorf("replay: corrupt artifact: %d spawn args in %d-byte section", na, len(body.b))
+				op.Step = body.U64()
+				op.Kind = OpKind(body.U8())
+				op.Path = body.Str()
+				op.Data = body.Bytes()
+				op.Resp = body.Bytes()
+				na := body.Count(4)
+				for j := 0; j < na; j++ {
+					op.Args = append(op.Args, body.Str())
 				}
-				for j := 0; j < na && body.err == nil; j++ {
-					op.Args = append(op.Args, body.str())
-				}
-				op.Mode = body.u16()
-				op.UID = body.i32()
-				op.GID = body.i32()
+				op.Mode = body.U16()
+				op.UID = int(body.I32())
+				op.GID = int(body.I32())
 				op.Cred = decodeCred(body)
-				op.Pid = body.i32()
-				if body.err == nil {
+				op.Pid = int(body.I32())
+				if body.Err == nil {
 					if _, ok := opNames[op.Kind]; !ok {
 						return nil, fmt.Errorf("replay: corrupt artifact: unknown op kind %d", uint8(op.Kind))
 					}
@@ -333,53 +264,43 @@ func Unmarshal(b []byte) (*Artifact, error) {
 			}
 			haveOps = true
 		case secEvents:
-			cnt := body.u64()
-			if body.err == nil && cnt > uint64(len(body.b))/(8+ktrace.EventSize) {
-				return nil, fmt.Errorf("replay: corrupt artifact: %d events in %d-byte section", cnt, len(body.b))
+			// The count is a u64 whose high word no section can hold.
+			if body.U32() != 0 {
+				return nil, ErrTruncated
 			}
-			for i := uint64(0); i < cnt && body.err == nil; i++ {
-				step := body.u64()
-				if body.err != nil || len(body.b) < ktrace.EventSize {
-					body.fail()
-					break
-				}
-				e, err := ktrace.DecodeEvent(body.b[:ktrace.EventSize])
+			cnt := body.Count(evRecSize)
+			for i := 0; i < cnt; i++ {
+				step := body.U64()
+				e, err := ktrace.DecodeEvent(body.Next(ktrace.EventSize))
 				if err != nil {
 					return nil, fmt.Errorf("replay: corrupt artifact: event %d: %v", i, err)
 				}
-				body.b = body.b[ktrace.EventSize:]
 				a.Events = append(a.Events, e)
 				a.EvSteps = append(a.EvSteps, step)
 			}
 			haveEvents = true
 		case secFinal:
-			a.Stats.Emitted = body.u64()
-			a.Stats.Dropped = body.u64()
-			nz := int(body.u32())
-			if body.err == nil && nz > len(body.b) {
-				return nil, fmt.Errorf("replay: corrupt artifact: %d histogram entries in %d-byte section", nz, len(body.b))
-			}
-			for i := 0; i < nz && body.err == nil; i++ {
-				sys := body.u32()
-				c := body.u64()
-				if body.err == nil {
-					if sys >= ktrace.MaxSysHist {
-						return nil, fmt.Errorf("replay: corrupt artifact: syscall %d out of histogram range", sys)
-					}
-					a.Stats.PerSys[sys] = c
+			a.Stats.Emitted = body.U64()
+			a.Stats.Dropped = body.U64()
+			nz := body.Count(histEnt)
+			for i := 0; i < nz; i++ {
+				sys := body.U32()
+				if sys >= ktrace.MaxSysHist {
+					return nil, fmt.Errorf("replay: corrupt artifact: syscall %d out of histogram range", sys)
 				}
+				a.Stats.PerSys[sys] = body.U64()
 			}
-			a.Table = body.bytes()
+			a.Table = body.Bytes()
 			haveFinal = true
 		default:
 			// An unknown section from a future minor revision: skip it.
 		}
-		if body.err != nil {
-			return nil, body.err
+		if body.Err != nil {
+			return nil, body.Err
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if !haveHeader || !haveOps || !haveEvents || !haveFinal {
 		return nil, fmt.Errorf("replay: incomplete artifact (header=%v ops=%v events=%v final=%v)",
@@ -391,31 +312,27 @@ func Unmarshal(b []byte) (*Artifact, error) {
 	return a, nil
 }
 
-func encodeCred(w *wbuf, c types.Cred) {
-	w.i32(c.RUID)
-	w.i32(c.EUID)
-	w.i32(c.SUID)
-	w.i32(c.RGID)
-	w.i32(c.EGID)
-	w.i32(c.SGID)
-	w.u32(uint32(len(c.Groups)))
+// minCredSize is the encoded size of a credential with no groups.
+const minCredSize = 6*4 + 4
+
+func encodeCred(w *wire.Cursor, c types.Cred) {
+	for _, id := range [...]int{c.RUID, c.EUID, c.SUID, c.RGID, c.EGID, c.SGID} {
+		w.PutU32(uint32(id))
+	}
+	w.PutU32(uint32(len(c.Groups)))
 	for _, g := range c.Groups {
-		w.i32(g)
+		w.PutU32(uint32(g))
 	}
 }
 
-func decodeCred(r *rbuf) types.Cred {
+func decodeCred(r *wire.Cursor) types.Cred {
 	c := types.Cred{
-		RUID: r.i32(), EUID: r.i32(), SUID: r.i32(),
-		RGID: r.i32(), EGID: r.i32(), SGID: r.i32(),
+		RUID: int(r.I32()), EUID: int(r.I32()), SUID: int(r.I32()),
+		RGID: int(r.I32()), EGID: int(r.I32()), SGID: int(r.I32()),
 	}
-	n := int(r.u32())
-	if r.err != nil || n > len(r.b) {
-		r.fail()
-		return c
-	}
+	n := r.Count(4)
 	for i := 0; i < n; i++ {
-		c.Groups = append(c.Groups, r.i32())
+		c.Groups = append(c.Groups, int(r.I32()))
 	}
 	return c
 }

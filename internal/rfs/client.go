@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/types"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Client is the remote side of an RFS mount: the same Open/Stat/ReadDir
@@ -28,34 +29,34 @@ func NewClient(t Transport, cred types.Cred) *Client {
 // Ops returns the number of protocol round trips made so far.
 func (c *Client) Ops() int64 { return c.ops.Load() }
 
-func (c *Client) call(op uint8, build func(*buf)) (*buf, error) {
+func (c *Client) call(op uint8, build func(*wire.Cursor)) (*wire.Cursor, error) {
 	c.ops.Add(1)
-	req := &buf{}
-	req.putU8(op)
-	req.putU32(uint32(c.Cred.RUID))
-	req.putU32(uint32(c.Cred.EUID))
-	req.putU32(uint32(c.Cred.RGID))
-	req.putU32(uint32(c.Cred.EGID))
+	req := &wire.Cursor{}
+	req.PutU8(op)
+	req.PutU32(uint32(c.Cred.RUID))
+	req.PutU32(uint32(c.Cred.EUID))
+	req.PutU32(uint32(c.Cred.RGID))
+	req.PutU32(uint32(c.Cred.EGID))
 	build(req)
 	var respB []byte
 	var err error
 	if it, ok := c.T.(IdemTransport); ok {
 		// Tell the transport which requests are safe to re-send after a
 		// deadline expiry; it decides the retry policy.
-		respB, err = it.RoundTripIdem(req.b, idempotentOp(op))
+		respB, err = it.RoundTripIdem(req.B, idempotentOp(op))
 	} else {
-		respB, err = c.T.RoundTrip(req.b)
+		respB, err = c.T.RoundTrip(req.B)
 	}
 	if err != nil {
 		return nil, err
 	}
-	resp := &buf{b: respB}
-	code := resp.u32()
-	msg := resp.str()
-	if resp.err == nil {
+	resp := &wire.Cursor{B: respB}
+	code := resp.U32()
+	msg := resp.Str()
+	if resp.Err == nil {
 		err = decodeErr(code, msg)
 	} else {
-		err = resp.err
+		err = resp.Err
 	}
 	if err != nil {
 		c.release(resp)
@@ -71,32 +72,32 @@ type recycler interface{ recycle(body []byte) }
 // release hands a decoded response back to a transport that recycles its
 // bodies. Every operation releases its response when it returns: decoding
 // copies what it keeps, and nothing may read resp afterwards.
-func (c *Client) release(resp *buf) {
+func (c *Client) release(resp *wire.Cursor) {
 	if r, ok := c.T.(recycler); ok {
-		r.recycle(resp.b)
+		r.recycle(resp.B)
 	}
 }
 
 // Open opens a remote path and returns a local *vfs.File whose handle
 // forwards I/O and control over the wire.
 func (c *Client) Open(path string, flags int) (*vfs.File, error) {
-	resp, err := c.call(opOpen, func(m *buf) {
-		m.putStr(path)
-		m.putU32(uint32(flags))
+	resp, err := c.call(opOpen, func(m *wire.Cursor) {
+		m.PutStr(path)
+		m.PutU32(uint32(flags))
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer c.release(resp)
-	fd := resp.u32()
-	if resp.err != nil {
+	fd := resp.U32()
+	if resp.Err != nil {
 		// The server reported success, so it holds an open fd even though
 		// the response was too mangled to use. Release it best-effort so a
 		// flaky wire cannot leak server-side descriptors. (If the fd field
 		// itself was the truncated part, fd is zero — never a served fd,
 		// so the close is harmless.)
-		err := resp.err
-		c.call(opClose, func(m *buf) { m.putU32(fd) })
+		err := resp.Err
+		c.call(opClose, func(m *wire.Cursor) { m.PutU32(fd) })
 		return nil, err
 	}
 	h := &remoteHandle{c: c, fd: fd}
@@ -105,32 +106,33 @@ func (c *Client) Open(path string, flags int) (*vfs.File, error) {
 
 // Stat returns remote file attributes.
 func (c *Client) Stat(path string) (vfs.Attr, error) {
-	resp, err := c.call(opStat, func(m *buf) { m.putStr(path) })
+	resp, err := c.call(opStat, func(m *wire.Cursor) { m.PutStr(path) })
 	if err != nil {
 		return vfs.Attr{}, err
 	}
 	defer c.release(resp)
-	a := resp.attr()
-	return a, resp.err
+	a := attr(resp)
+	return a, resp.Err
 }
 
 // ReadDir lists a remote directory.
 func (c *Client) ReadDir(path string) ([]vfs.Dirent, error) {
-	resp, err := c.call(opReadDir, func(m *buf) { m.putStr(path) })
+	resp, err := c.call(opReadDir, func(m *wire.Cursor) { m.PutStr(path) })
 	if err != nil {
 		return nil, err
 	}
 	defer c.release(resp)
-	n := int(resp.u32())
-	if resp.err != nil || n < 0 || n > 1<<20 {
-		return nil, errShort
+	// Each entry is at least its name's length word and its attributes.
+	n := resp.Count(4 + attrSize)
+	if resp.Err != nil {
+		return nil, resp.Err
 	}
 	out := make([]vfs.Dirent, 0, n)
 	for i := 0; i < n; i++ {
-		name := resp.str()
-		attr := resp.attr()
-		if resp.err != nil {
-			return nil, resp.err
+		name := resp.Str()
+		attr := attr(resp)
+		if resp.Err != nil {
+			return nil, resp.Err
 		}
 		out = append(out, vfs.Dirent{Name: name, Attr: attr})
 	}
@@ -163,18 +165,18 @@ type remoteHandle struct {
 
 // HRead implements vfs.Handle.
 func (h *remoteHandle) HRead(p []byte, off int64) (int, error) {
-	resp, err := h.c.call(opRead, func(m *buf) {
-		m.putU32(h.fd)
-		m.putI64(off)
-		m.putU32(uint32(len(p)))
+	resp, err := h.c.call(opRead, func(m *wire.Cursor) {
+		m.PutU32(h.fd)
+		m.PutU64(uint64(off))
+		m.PutU32(uint32(len(p)))
 	})
 	if err != nil {
 		return 0, err
 	}
 	defer h.c.release(resp)
-	data := resp.view()
-	if resp.err != nil {
-		return 0, resp.err
+	data := resp.View()
+	if resp.Err != nil {
+		return 0, resp.Err
 	}
 	// A server cannot have read more than it was asked for; an oversized
 	// payload is a protocol violation, not data to silently truncate.
@@ -186,18 +188,18 @@ func (h *remoteHandle) HRead(p []byte, off int64) (int, error) {
 
 // HWrite implements vfs.Handle.
 func (h *remoteHandle) HWrite(p []byte, off int64) (int, error) {
-	resp, err := h.c.call(opWrite, func(m *buf) {
-		m.putU32(h.fd)
-		m.putI64(off)
-		m.putBytes(p)
+	resp, err := h.c.call(opWrite, func(m *wire.Cursor) {
+		m.PutU32(h.fd)
+		m.PutU64(uint64(off))
+		m.PutBytes(p)
 	})
 	if err != nil {
 		return 0, err
 	}
 	defer h.c.release(resp)
-	n := resp.u32()
-	if resp.err != nil {
-		return 0, resp.err
+	n := resp.U32()
+	if resp.Err != nil {
+		return 0, resp.Err
 	}
 	// A server cannot have written more than it was sent.
 	if int64(n) > int64(len(p)) {
@@ -217,10 +219,10 @@ func (h *remoteHandle) HIoctl(cmd int, arg interface{}) error {
 	if err != nil {
 		return err
 	}
-	resp, cerr := h.c.call(opIoctl, func(m *buf) {
-		m.putU32(h.fd)
-		m.putU32(uint32(cmd))
-		m.putBytes(argBytes)
+	resp, cerr := h.c.call(opIoctl, func(m *wire.Cursor) {
+		m.PutU32(h.fd)
+		m.PutU32(uint32(cmd))
+		m.PutBytes(argBytes)
 	})
 	if cerr != nil {
 		return cerr
@@ -228,16 +230,16 @@ func (h *remoteHandle) HIoctl(cmd int, arg interface{}) error {
 	defer h.c.release(resp)
 	// The response frame belongs to this call, so the result decodes from
 	// a view of it rather than a copy.
-	res := resp.view()
-	if resp.err != nil {
-		return resp.err
+	res := resp.View()
+	if resp.Err != nil {
+		return resp.Err
 	}
 	return codec.decodeResult(res, arg)
 }
 
 // HClose implements vfs.Handle.
 func (h *remoteHandle) HClose() error {
-	resp, err := h.c.call(opClose, func(m *buf) { m.putU32(h.fd) })
+	resp, err := h.c.call(opClose, func(m *wire.Cursor) { m.PutU32(h.fd) })
 	if err != nil {
 		return err
 	}
@@ -249,16 +251,16 @@ func (h *remoteHandle) HClose() error {
 // reported as vfs.PollErr, never as "no events ready": a poll loop that
 // read a dead connection as all-clear would wait forever.
 func (h *remoteHandle) HPoll(mask int) int {
-	resp, err := h.c.call(opPoll, func(m *buf) {
-		m.putU32(h.fd)
-		m.putU32(uint32(mask))
+	resp, err := h.c.call(opPoll, func(m *wire.Cursor) {
+		m.PutU32(h.fd)
+		m.PutU32(uint32(mask))
 	})
 	if err != nil {
 		return vfs.PollErr
 	}
 	defer h.c.release(resp)
-	ev := int(resp.u32())
-	if resp.err != nil {
+	ev := int(resp.U32())
+	if resp.Err != nil {
 		return vfs.PollErr
 	}
 	return ev

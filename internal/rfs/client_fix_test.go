@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/types"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // scriptT is a Transport answering from a scripted list of responses while
@@ -33,21 +34,21 @@ func (t *scriptT) RoundTrip(req []byte) ([]byte, error) {
 
 // okResp builds a response frame body with errNone status and extra fields
 // appended by build.
-func okResp(build func(*buf)) []byte {
-	m := &buf{}
-	m.putU32(errNone)
-	m.putStr("")
+func okResp(build func(*wire.Cursor)) []byte {
+	m := &wire.Cursor{}
+	m.PutU32(errNone)
+	m.PutStr("")
 	if build != nil {
 		build(m)
 	}
-	return m.b
+	return m.B
 }
 
 // Regression: a server returning more bytes than the client asked for must
 // be rejected, not silently truncated into p.
 func TestHReadRejectsOversizedPayload(t *testing.T) {
 	tr := &scriptT{resps: [][]byte{
-		okResp(func(m *buf) { m.putBytes(make([]byte, 64)) }),
+		okResp(func(m *wire.Cursor) { m.PutBytes(make([]byte, 64)) }),
 	}}
 	h := &remoteHandle{c: NewClient(tr, types.RootCred()), fd: 1}
 	n, err := h.HRead(make([]byte, 16), 0)
@@ -60,7 +61,7 @@ func TestHReadRejectsOversizedPayload(t *testing.T) {
 // normal).
 func TestHReadShortPayloadOK(t *testing.T) {
 	tr := &scriptT{resps: [][]byte{
-		okResp(func(m *buf) { m.putBytes([]byte("abc")) }),
+		okResp(func(m *wire.Cursor) { m.PutBytes([]byte("abc")) }),
 	}}
 	h := &remoteHandle{c: NewClient(tr, types.RootCred()), fd: 1}
 	p := make([]byte, 16)
@@ -100,7 +101,7 @@ func TestHPollSurfacesTransportError(t *testing.T) {
 		t.Fatalf("poll on dead transport = %#x, want PollErr set", ev)
 	}
 	// And a healthy all-clear still reads as zero.
-	tr2 := &scriptT{resps: [][]byte{okResp(func(m *buf) { m.putU32(0) })}}
+	tr2 := &scriptT{resps: [][]byte{okResp(func(m *wire.Cursor) { m.PutU32(0) })}}
 	h2 := &remoteHandle{c: NewClient(tr2, types.RootCred()), fd: 1}
 	if ev := h2.HPoll(vfs.PollPri); ev != 0 {
 		t.Fatalf("healthy all-clear poll = %#x, want 0", ev)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/types"
 	"repro/internal/vcpu"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Round-trip every registered codec: encodeArg → decodeArg reconstructs the
@@ -189,10 +190,10 @@ func (t *fakeTransport) RoundTrip(req []byte) ([]byte, error) { return t.resp, t
 // okHeader builds a response claiming success, to which corrupt payloads are
 // appended.
 func okHeader() []byte {
-	m := &buf{}
-	m.putU32(errNone)
-	m.putStr("")
-	return m.b
+	m := &wire.Cursor{}
+	m.PutU32(errNone)
+	m.PutStr("")
+	return m.B
 }
 
 // exercise runs every client surface against the canned transport and hands
@@ -341,10 +342,10 @@ func TestServerGarbageRequests(t *testing.T) {
 	}
 	for i, req := range reqs {
 		resp := srv.Handle(req)
-		m := &buf{b: resp}
-		code := m.u32()
-		msg := m.str()
-		if m.err != nil {
+		m := &wire.Cursor{B: resp}
+		code := m.U32()
+		msg := m.Str()
+		if m.Err != nil {
 			t.Errorf("req %d: unparseable response %x", i, resp)
 			continue
 		}
@@ -373,5 +374,43 @@ func TestErrCodeRoundTrip(t *testing.T) {
 	code, msg := encodeErr(errors.New("ring buffer torn"))
 	if got := decodeErr(code, msg); got == nil || got.Error() != "rfs: ring buffer torn" {
 		t.Errorf("errOther: %v", got)
+	}
+}
+
+// A read at a negative offset is refused with an error response, and the
+// server goes on serving: one hostile request must not end it.
+func TestServerNegativeOffsetRead(t *testing.T) {
+	fs := memfs.New(func() int64 { return 0 })
+	if err := fs.WriteFile("/f", []byte("contents"), 0o644, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(vfs.NewNS(fs.Root()), nil)
+	cl := NewClient(LocalTransport{S: srv}, types.RootCred())
+	f, err := cl.Open("/f", vfs.ORead|vfs.OWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := f.H.(*remoteHandle).fd
+	for _, op := range []uint8{opRead, opWrite} {
+		req := &wire.Cursor{}
+		req.PutU8(op)
+		for i := 0; i < 4; i++ {
+			req.PutU32(0) // root credentials
+		}
+		req.PutU32(fd)
+		req.PutU64(uint64(0xFFFFFFFFFFFFFFF8)) // offset -8
+		if op == opRead {
+			req.PutU32(4)
+		} else {
+			req.PutBytes([]byte("abcd"))
+		}
+		m := &wire.Cursor{B: srv.Handle(req.B)}
+		if code := m.U32(); m.Err != nil || decodeErr(code, m.Str()) != vfs.ErrInval {
+			t.Fatalf("op %d at offset -8: code %d, want errInval", op, code)
+		}
+	}
+	p := make([]byte, 8)
+	if n, err := f.Pread(p, 0); err != nil || string(p[:n]) != "contents" {
+		t.Fatalf("read after the refused requests: %q, %v", p[:n], err)
 	}
 }

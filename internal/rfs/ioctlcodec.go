@@ -8,8 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/procfs"
 	"repro/internal/procfs2"
-	"repro/internal/types"
-	"repro/internal/vcpu"
+	"repro/internal/wire"
 )
 
 // ioctlCodec is one entry of the remote-ioctl marshalling registry. Every
@@ -49,441 +48,189 @@ var noArgCodec = ioctlCodec{
 	decodeResult: nothingOut,
 }
 
-// intInCodec: commands taking *int (PIOCKILL, PIOCNICE, ...).
-var intInCodec = ioctlCodec{
-	encodeArg: func(arg interface{}) ([]byte, error) {
-		v, ok := arg.(*int)
-		if !ok || v == nil {
-			return nil, errBadArg
-		}
-		m := &buf{}
-		m.putU32(uint32(*v))
-		return m.b, nil
-	},
-	decodeArg: func(b []byte) (interface{}, error) {
-		m := &buf{b: b}
-		v := int(int32(m.u32()))
-		if m.err != nil {
-			return nil, m.err
-		}
-		return &v, nil
-	},
-	appendResult: resultNothing,
-	decodeResult: nothingOut,
-}
-
-// intOutCodec: commands filling *int (PIOCNMAP, PIOCMAXSIG).
-var intOutCodec = ioctlCodec{
-	encodeArg: nothingIn,
-	decodeArg: func(b []byte) (interface{}, error) {
-		v := 0
-		return &v, nil
-	},
-	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
-		v, ok := arg.(*int)
-		if !ok {
-			return dst, errBadArg
-		}
-		m := &buf{b: dst}
-		m.putU32(uint32(*v))
-		return m.b, nil
-	},
-	decodeResult: func(b []byte, arg interface{}) error {
-		v, ok := arg.(*int)
-		if !ok || v == nil {
-			return errBadArg
-		}
-		m := &buf{b: b}
-		*v = int(int32(m.u32()))
-		return m.err
-	},
-}
-
-// statusOutCodec: commands filling *kernel.ProcStatus, where a nil argument
-// is permitted (PIOCSTOP, PIOCWSTOP).
-var statusOutCodec = ioctlCodec{
-	encodeArg: nothingIn,
-	decodeArg: func(b []byte) (interface{}, error) {
-		return &kernel.ProcStatus{}, nil
-	},
-	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
-		st, ok := arg.(*kernel.ProcStatus)
-		if !ok {
-			return dst, errBadArg
-		}
-		return append(dst, procfs2.EncodeStatus(*st)...), nil
-	},
-	decodeResult: func(b []byte, arg interface{}) error {
-		if arg == nil {
-			return nil
-		}
-		st, ok := arg.(*kernel.ProcStatus)
-		if !ok {
-			return errBadArg
-		}
-		if st == nil {
-			return nil
-		}
-		got, err := procfs2.DecodeStatus(b)
-		if err != nil {
-			return err
-		}
-		*st = got
-		return nil
-	},
-}
-
-// sigSetInCodec / sigSetOutCodec.
-var sigSetInCodec = ioctlCodec{
-	encodeArg: func(arg interface{}) ([]byte, error) {
-		s, ok := arg.(*types.SigSet)
-		if !ok || s == nil {
-			return nil, errBadArg
-		}
-		m := &buf{}
-		m.putU64(s[0])
-		m.putU64(s[1])
-		return m.b, nil
-	},
-	decodeArg: func(b []byte) (interface{}, error) {
-		m := &buf{b: b}
-		s := types.SigSet{m.u64(), m.u64()}
-		if m.err != nil {
-			return nil, m.err
-		}
-		return &s, nil
-	},
-	appendResult: resultNothing,
-	decodeResult: nothingOut,
-}
-
-var sigSetOutCodec = ioctlCodec{
-	encodeArg: nothingIn,
-	decodeArg: func(b []byte) (interface{}, error) { return &types.SigSet{}, nil },
-	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
-		s, ok := arg.(*types.SigSet)
-		if !ok {
-			return dst, errBadArg
-		}
-		m := &buf{b: dst}
-		m.putU64(s[0])
-		m.putU64(s[1])
-		return m.b, nil
-	},
-	decodeResult: func(b []byte, arg interface{}) error {
-		s, ok := arg.(*types.SigSet)
-		if !ok || s == nil {
-			return errBadArg
-		}
-		m := &buf{b: b}
-		*s = types.SigSet{m.u64(), m.u64()}
-		return m.err
-	},
-}
-
-var fltSetInCodec = ioctlCodec{
-	encodeArg: func(arg interface{}) ([]byte, error) {
-		s, ok := arg.(*types.FltSet)
-		if !ok || s == nil {
-			return nil, errBadArg
-		}
-		m := &buf{}
-		m.putU64(s[0])
-		m.putU64(s[1])
-		return m.b, nil
-	},
-	decodeArg: func(b []byte) (interface{}, error) {
-		m := &buf{b: b}
-		s := types.FltSet{m.u64(), m.u64()}
-		if m.err != nil {
-			return nil, m.err
-		}
-		return &s, nil
-	},
-	appendResult: resultNothing,
-	decodeResult: nothingOut,
-}
-
-var sysSetInCodec = ioctlCodec{
-	encodeArg: func(arg interface{}) ([]byte, error) {
-		s, ok := arg.(*types.SysSet)
-		if !ok || s == nil {
-			return nil, errBadArg
-		}
-		m := &buf{}
-		for _, w := range s {
-			m.putU64(w)
-		}
-		return m.b, nil
-	},
-	decodeArg: func(b []byte) (interface{}, error) {
-		m := &buf{b: b}
-		var s types.SysSet
-		for i := range s {
-			s[i] = m.u64()
-		}
-		if m.err != nil {
-			return nil, m.err
-		}
-		return &s, nil
-	},
-	appendResult: resultNothing,
-	decodeResult: nothingOut,
-}
-
-func appendRegs(dst []byte, r *vcpu.Regs) []byte {
-	m := &buf{b: dst}
-	for _, v := range r.R {
-		m.putU32(v)
-	}
-	m.putU32(r.PC)
-	m.putU32(r.SP)
-	m.putU32(r.PSW)
-	return m.b
-}
-
-func decodeRegs(b []byte) (vcpu.Regs, error) {
-	m := &buf{b: b}
-	var r vcpu.Regs
-	for i := range r.R {
-		r.R[i] = m.u32()
-	}
-	r.PC = m.u32()
-	r.SP = m.u32()
-	r.PSW = m.u32()
-	return r, m.err
-}
-
-var regsInCodec = ioctlCodec{
-	encodeArg: func(arg interface{}) ([]byte, error) {
-		r, ok := arg.(*vcpu.Regs)
-		if !ok || r == nil {
-			return nil, errBadArg
-		}
-		return appendRegs(nil, r), nil
-	},
-	decodeArg: func(b []byte) (interface{}, error) {
-		r, err := decodeRegs(b)
-		if err != nil {
-			return nil, err
-		}
-		return &r, nil
-	},
-	appendResult: resultNothing,
-	decodeResult: nothingOut,
-}
-
-var regsOutCodec = ioctlCodec{
-	encodeArg: nothingIn,
-	decodeArg: func(b []byte) (interface{}, error) { return &vcpu.Regs{}, nil },
-	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
-		r, ok := arg.(*vcpu.Regs)
-		if !ok {
-			return dst, errBadArg
-		}
-		return appendRegs(dst, r), nil
-	},
-	decodeResult: func(b []byte, arg interface{}) error {
-		r, ok := arg.(*vcpu.Regs)
-		if !ok || r == nil {
-			return errBadArg
-		}
-		got, err := decodeRegs(b)
-		if err != nil {
-			return err
-		}
-		*r = got
-		return nil
-	},
-}
-
-var runCodec = ioctlCodec{
-	encodeArg: func(arg interface{}) ([]byte, error) {
-		m := &buf{}
-		var f kernel.RunFlags
-		if arg != nil {
-			rf, ok := arg.(*kernel.RunFlags)
-			if !ok {
+// inCodec is the codec of a command whose operand, a *T, travels from
+// client to server in the encoding enc and dec define.
+func inCodec[T any](enc func(T) []byte, dec func([]byte) (T, error)) ioctlCodec {
+	return ioctlCodec{
+		encodeArg: func(arg interface{}) ([]byte, error) {
+			v, ok := arg.(*T)
+			if !ok || v == nil {
 				return nil, errBadArg
 			}
-			if rf != nil {
-				f = *rf
+			return enc(*v), nil
+		},
+		decodeArg: func(b []byte) (interface{}, error) {
+			v, err := dec(b)
+			if err != nil {
+				return nil, err
 			}
-		}
-		var bits uint32
-		set := func(cond bool, bit uint32) {
-			if cond {
-				bits |= bit
+			return &v, nil
+		},
+		appendResult: resultNothing,
+		decodeResult: nothingOut,
+	}
+}
+
+// outCodec is the codec of a command that fills a *T on the server and
+// carries it back into the caller's *T, which keeps its old value unless
+// the whole result decodes.
+func outCodec[T any](enc func(T) []byte, dec func([]byte) (T, error)) ioctlCodec {
+	return ioctlCodec{
+		encodeArg: nothingIn,
+		decodeArg: func(b []byte) (interface{}, error) { return new(T), nil },
+		appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
+			v, ok := arg.(*T)
+			if !ok {
+				return dst, errBadArg
 			}
-		}
-		set(f.ClearSig, 1)
-		set(f.ClearFault, 2)
-		set(f.Abort, 4)
-		set(f.Step, 8)
-		set(f.Stop, 16)
-		set(f.SetPC, 32)
-		m.putU32(bits)
-		m.putU32(f.PC)
-		m.putU32(uint32(f.SetSig))
-		return m.b, nil
-	},
-	decodeArg: func(b []byte) (interface{}, error) {
-		m := &buf{b: b}
-		bits := m.u32()
-		pc := m.u32()
-		setSig := int(m.u32())
-		if m.err != nil {
-			return nil, m.err
-		}
-		return &kernel.RunFlags{
-			ClearSig:   bits&1 != 0,
-			ClearFault: bits&2 != 0,
-			Abort:      bits&4 != 0,
-			Step:       bits&8 != 0,
-			Stop:       bits&16 != 0,
-			SetPC:      bits&32 != 0,
-			PC:         pc,
-			SetSig:     setSig,
-		}, nil
-	},
-	appendResult: resultNothing,
-	decodeResult: nothingOut,
-}
-
-var psinfoCodec = ioctlCodec{
-	encodeArg: nothingIn,
-	decodeArg: func(b []byte) (interface{}, error) { return &kernel.PSInfo{}, nil },
-	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
-		info, ok := arg.(*kernel.PSInfo)
-		if !ok {
-			return dst, errBadArg
-		}
-		return append(dst, procfs2.EncodePSInfo(*info)...), nil
-	},
-	decodeResult: func(b []byte, arg interface{}) error {
-		info, ok := arg.(*kernel.PSInfo)
-		if !ok || info == nil {
-			return errBadArg
-		}
-		got, err := procfs2.DecodePSInfo(b)
-		if err != nil {
-			return err
-		}
-		*info = got
-		return nil
-	},
-}
-
-var credCodec = ioctlCodec{
-	encodeArg: nothingIn,
-	decodeArg: func(b []byte) (interface{}, error) { return &types.Cred{}, nil },
-	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
-		c, ok := arg.(*types.Cred)
-		if !ok {
-			return dst, errBadArg
-		}
-		return append(dst, procfs2.EncodeCred(*c)...), nil
-	},
-	decodeResult: func(b []byte, arg interface{}) error {
-		c, ok := arg.(*types.Cred)
-		if !ok || c == nil {
-			return errBadArg
-		}
-		got, err := procfs2.DecodeCred(b)
-		if err != nil {
-			return err
-		}
-		*c = got
-		return nil
-	},
-}
-
-var mapCodec = ioctlCodec{
-	encodeArg: nothingIn,
-	decodeArg: func(b []byte) (interface{}, error) { return &[]procfs.PrMap{}, nil },
-	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
-		maps, ok := arg.(*[]procfs.PrMap)
-		if !ok {
-			return dst, errBadArg
-		}
-		entries := make([]procfs2.MapEntry, len(*maps))
-		for i, pm := range *maps {
-			entries[i] = procfs2.MapEntry{
-				Vaddr: pm.Vaddr, Size: pm.Size, Off: pm.Off,
-				Prot: uint32(pm.Prot), Shared: pm.Shared,
-				Kind: int32(pm.Kind), Name: pm.Name,
+			return append(dst, enc(*v)...), nil
+		},
+		decodeResult: func(b []byte, arg interface{}) error {
+			v, ok := arg.(*T)
+			if !ok || v == nil {
+				return errBadArg
 			}
-		}
-		return append(dst, procfs2.EncodeMap(entries)...), nil
-	},
-	decodeResult: func(b []byte, arg interface{}) error {
-		maps, ok := arg.(*[]procfs.PrMap)
-		if !ok || maps == nil {
-			return errBadArg
-		}
-		entries, err := procfs2.DecodeMap(b)
-		if err != nil {
-			return err
-		}
-		out := make([]procfs.PrMap, len(entries))
-		for i, e := range entries {
-			out[i] = procfs.PrMap{
-				Vaddr: e.Vaddr, Size: e.Size, Off: e.Off,
-				Prot: mem.Prot(e.Prot), Shared: e.Shared,
-				Kind: mem.SegKind(e.Kind), Name: e.Name,
+			got, err := dec(b)
+			if err != nil {
+				return err
 			}
-		}
-		*maps = out
-		return nil
-	},
+			*v = got
+			return nil
+		},
+	}
 }
 
-var usageCodec = ioctlCodec{
-	encodeArg: nothingIn,
-	decodeArg: func(b []byte) (interface{}, error) { return &procfs.PrUsage{}, nil },
-	appendResult: func(dst []byte, arg interface{}) ([]byte, error) {
-		u, ok := arg.(*procfs.PrUsage)
-		if !ok {
-			return dst, errBadArg
-		}
-		return append(dst, procfs2.EncodeUsage(*u)...), nil
-	},
-	decodeResult: func(b []byte, arg interface{}) error {
-		u, ok := arg.(*procfs.PrUsage)
-		if !ok || u == nil {
-			return errBadArg
-		}
-		got, err := procfs2.DecodeUsage(b)
-		if err != nil {
-			return err
-		}
-		*u = got
-		return nil
-	},
+// encoder and decoder turn a cursor-level write or read of a T into a
+// whole-operand encoder or decoder.
+func encoder[T any](put func(*wire.Cursor, T)) func(T) []byte {
+	return func(v T) []byte {
+		var m wire.Cursor
+		put(&m, v)
+		return m.B
+	}
 }
 
-var watchInCodec = ioctlCodec{
-	encodeArg: func(arg interface{}) ([]byte, error) {
-		w, ok := arg.(*procfs.PrWatch)
-		if !ok || w == nil {
-			return nil, errBadArg
+func decoder[T any](get func(*wire.Cursor) T) func([]byte) (T, error) {
+	return func(b []byte) (T, error) {
+		m := wire.Cursor{B: b}
+		v := get(&m)
+		return v, m.Err
+	}
+}
+
+func putInt(m *wire.Cursor, v int) { m.PutU32(uint32(v)) }
+func getInt(m *wire.Cursor) int    { return int(m.I32()) }
+
+// runFlags lists the PIOCRUN flags in wire order: bit i of the flags word
+// carries the i-th.
+func runFlags(f *kernel.RunFlags) [6]*bool {
+	return [...]*bool{&f.ClearSig, &f.ClearFault, &f.Abort, &f.Step, &f.Stop, &f.SetPC}
+}
+
+func putRun(m *wire.Cursor, f kernel.RunFlags) {
+	var bits uint32
+	for i, set := range runFlags(&f) {
+		if *set {
+			bits |= 1 << i
 		}
-		m := &buf{}
-		m.putU32(w.Vaddr)
-		m.putU32(w.Size)
-		m.putU32(uint32(w.Mode))
-		return m.b, nil
-	},
-	decodeArg: func(b []byte) (interface{}, error) {
-		m := &buf{b: b}
-		w := procfs.PrWatch{Vaddr: m.u32(), Size: m.u32(), Mode: mem.Prot(m.u32())}
-		if m.err != nil {
-			return nil, m.err
+	}
+	m.PutU32(bits)
+	m.PutU32(f.PC)
+	m.PutU32(uint32(f.SetSig))
+}
+
+func getRun(m *wire.Cursor) kernel.RunFlags {
+	var f kernel.RunFlags
+	bits := m.U32()
+	for i, set := range runFlags(&f) {
+		*set = bits&(1<<i) != 0
+	}
+	f.PC = m.U32()
+	f.SetSig = int(m.U32())
+	return f
+}
+
+func putWatch(m *wire.Cursor, w procfs.PrWatch) {
+	m.PutU32(w.Vaddr)
+	m.PutU32(w.Size)
+	m.PutU32(uint32(w.Mode))
+}
+
+func getWatch(m *wire.Cursor) procfs.PrWatch {
+	return procfs.PrWatch{Vaddr: m.U32(), Size: m.U32(), Mode: mem.Prot(m.U32())}
+}
+
+var (
+	intInCodec     = inCodec(encoder(putInt), decoder(getInt))                        // PIOCKILL, PIOCNICE, ...
+	intOutCodec    = outCodec(encoder(putInt), decoder(getInt))                       // PIOCNMAP, PIOCMAXSIG
+	sigSetInCodec  = inCodec(encoder(procfs2.PutSigSet), decoder(procfs2.GetSigSet))  // PIOCSTRACE, PIOCSHOLD
+	sigSetOutCodec = outCodec(encoder(procfs2.PutSigSet), decoder(procfs2.GetSigSet)) // PIOCGTRACE, PIOCGHOLD
+	fltSetInCodec  = inCodec(encoder(procfs2.PutFltSet), decoder(procfs2.GetFltSet))  // PIOCSFAULT
+	sysSetInCodec  = inCodec(encoder(procfs2.PutSysSet), decoder(procfs2.GetSysSet))  // PIOCSENTRY, PIOCSEXIT
+	regsInCodec    = inCodec(encoder(procfs2.PutRegs), decoder(procfs2.GetRegs))      // PIOCSREG
+	regsOutCodec   = outCodec(encoder(procfs2.PutRegs), decoder(procfs2.GetRegs))     // PIOCGREG
+	watchInCodec   = inCodec(encoder(putWatch), decoder(getWatch))                    // PIOCSWATCH
+	psinfoCodec    = outCodec(procfs2.EncodePSInfo, procfs2.DecodePSInfo)
+	credCodec      = outCodec(procfs2.EncodeCred, procfs2.DecodeCred)
+	usageCodec     = outCodec(procfs2.EncodeUsage, procfs2.DecodeUsage)
+)
+
+// runCodec carries PIOCRUN, whose argument may be nil: no flags.
+var runCodec = func() ioctlCodec {
+	c := inCodec(encoder(putRun), decoder(getRun))
+	encode := c.encodeArg
+	c.encodeArg = func(arg interface{}) ([]byte, error) {
+		if f, ok := arg.(*kernel.RunFlags); arg == nil || ok && f == nil {
+			arg = &kernel.RunFlags{}
 		}
-		return &w, nil
-	},
-	appendResult: resultNothing,
-	decodeResult: nothingOut,
+		return encode(arg)
+	}
+	return c
+}()
+
+// statusOutCodec carries the commands filling a *kernel.ProcStatus, where
+// a nil argument is permitted (PIOCSTOP, PIOCWSTOP).
+var statusOutCodec = func() ioctlCodec {
+	c := outCodec(procfs2.EncodeStatus, procfs2.DecodeStatus)
+	decode := c.decodeResult
+	c.decodeResult = func(b []byte, arg interface{}) error {
+		if st, ok := arg.(*kernel.ProcStatus); arg == nil || ok && st == nil {
+			return nil
+		}
+		return decode(b, arg)
+	}
+	return c
+}()
+
+// mapCodec carries PIOCMAP in the map file's encoding.
+var mapCodec = outCodec(encodeMap, decodeMap)
+
+func encodeMap(maps []procfs.PrMap) []byte {
+	entries := make([]procfs2.MapEntry, len(maps))
+	for i, pm := range maps {
+		entries[i] = procfs2.MapEntry{
+			Vaddr: pm.Vaddr, Size: pm.Size, Off: pm.Off,
+			Prot: uint32(pm.Prot), Shared: pm.Shared,
+			Kind: int32(pm.Kind), Name: pm.Name,
+		}
+	}
+	return procfs2.EncodeMap(entries)
+}
+
+func decodeMap(b []byte) ([]procfs.PrMap, error) {
+	entries, err := procfs2.DecodeMap(b)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]procfs.PrMap, len(entries))
+	for i, e := range entries {
+		out[i] = procfs.PrMap{
+			Vaddr: e.Vaddr, Size: e.Size, Off: e.Off,
+			Prot: mem.Prot(e.Prot), Shared: e.Shared,
+			Kind: mem.SegKind(e.Kind), Name: e.Name,
+		}
+	}
+	return out, nil
 }
 
 // snapArgs recycles the server's PIOCSNAP arguments. The record table of a
@@ -506,37 +253,32 @@ var snapCodec = ioctlCodec{
 		if !ok || sn == nil {
 			return nil, errBadArg
 		}
-		m := &buf{}
+		m := &wire.Cursor{}
 		if sn.WithUsage {
-			m.putU32(1)
+			m.PutU32(1)
 		} else {
-			m.putU32(0)
+			m.PutU32(0)
 		}
-		m.putU64(sn.Rev)
-		m.putU32(uint32(len(sn.Pids)))
+		m.PutU64(sn.Rev)
+		m.PutU32(uint32(len(sn.Pids)))
 		for _, pid := range sn.Pids {
-			m.putU32(uint32(pid))
+			m.PutU32(uint32(pid))
 		}
-		return m.b, nil
+		return m.B, nil
 	},
 	decodeArg: func(b []byte) (interface{}, error) {
-		m := &buf{b: b}
-		withUsage, rev := m.u32() != 0, m.u64()
-		n := int(m.u32())
-		if m.err != nil {
-			return nil, m.err
-		}
-		// The pid count is untrusted: one the remaining bytes cannot hold
-		// is rejected before the filter is allocated.
-		if n > (len(b)-m.off)/4 {
-			return nil, errShort
+		m := &wire.Cursor{B: b}
+		withUsage, rev := m.U32() != 0, m.U64()
+		n := m.Count(4)
+		if m.Err != nil {
+			return nil, m.Err
 		}
 		sn := snapArgs.Get().(*procfs.PrSnap)
 		*sn = procfs.PrSnap{WithUsage: withUsage, Rev: rev, Procs: sn.Procs[:0]}
 		if n > 0 {
 			sn.Pids = make([]int, n)
 			for i := range sn.Pids {
-				sn.Pids[i] = int(int32(m.u32()))
+				sn.Pids[i] = int(m.I32())
 			}
 		}
 		return sn, nil

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // fakeMuxServer accepts the handshake on conn and hands tagged requests to
@@ -234,13 +235,13 @@ func TestServeConnRequiresHandshake(t *testing.T) {
 		done <- NewServer(vfs.NewNS(nil), nil).ServeConn(server)
 		server.Close()
 	}()
-	req := &buf{}
-	req.putU8(opStat)
+	req := &wire.Cursor{}
+	req.PutU8(opStat)
 	for i := 0; i < 4; i++ {
-		req.putU32(0) // root credentials
+		req.PutU32(0) // root credentials
 	}
-	req.putStr("/")
-	if err := writeFrame(client, req.b); err != nil {
+	req.PutStr("/")
+	if err := writeFrame(client, req.B); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -23,6 +23,7 @@ import (
 	"io"
 
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Protocol operation codes.
@@ -136,104 +137,32 @@ func decodeErr(code uint32, msg string) error {
 	return errors.New("rfs: " + msg)
 }
 
-// buf is a simple big-endian message builder/parser.
-type buf struct {
-	b   []byte
-	off int
-	err error
+// errShort is the codec's truncation error, under the name this package's
+// checks have always used.
+var errShort = wire.ErrShort
+
+// attrSize is the encoded size of a vfs.Attr.
+const attrSize = 5*4 + 2*8
+
+func putAttr(m *wire.Cursor, a vfs.Attr) {
+	m.PutU32(uint32(a.Type))
+	m.PutU32(uint32(a.Mode))
+	m.PutU32(uint32(a.UID))
+	m.PutU32(uint32(a.GID))
+	m.PutU64(uint64(a.Size))
+	m.PutU64(uint64(a.MTime))
+	m.PutU32(uint32(a.Nlink))
 }
 
-func (m *buf) putU8(v uint8)   { m.b = append(m.b, v) }
-func (m *buf) putU32(v uint32) { m.b = binary.BigEndian.AppendUint32(m.b, v) }
-func (m *buf) putU64(v uint64) { m.b = binary.BigEndian.AppendUint64(m.b, v) }
-func (m *buf) putI64(v int64)  { m.putU64(uint64(v)) }
-func (m *buf) putStr(s string) {
-	m.putU32(uint32(len(s)))
-	m.b = append(m.b, s...)
-}
-func (m *buf) putBytes(p []byte) {
-	m.putU32(uint32(len(p)))
-	m.b = append(m.b, p...)
-}
-
-var errShort = errors.New("rfs: truncated message")
-
-func (m *buf) u8() uint8 {
-	if m.err != nil || m.off >= len(m.b) {
-		m.err = errShort
-		return 0
-	}
-	v := m.b[m.off]
-	m.off++
-	return v
-}
-
-func (m *buf) u32() uint32 {
-	if m.err != nil || m.off+4 > len(m.b) {
-		m.err = errShort
-		return 0
-	}
-	v := binary.BigEndian.Uint32(m.b[m.off:])
-	m.off += 4
-	return v
-}
-
-func (m *buf) u64() uint64 {
-	if m.err != nil || m.off+8 > len(m.b) {
-		m.err = errShort
-		return 0
-	}
-	v := binary.BigEndian.Uint64(m.b[m.off:])
-	m.off += 8
-	return v
-}
-
-func (m *buf) i64() int64 { return int64(m.u64()) }
-
-func (m *buf) str() string {
-	n := int(m.u32())
-	if m.err != nil || n < 0 || m.off+n > len(m.b) {
-		m.err = errShort
-		return ""
-	}
-	s := string(m.b[m.off : m.off+n])
-	m.off += n
-	return s
-}
-
-// view returns the next length-prefixed byte string as a subslice of the
-// message, without copying: the caller must own the message for as long as
-// it holds the view.
-func (m *buf) view() []byte {
-	n := int(m.u32())
-	if m.err != nil || n < 0 || m.off+n > len(m.b) {
-		m.err = errShort
-		return nil
-	}
-	p := m.b[m.off : m.off+n : m.off+n]
-	m.off += n
-	return p
-}
-
-func (m *buf) putAttr(a vfs.Attr) {
-	m.putU32(uint32(a.Type))
-	m.putU32(uint32(a.Mode))
-	m.putU32(uint32(a.UID))
-	m.putU32(uint32(a.GID))
-	m.putI64(a.Size)
-	m.putI64(a.MTime)
-	m.putU32(uint32(a.Nlink))
-}
-
-func (m *buf) attr() vfs.Attr {
+func attr(m *wire.Cursor) vfs.Attr {
 	return vfs.Attr{
-		Type:  vfs.VType(m.u32()),
-		Mode:  uint16(m.u32()),
-		UID:   int(m.u32()),
-		GID:   int(m.u32()),
-		Size:  m.i64(),
-		MTime: m.i64(),
-		Nlink: int(m.u32()),
+		Type:  vfs.VType(m.U32()),
+		Mode:  uint16(m.U32()),
+		UID:   int(m.U32()),
+		GID:   int(m.U32()),
+		Size:  m.I64(),
+		MTime: m.I64(),
+		Nlink: int(m.U32()),
 	}
 }
 

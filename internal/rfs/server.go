@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/types"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // Server exports a name space over the RFS protocol. Each connection
@@ -125,39 +126,39 @@ var successHeader [8]byte
 // the frame that goes on the wire; only a failure rewrites the header, and
 // it discards whatever body the failed operation had begun.
 func (s *Server) appendResponse(dst, req []byte) []byte {
-	in := &buf{b: req}
-	op := in.u8()
+	in := &wire.Cursor{B: req}
+	op := in.U8()
 	cred := types.Cred{
-		RUID: int(in.u32()), EUID: int(in.u32()),
-		RGID: int(in.u32()), EGID: int(in.u32()),
+		RUID: int(in.U32()), EUID: int(in.U32()),
+		RGID: int(in.U32()), EGID: int(in.U32()),
 	}
 	cred.SUID, cred.SGID = cred.EUID, cred.EGID
 	hdr := len(dst)
-	out := &buf{b: append(dst, successHeader[:]...)}
-	err := in.err
+	out := &wire.Cursor{B: append(dst, successHeader[:]...)}
+	err := in.Err
 	if err == nil {
 		err = s.dispatch(op, cred, in, out)
 	}
 	if err != nil {
 		code, msg := encodeErr(err)
-		out.b = out.b[:hdr]
-		out.putU32(code)
-		out.putStr(msg)
+		out.B = out.B[:hdr]
+		out.PutU32(code)
+		out.PutStr(msg)
 	}
 	if s.Tap != nil {
-		s.Tap(req, out.b[hdr:])
+		s.Tap(req, out.B[hdr:])
 	}
-	return out.b
+	return out.B
 }
 
-func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
+func (s *Server) dispatch(op uint8, cred types.Cred, in, out *wire.Cursor) error {
 	cl := &vfs.Client{NS: s.NS, Cred: cred}
 	switch op {
 	case opOpen:
-		path := in.str()
-		flags := int(in.u32())
-		if in.err != nil {
-			return in.err
+		path := in.Str()
+		flags := int(in.U32())
+		if in.Err != nil {
+			return in.Err
 		}
 		f, err := cl.Open(path, flags)
 		if err != nil {
@@ -169,11 +170,11 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 		s.open[fd] = f
 		s.creds[fd] = cred
 		s.mu.Unlock()
-		out.putU32(fd)
+		out.PutU32(fd)
 		return nil
 
 	case opClose:
-		fd := in.u32()
+		fd := in.U32()
 		f := s.lookupFD(fd)
 		if f == nil {
 			return vfs.ErrBadFD
@@ -185,11 +186,11 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 		return f.Close()
 
 	case opRead:
-		fd := in.u32()
-		off := in.i64()
-		n := int(in.u32())
-		if in.err != nil {
-			return in.err
+		fd := in.U32()
+		off := in.I64()
+		n := int(in.U32())
+		if in.Err != nil {
+			return in.Err
 		}
 		f := s.lookupFD(fd)
 		if f == nil {
@@ -203,15 +204,15 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 		if err != nil && got == 0 {
 			return err
 		}
-		out.putBytes(p[:got])
+		out.PutBytes(p[:got])
 		return nil
 
 	case opWrite:
-		fd := in.u32()
-		off := in.i64()
-		data := in.view()
-		if in.err != nil {
-			return in.err
+		fd := in.U32()
+		off := in.I64()
+		data := in.View()
+		if in.Err != nil {
+			return in.Err
 		}
 		f := s.lookupFD(fd)
 		if f == nil {
@@ -221,43 +222,43 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 		if err != nil && got == 0 {
 			return err
 		}
-		out.putU32(uint32(got))
+		out.PutU32(uint32(got))
 		return nil
 
 	case opReadDir:
-		path := in.str()
-		if in.err != nil {
-			return in.err
+		path := in.Str()
+		if in.Err != nil {
+			return in.Err
 		}
 		ents, err := cl.ReadDir(path)
 		if err != nil {
 			return err
 		}
-		out.putU32(uint32(len(ents)))
+		out.PutU32(uint32(len(ents)))
 		for _, e := range ents {
-			out.putStr(e.Name)
-			out.putAttr(e.Attr)
+			out.PutStr(e.Name)
+			putAttr(out, e.Attr)
 		}
 		return nil
 
 	case opStat:
-		path := in.str()
-		if in.err != nil {
-			return in.err
+		path := in.Str()
+		if in.Err != nil {
+			return in.Err
 		}
 		attr, err := cl.Stat(path)
 		if err != nil {
 			return err
 		}
-		out.putAttr(attr)
+		putAttr(out, attr)
 		return nil
 
 	case opIoctl:
-		fd := in.u32()
-		cmd := int(in.u32())
-		argBytes := in.view()
-		if in.err != nil {
-			return in.err
+		fd := in.U32()
+		cmd := int(in.U32())
+		argBytes := in.View()
+		if in.Err != nil {
+			return in.Err
 		}
 		f := s.lookupFD(fd)
 		if f == nil {
@@ -281,25 +282,25 @@ func (s *Server) dispatch(op uint8, cred types.Cred, in, out *buf) error {
 		}
 		// The result goes straight onto the response behind a length word
 		// patched once the encoding is done.
-		at := len(out.b)
-		out.putU32(0)
-		if out.b, err = codec.appendResult(out.b, arg); err != nil {
+		at := len(out.B)
+		out.PutU32(0)
+		if out.B, err = codec.appendResult(out.B, arg); err != nil {
 			return err
 		}
-		binary.BigEndian.PutUint32(out.b[at:], uint32(len(out.b)-at-4))
+		binary.BigEndian.PutUint32(out.B[at:], uint32(len(out.B)-at-4))
 		return nil
 
 	case opPoll:
-		fd := in.u32()
-		mask := int(in.u32())
-		if in.err != nil {
-			return in.err
+		fd := in.U32()
+		mask := int(in.U32())
+		if in.Err != nil {
+			return in.Err
 		}
 		f := s.lookupFD(fd)
 		if f == nil {
 			return vfs.ErrBadFD
 		}
-		out.putU32(uint32(f.Poll(mask)))
+		out.PutU32(uint32(f.Poll(mask)))
 		return nil
 	}
 	return vfs.ErrInval

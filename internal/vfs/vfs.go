@@ -447,20 +447,28 @@ func (f *File) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Pread reads at an absolute offset without moving the file offset.
+// Pread reads at an absolute offset without moving the file offset. A
+// negative offset is ErrInval: no handle is asked to read before byte 0.
 func (f *File) Pread(p []byte, off int64) (int, error) {
 	if f.closed || f.Flags&ORead == 0 {
 		return 0, ErrBadFD
+	}
+	if off < 0 {
+		return 0, ErrInval
 	}
 	f.enter()
 	defer f.leave()
 	return f.H.HRead(p, off)
 }
 
-// Pwrite writes at an absolute offset without moving the file offset.
+// Pwrite writes at an absolute offset without moving the file offset. A
+// negative offset is ErrInval.
 func (f *File) Pwrite(p []byte, off int64) (int, error) {
 	if f.closed || f.Flags&OWrite == 0 {
 		return 0, ErrBadFD
+	}
+	if off < 0 {
+		return 0, ErrInval
 	}
 	f.enter()
 	defer f.leave()
@@ -476,15 +484,16 @@ const (
 
 // Seek repositions the offset; applying lseek to position the file at the
 // virtual address of interest is how /proc address-space I/O is addressed.
+// As in SVR4 lseek, a negative result is ErrInval and leaves the offset
+// where it was, so Read and Write never see a negative offset.
 func (f *File) Seek(off int64, whence int) (int64, error) {
 	if f.closed {
 		return 0, ErrBadFD
 	}
 	switch whence {
 	case SeekSet:
-		f.Offset = off
 	case SeekCur:
-		f.Offset += off
+		off += f.Offset
 	case SeekEnd:
 		f.enter()
 		attr, err := f.VN.VAttr()
@@ -492,11 +501,15 @@ func (f *File) Seek(off int64, whence int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		f.Offset = attr.Size + off
+		off += attr.Size
 	default:
 		return 0, ErrInval
 	}
-	return f.Offset, nil
+	if off < 0 {
+		return 0, ErrInval
+	}
+	f.Offset = off
+	return off, nil
 }
 
 // Ioctl performs a control operation on the open file.

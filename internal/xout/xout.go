@@ -12,9 +12,11 @@
 package xout
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Address-space layout conventions.
@@ -96,121 +98,57 @@ func (f *File) SymAt(addr uint32) (string, uint32) {
 
 // Marshal serializes the image.
 func (f *File) Marshal() []byte {
-	var out []byte
-	out = append(out, Magic[:]...)
-	out = appendU32(out, Version)
-	out = appendU32(out, f.Entry)
-	out = appendU32(out, uint32(len(f.Text)))
-	out = appendU32(out, uint32(len(f.Data)))
-	out = appendU32(out, f.BSSSize)
-	out = appendU32(out, uint32(len(f.Libs)))
-	out = appendU32(out, uint32(len(f.Syms)))
+	w := wire.Cursor{B: append([]byte(nil), Magic[:]...)}
+	for _, v := range [...]uint32{Version, f.Entry, uint32(len(f.Text)), uint32(len(f.Data)),
+		f.BSSSize, uint32(len(f.Libs)), uint32(len(f.Syms))} {
+		w.PutU32(v)
+	}
 	for _, l := range f.Libs {
-		out = appendStr(out, l)
+		w.PutStr(l)
 	}
 	for _, s := range f.Syms {
-		out = appendStr(out, s.Name)
-		out = appendU32(out, s.Value)
+		w.PutStr(s.Name)
+		w.PutU32(s.Value)
 	}
-	out = append(out, f.Text...)
-	out = append(out, f.Data...)
-	return out
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	var w [4]byte
-	binary.BigEndian.PutUint32(w[:], v)
-	return append(b, w[:]...)
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
+	w.B = append(w.B, f.Text...)
+	return append(w.B, f.Data...)
 }
 
 // ErrBadMagic reports that a file is not an xout image; exec returns the
 // equivalent of ENOEXEC for it.
 var ErrBadMagic = errors.New("xout: bad magic")
 
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.b) {
-		r.err = errors.New("xout: truncated image")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil {
-		return ""
-	}
-	if n < 0 || r.off+n > len(r.b) || n > 1<<20 {
-		r.err = errors.New("xout: truncated string")
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = errors.New("xout: truncated section")
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:])
-	r.off += n
-	return out
-}
-
 // Unmarshal parses an image.
 func Unmarshal(b []byte) (*File, error) {
-	if len(b) < 4 || b[0] != Magic[0] || b[1] != Magic[1] || b[2] != Magic[2] || b[3] != Magic[3] {
+	if len(b) < 4 || [4]byte(b) != Magic {
 		return nil, ErrBadMagic
 	}
-	r := &reader{b: b, off: 4}
-	ver := r.u32()
-	if r.err == nil && ver != Version {
+	r := &wire.Cursor{B: b, Off: 4}
+	if ver := r.U32(); r.Err == nil && ver != Version {
 		return nil, fmt.Errorf("xout: unsupported version %d", ver)
 	}
 	f := &File{}
-	f.Entry = r.u32()
-	textLen := int(r.u32())
-	dataLen := int(r.u32())
-	f.BSSSize = r.u32()
-	nLibs := int(r.u32())
-	nSyms := int(r.u32())
-	if r.err == nil && (nLibs > 1024 || nSyms > 1<<20) {
+	f.Entry = r.U32()
+	textLen := int(r.U32())
+	dataLen := int(r.U32())
+	f.BSSSize = r.U32()
+	// A library is at least its name's length word, a symbol that and its
+	// value.
+	nLibs := r.Count(4)
+	nSyms := r.Count(8)
+	if nLibs > 1024 || nSyms > 1<<20 {
 		return nil, errors.New("xout: unreasonable table sizes")
 	}
-	for i := 0; i < nLibs && r.err == nil; i++ {
-		f.Libs = append(f.Libs, r.str())
+	for i := 0; i < nLibs; i++ {
+		f.Libs = append(f.Libs, r.Str())
 	}
-	for i := 0; i < nSyms && r.err == nil; i++ {
-		name := r.str()
-		val := r.u32()
-		f.Syms = append(f.Syms, Sym{Name: name, Value: val})
+	for i := 0; i < nSyms; i++ {
+		f.Syms = append(f.Syms, Sym{Name: r.Str(), Value: r.U32()})
 	}
-	f.Text = r.bytes(textLen)
-	f.Data = r.bytes(dataLen)
-	if r.err != nil {
-		return nil, r.err
+	f.Text = bytes.Clone(r.Next(textLen))
+	f.Data = bytes.Clone(r.Next(dataLen))
+	if r.Err != nil {
+		return nil, fmt.Errorf("xout: %w", r.Err)
 	}
 	return f, nil
 }
