@@ -111,8 +111,8 @@ const (
 	secFinal  = 4
 )
 
-// Codec errors. ErrTruncated is the codec's truncation error, under the
-// name this package has always returned.
+// Codec errors. ErrTruncated reports a truncated artifact, or a count its
+// bytes cannot hold; it is the codec's wire.ErrShort.
 var (
 	ErrBadMagic  = errors.New("replay: not a replay artifact (bad magic)")
 	ErrTruncated = wire.ErrShort

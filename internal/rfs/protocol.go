@@ -137,8 +137,8 @@ func decodeErr(code uint32, msg string) error {
 	return errors.New("rfs: " + msg)
 }
 
-// errShort is the codec's truncation error, under the name this package's
-// checks have always used.
+// errShort reports a truncated or inconsistent message: the codec's
+// wire.ErrShort.
 var errShort = wire.ErrShort
 
 // attrSize is the encoded size of a vfs.Attr.

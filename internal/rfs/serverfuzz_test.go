@@ -29,7 +29,7 @@ word:	.word 0x11223344
 // operation but no memfs file, which a write at a hostile offset would grow
 // to any size. Waits for a stop are cut to a few thousand scheduler passes,
 // so a PIOCWSTOP on a target that never stops ends quickly.
-func fuzzServer(t testing.TB) (*repro.System, *rfs.Server, *kernel.Proc) {
+func fuzzServer(t testing.TB) (*rfs.Server, *kernel.Proc) {
 	s := repro.NewSystem(repro.Options{NCPU: 1})
 	t.Cleanup(s.Close)
 	s.Proc.MaxWait = 2000
@@ -40,7 +40,7 @@ func fuzzServer(t testing.TB) (*repro.System, *rfs.Server, *kernel.Proc) {
 	s.Run(20)
 	ns := vfs.NewNS(s.FS.Root())
 	ns.MountLocked("/", s.Proc.Root(), s.K.GlobalLocker())
-	return s, rfs.NewServer(ns, nil), p
+	return rfs.NewServer(ns, nil), p
 }
 
 // recordingT passes requests to a server and keeps a copy of each.
@@ -58,7 +58,7 @@ func (r *recordingT) RoundTrip(req []byte) ([]byte, error) {
 // for each remotable command, and returns the requests it sent, each behind
 // a u32 length: the seed of FuzzServerHandle.
 func clientSession(t testing.TB) []byte {
-	_, srv, p := fuzzServer(t)
+	srv, p := fuzzServer(t)
 	tr := &recordingT{s: srv}
 	cl := rfs.NewClient(tr, types.RootCred())
 	name := "/" + procfs.PidName(p.Pid)
@@ -155,7 +155,7 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(clientSession(f))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		_, srv, _ := fuzzServer(t)
+		srv, _ := fuzzServer(t)
 		reqs := wire.Cursor{B: in}
 		for i := 0; i < 64 && reqs.Len() > 0; i++ {
 			req := reqs.View()
