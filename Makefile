@@ -84,10 +84,12 @@ bench-json-pr6:
 # panics on any out-of-order or reentrant lock acquisition and on any
 # sleep, wakeup or /proc operation without the global lock. GOMAXPROCS is
 # forced up so worker goroutines genuinely interleave even on small hosts.
-# Last, both /proc packages run under -tags lockdebug with every
-# default-width kernel at NCPU=2 (REPRO_NCPU=2) — simulated processes
-# reaching /proc vnode operations from system calls that hold the global
-# lock — and then the whole suite runs at NCPU=2.
+# Last, both /proc packages, the kernel and rfs run under -tags lockdebug
+# with every default-width kernel at NCPU=2 (REPRO_NCPU=2) — simulated
+# processes reaching /proc vnode operations from system calls that hold the
+# global lock, host-side controllers that must take it, and the scheduler
+# CPUs publishing their spaces under rank checks — and then the whole suite
+# runs at NCPU=2.
 verify-smp:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate|TestFetchWindowSeesPlantedBreakpoints|TestHeldSignalClearsIntr|TestSigsuspendPendingUnblocked' ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
@@ -97,7 +99,7 @@ verify-smp:
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestSMP|TestConcurrentControllers' . ./internal/procfs/
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
-	REPRO_NCPU=2 $(GO) test -tags lockdebug -count=1 ./internal/procfs/ ./internal/procfs2/
+	REPRO_NCPU=2 $(GO) test -tags lockdebug -count=1 ./internal/procfs/ ./internal/procfs2/ ./internal/kernel/ ./internal/rfs/
 	REPRO_NCPU=2 $(GO) test -count=1 ./...
 
 # bench-json-pr7 records the SMP scaling numbers as BENCH_PR7.json: the

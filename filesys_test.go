@@ -12,6 +12,7 @@ import (
 	"repro/internal/blockfs"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/memfs"
 	"repro/internal/types"
 	"repro/internal/vfs"
 )
@@ -439,5 +440,70 @@ path:	.asciz "/tmp/negseek"
 	}
 	if _, code := kernel.WIfExited(status); code != 0 {
 		t.Fatalf("exit code %d: 11 lseek did not fail with EINVAL, 12 the read did not return 0", code)
+	}
+}
+
+// TestWriteRefusesPastMemfsCap: a write whose end would pass memfs's size
+// cap fails with ENOSPC instead of allocating the whole file on the host,
+// and the file stays usable: the next write, at offset 0, succeeds.
+func TestWriteRefusesPastMemfsCap(t *testing.T) {
+	s := repro.NewSystem(repro.Options{})
+	defer s.Close()
+	p, err := s.SpawnProg("capper", fmt.Sprintf(`
+	movi r0, SYS_open
+	la r1, path
+	movi r2, %d
+	syscall
+	mov r6, r0
+	movi r0, SYS_lseek
+	mov r1, r6
+	li r2, %#x
+	movi r3, 0		; SEEK_SET
+	syscall
+	movi r0, SYS_write
+	mov r1, r6
+	la r2, buf
+	movi r3, 1
+	syscall
+	movi r1, 11
+	cmpi r0, %d
+	jne out
+	movi r0, SYS_lseek
+	mov r1, r6
+	movi r2, 0
+	movi r3, 0
+	syscall
+	movi r0, SYS_write
+	mov r1, r6
+	la r2, buf
+	movi r3, 1
+	syscall
+	movi r1, 12
+	cmpi r0, 1
+	jne out
+	movi r1, 0
+out:	movi r0, SYS_exit
+	syscall
+.data
+.align 4
+buf:	.word 0
+path:	.asciz "/tmp/capped"
+`, vfs.ORead|vfs.OWrite|vfs.OCreat, memfs.MaxFileSize, kernel.ENOSPC), types.UserCred(100, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, err := s.WaitExit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, code := kernel.WIfExited(status); code != 0 {
+		t.Fatalf("exit code %d: 11 the write past the cap did not fail with ENOSPC, 12 the write at 0 failed", code)
+	}
+	vn, err := s.NS.Lookup("/tmp/capped", types.RootCred())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := vn.VAttr(); a.Size != 1 {
+		t.Fatalf("file size %d after the refused write, want 1", a.Size)
 	}
 }

@@ -90,6 +90,8 @@ func (errNotStopped) Error() string { return "kernel: process is not stopped on 
 
 // DirectStopAll directs every live LWP of the process to stop (PIOCSTOP's
 // first half; PIOCWSTOP additionally drives the system until it happens).
+// The caller holds the global lock: stopping a sleeping LWP takes it off
+// its sleep queue.
 func (p *Proc) DirectStopAll() {
 	for _, l := range p.LWPs {
 		if l.state != LZombie {

@@ -133,7 +133,7 @@ func TestRequestedStop(t *testing.T) {
 	f := boot(t)
 	p := f.spawn("reqstop", spinForever, user())
 	f.K.Run(3)
-	p.DirectStopAll()
+	f.stopAll(p)
 	l := f.waitStop(p)
 	if why, _ := l.Why(); why != kernel.WhyRequested {
 		t.Fatalf("why = %v", why)
@@ -158,7 +158,7 @@ func TestPRSTEPSingleStep(t *testing.T) {
 	syscall
 `, user())
 	p.Trace.Faults.Add(types.FLTTRACE)
-	p.DirectStopAll()
+	f.stopAll(p)
 	l := f.waitStop(p)
 	pc0 := l.CPU.Regs.PC
 	f.run(l, kernel.RunFlags{Step: true})
@@ -226,7 +226,7 @@ func TestFigure4ProcGetsTheLastWord(t *testing.T) {
 		t.Fatal("setup: no job-control stop")
 	}
 	// Direct it to stop via /proc while job-stopped.
-	p.DirectStopAll()
+	f.stopAll(p)
 	// Restart with SIGCONT: it must stop again, now on the requested stop,
 	// before exiting issig().
 	f.K.PostSignal(p, types.SIGCONT)
@@ -268,7 +268,7 @@ buf:	.space 4
 		t.Fatalf("never slept: %v", err)
 	}
 	// Direct a stop while it sleeps.
-	p.DirectStopAll()
+	f.stopAll(p)
 	l := f.waitStop(p)
 	if why, _ := l.Why(); why != kernel.WhyRequested {
 		t.Fatalf("why = %v", why)
@@ -289,7 +289,10 @@ buf:	.space 4
 	if wfd == nil {
 		t.Fatal("no write fd")
 	}
-	if _, err := wfd.Write([]byte{'x'}); err != nil {
+	f.K.GlobalLock() // the pipe's write wakes the reader
+	_, err = wfd.Write([]byte{'x'})
+	f.K.GlobalUnlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	status := f.runToExit(p)
@@ -323,7 +326,7 @@ buf:	.space 4
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.DirectStopAll()
+	f.stopAll(p)
 	l := f.waitStop(p)
 	f.run(l, kernel.RunFlags{Abort: true})
 	status := f.runToExit(p)
@@ -446,7 +449,7 @@ func TestPtraceProcInterplay(t *testing.T) {
 	}
 	// Direct a future stop, then set running through /proc: it remains
 	// stopped — ptrace has control.
-	p.DirectStopAll()
+	f.stopAll(p)
 	f.run(l, kernel.RunFlags{})
 	f.K.Run(5)
 	if !l.Stopped() {

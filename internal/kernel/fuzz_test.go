@@ -92,7 +92,7 @@ func TestRandomStepping(t *testing.T) {
 		var flts types.FltSet
 		flts.Fill()
 		p.Trace.Faults = flts
-		p.DirectStopAll()
+		f.stopAll(p)
 		l, err := f.K.WaitStop(p, 1_000_000)
 		if err != nil {
 			t.Fatal(err)

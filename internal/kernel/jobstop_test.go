@@ -15,7 +15,7 @@ func TestWaitStopDiagnosesJobStop(t *testing.T) {
 	f.K.Run(3)
 	f.K.PostSignal(p, types.SIGSTOP)
 	f.K.Run(5)
-	p.DirectStopAll()
+	f.stopAll(p)
 	if _, err := f.K.WaitStop(p, 100000); err != kernel.ErrJobStopped {
 		t.Fatalf("err = %v, want ErrJobStopped", err)
 	}

@@ -70,6 +70,24 @@ func (f *fixture) spawn(name, src string, cred types.Cred) *kernel.Proc {
 	return p
 }
 
+// stopAll directs every LWP of p to stop, under the global lock as a
+// /proc controller would.
+func (f *fixture) stopAll(p *kernel.Proc) {
+	f.K.GlobalLock()
+	p.DirectStopAll()
+	f.K.GlobalUnlock()
+}
+
+// post sends p a signal from the host, under the locks a kill(2) of
+// another process holds.
+func (f *fixture) post(p *kernel.Proc, sig int) {
+	f.K.GlobalLock()
+	p.Lock()
+	f.K.PostSignal(p, sig)
+	p.Unlock()
+	f.K.GlobalUnlock()
+}
+
 // runToExit drives the scheduler until p exits and returns the status.
 func (f *fixture) runToExit(p *kernel.Proc) int {
 	f.t.Helper()

@@ -99,7 +99,7 @@ bad:	movi r1, 77
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.K.PostSignal(p, types.SIGUSR1)
+	f.post(p, types.SIGUSR1)
 	status := f.runToExit(p)
 	if _, code := kernel.WIfExited(status); code != int(kernel.EINTR) {
 		t.Fatalf("code = %d (77 = mask not restored)", code)
@@ -332,8 +332,12 @@ loop:	jmp loop
 func TestPipeAttrAndPoll(t *testing.T) {
 	f := boot(t)
 	r, w := f.K.NewPipe()
-	defer r.Close()
-	defer w.Close()
+	defer func() {
+		f.K.GlobalLock() // closing an end wakes the other end's sleepers
+		w.Close()
+		r.Close()
+		f.K.GlobalUnlock()
+	}()
 	attr, err := r.VN.VAttr()
 	if err != nil || attr.Type != vfs.VFIFO {
 		t.Fatalf("%+v %v", attr, err)
@@ -344,7 +348,9 @@ func TestPipeAttrAndPoll(t *testing.T) {
 	if w.Poll(vfs.PollOut) != vfs.PollOut {
 		t.Fatal("empty pipe should be writable")
 	}
+	f.K.GlobalLock() // the write wakes pipe readers
 	w.Write([]byte("x"))
+	f.K.GlobalUnlock()
 	if r.Poll(vfs.PollIn) != vfs.PollIn {
 		t.Fatal("nonempty pipe should be readable")
 	}

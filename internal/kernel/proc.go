@@ -654,6 +654,7 @@ func (l *LWP) stopEvent(why StopWhy, what int) {
 
 // DirectStop arranges for the LWP to stop at the next stop point (PIOCSTOP
 // without waiting). Directed stops are honored even while the LWP sleeps.
+// The caller holds the global lock.
 func (l *LWP) DirectStop() {
 	if l.state == LZombie {
 		return

@@ -296,7 +296,7 @@ buf:	.space 4
 	if err != nil {
 		t.Fatalf("never slept: %v", err)
 	}
-	f.K.PostSignal(p, types.SIGUSR1)
+	f.post(p, types.SIGUSR1)
 	status := f.runToExit(p)
 	if ok, code := kernel.WIfExited(status); !ok || code != int(kernel.EINTR) {
 		t.Fatalf("status = %#x, want EINTR", status)

@@ -82,7 +82,8 @@ type kcpu struct {
 	// curAS publishes the address space this CPU may currently be
 	// translating for without holding any lock (user-mode stepping).
 	// nil whenever the CPU is idle or inside the kernel. The shootdown
-	// barrier spins until no CPU publishes the dying space.
+	// barrier spins until no CPU publishes the dying space. Only SMP
+	// kernels publish (see publish); at NCPU=1 it stays nil.
 	curAS atomic.Pointer[mem.AS]
 	l     *LWP  // the LWP of the current quantum; its space is republished on unlock
 	p     *Proc // the process of the current quantum (enter..leave)
@@ -202,7 +203,7 @@ func (q *runQueue) claim() *Proc {
 // initiator, or the two would deadlock.
 func (w *kcpu) lockProc() {
 	if !w.haveProc && !w.haveGlobal {
-		w.curAS.Store(nil)
+		w.publish(nil)
 		w.p.Lock()
 		w.haveProc = true
 	}
@@ -223,7 +224,7 @@ func (w *kcpu) lockGlobal() {
 			w.p.Unlock()
 			w.haveProc = false
 		}
-		w.curAS.Store(nil)
+		w.publish(nil)
 		w.k.GlobalLock()
 		w.haveGlobal = true
 	}
@@ -252,7 +253,7 @@ func (w *kcpu) release() {
 		w.haveGlobal = false
 	}
 	if w.l != nil && w.l.CPU.AS != nil {
-		w.curAS.Store(w.l.CPU.AS)
+		w.publish(w.l.CPU.AS)
 	}
 }
 
@@ -261,7 +262,7 @@ func (w *kcpu) enter(l *LWP) {
 	w.p = l.Proc
 	w.l = l
 	if l.CPU.AS != nil {
-		w.curAS.Store(l.CPU.AS)
+		w.publish(l.CPU.AS)
 	}
 }
 
@@ -276,7 +277,16 @@ func (w *kcpu) leave() {
 	w.l = nil // nothing to republish
 	w.unlock()
 	w.p = nil
-	w.curAS.Store(nil)
+	w.publish(nil)
+}
+
+// publish sets the space this CPU publishes for the shootdown barrier.
+// Only another CPU ever reads it, so at NCPU=1 nothing is stored: the only
+// CPU is the shootdown's initiator, and the barrier does not spin.
+func (w *kcpu) publish(as *mem.AS) {
+	if w.k.smp != nil {
+		w.curAS.Store(as)
+	}
 }
 
 // dirty reports whether the CPU holds deltas not yet folded in.

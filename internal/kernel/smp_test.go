@@ -75,6 +75,10 @@ func TestShootdownBarrier(t *testing.T) {
 // spins, grows and shrinks its break (every brk reaches shootdown) starts
 // no goroutine and builds no SMP state, and shootdown falls through even
 // while the CPU publishes the dying space — the initiator is that CPU.
+// Nothing reads a published space at NCPU=1, so the CPU publishes none:
+// not when a quantum starts, and not on the return to user level, which a
+// trace tap at every brk entry drives the way TestExecRepublishesNewSpace
+// does.
 func TestOneCPUStepsInline(t *testing.T) {
 	fs := memfs.New(nil)
 	k := New(vfs.NewNS(fs.Root()), Config{NCPU: 1})
@@ -110,19 +114,40 @@ heap:	.space 4
 	if k.NCPU() != 1 || k.smp != nil {
 		t.Fatalf("NCPU=1 built SMP state (NCPU() = %d)", k.NCPU())
 	}
+	w := k.cpus[0]
+	p.SetKTrace(64)
+	brks, published := 0, 0
+	k.KTTap = func(e *ktrace.Event) {
+		if e.Kind == ktrace.KSysEntry && e.What == SysBrk {
+			brks++
+			w.release()
+			if w.curAS.Load() != nil {
+				published++
+			}
+			w.lockGlobal()
+		}
+	}
 	before := runtime.NumGoroutine()
 	k.Run(200)
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("NCPU=1 Steps started goroutines: %d -> %d", before, after)
 	}
-	if p.LWPs[0].CPU.Regs.R[5] == 0 {
-		t.Fatal("the inline CPU ran nothing")
+	if p.LWPs[0].CPU.Regs.R[5] == 0 || brks == 0 {
+		t.Fatalf("the inline CPU ran nothing (%d brk calls)", brks)
 	}
-	if k.cpus[0].curAS.Load() != nil {
+	if published != 0 {
+		t.Fatalf("the inline CPU published its space on %d of %d returns to user level", published, brks)
+	}
+	if w.curAS.Load() != nil {
 		t.Fatal("the inline CPU still publishes an address space between Steps")
 	}
+	k.KTTap = nil
+	w.enter(p.LWPs[0])
+	if w.curAS.Load() != nil {
+		t.Fatal("the inline CPU published its space at the start of a quantum")
+	}
+	w.leave()
 
-	w := k.cpus[0]
 	w.curAS.Store(p.AS)
 	done := make(chan struct{})
 	go func() {

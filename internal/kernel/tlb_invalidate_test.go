@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/types"
 	"repro/internal/vcpu"
 )
@@ -240,5 +241,29 @@ func TestTLBInvalidateExecutableRestore(t *testing.T) {
 	status := f.runToExit(p)
 	if ok, code := kernel.WIfExited(status); !ok || code != 5 {
 		t.Fatalf("status = %#x, want exit 5 (still spinning means a stale padded text page was fetched)", status)
+	}
+}
+
+// Overwriting a running program's executable moves the mem epoch: that is
+// the one signal that drops every translation aliasing the old text.
+// Running the program, which maps and fetches the file but writes no file,
+// leaves the epoch alone.
+func TestExecutableOverwriteMovesEpoch(t *testing.T) {
+	f := boot(t)
+	p := f.spawn("epochover", spinText, user())
+	epoch := mem.Epoch()
+	f.K.Run(20)
+	if !p.Alive() {
+		t.Fatal("spinner exited before the overwrite")
+	}
+	if got := mem.Epoch(); got != epoch {
+		t.Fatalf("running the spinner moved the epoch %d times", got-epoch)
+	}
+	f.install("/bin/epochover", nopText, 0o755, 0, 0)
+	if mem.Epoch() == epoch {
+		t.Fatal("overwriting a mapped, running executable left the epoch alone")
+	}
+	if ok, code := kernel.WIfExited(f.runToExit(p)); !ok || code != 5 {
+		t.Fatal("the overwritten spinner did not exit 5")
 	}
 }

@@ -1,45 +1,70 @@
 package mem
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file is the frame-exposure side of the address space's fast-path /
 // slow-path split (the UVM-style division of labor): the vCPU keeps a small
 // software TLB of page translations, and the address space exposes the
 // physical side of a translation — a directly addressable page frame — plus
-// the generation protocol that tells caches when any translation may have
-// gone stale.
+// the key that tells caches when any translation may have gone stale.
 //
-// The contract has two layers:
+// A cached Frame is valid while one key is unchanged: the AS pointer (exec
+// replaces the whole space), AS.Gen() and the package's Epoch(). Callers
+// read the key before they ask for a frame, so a change that races the
+// fill moves the key they hold.
 //
 //   - AS.Gen() is bumped by every mapping-state change: Map, Unmap,
 //     Mprotect, Brk, automatic stack growth, copy-on-write page
 //     materialization, watchpoint changes, and anything else that could
-//     change what PageFrame would return. A cached Frame is valid only
-//     while Gen() is unchanged (and the AS pointer itself is unchanged —
-//     exec replaces the whole space).
+//     change what PageFrame would return.
 //
-//   - Object-backed frames alias the backing object's own storage, which
-//     can move or change underneath the mapping (a write to the mapped
-//     file) without the address space hearing about it. Such frames carry
-//     the object's revision counter; users must revalidate Obj.ObjRev()
-//     == Rev before every use. Frames backed by private pages or by an
-//     anonymous mapping's zero page have Obj == nil and need no
-//     revalidation.
+//   - Epoch() is bumped by every content or size change of an exposed
+//     object: a RevBytes object whose bytes ObjBytes has handed out.
+//     Object-backed frames alias the object's own storage, which a write
+//     to the mapped file can change or move without any address space
+//     hearing about it. The writer does not know which spaces map the
+//     object, so the epoch is one counter for all of them: a bump drops
+//     every cache, and an object never handed out never bumps it. Frames
+//     backed by private pages or by the zero page move with Gen() alone.
 //
 // Pages that are watched, shared, or private-but-unmaterialized with no
 // stable backing bytes are never exposed: accesses to them must take the
 // slow path so watchpoint (FLTWATCH), copy-on-write, and write-through
 // semantics stay bit-for-bit identical to the unaccelerated interpreter.
 
+// epoch is the exposed-object epoch. It sits alone on a cache line: at
+// NCPU>1 every CPU loads it on every instruction fetch, and freeFrames,
+// written on every page fault, lives in the same package.
+var epoch struct {
+	_ [56]byte
+	n atomic.Uint64
+	_ [56]byte
+}
+
+// Epoch returns the exposed-object epoch, the third part of a frame
+// cache's key beside the AS pointer and its Gen().
+func Epoch() uint64 { return epoch.n.Load() }
+
+// BumpEpoch announces a content or size change of an exposed RevBytes
+// object. The implementation calls it under the lock its ObjBytes takes,
+// after the change.
+func BumpEpoch() { epoch.n.Add(1) }
+
 // RevBytes is an optional Object extension for backing stores whose entire
 // content lives in one in-memory byte slice. It lets the address space hand
 // out direct page frames over the object's storage. ObjBytes returns the
-// current slice and a revision counter; the slice may be aliased only while
-// ObjRev still returns the same revision. Implementations must change the
-// revision on every content or size change (in-place or reallocating), and
-// a revision must never repeat for different contents — not even across a
-// rewind to saved contents: the address space memoizes padded copies keyed
-// by revision (tailPage), and that memo outlives translation generations.
+// current slice and a revision counter, and exposes the object: from that
+// call on, every content or size change (in-place or reallocating) must
+// call BumpEpoch, so frame caches drop what may alias the old bytes. An
+// object whose bytes were never handed out need not bump it.
+//
+// The revision must change on every content or size change and must never
+// repeat for different contents — not even across a rewind to saved
+// contents: the address space memoizes padded copies keyed by revision
+// (tailPage), and that memo outlives the frame key.
 //
 // The bytes between the slice's length and its capacity must read zero.
 // They are the zero padding of the page that straddles the object's end:
@@ -49,11 +74,9 @@ import "sync"
 // enough slack gets a zero-padded copy per mapping instead (tailPage).
 type RevBytes interface {
 	Object
-	// ObjBytes returns the current backing bytes and their revision.
+	// ObjBytes exposes the object and returns its current backing bytes
+	// and their revision.
 	ObjBytes() ([]byte, uint64)
-	// ObjRev returns the current revision; it must be cheap and callable
-	// without heavyweight locking (it is consulted on every cached access).
-	ObjRev() uint64
 }
 
 // Frame is a directly addressable page exposed to the vCPU fast path by
@@ -61,23 +84,21 @@ type RevBytes interface {
 // and writes through it are immediately visible to the slow path and vice
 // versa — the cache holds translations, never data.
 type Frame struct {
-	Data     []byte   // one page of live storage
-	Prot     Prot     // effective permissions of the mapping
-	Writable bool     // stores may write Data directly (materialized private page)
-	Obj      RevBytes // non-nil: revalidate ObjRev() == Rev before every use
-	Rev      uint64
+	Data     []byte // one page of live storage
+	Prot     Prot   // effective permissions of the mapping
+	Writable bool   // stores may write Data directly (materialized private page)
 }
 
 // PageFrame returns a cacheable frame for the page containing addr. ok ==
 // false means accesses to the page must take the slow path: the page is
 // unmapped (possibly pending automatic stack growth, which only the slow
 // path performs), shared, watched, or private-unmaterialized without stable
-// backing bytes. The frame is valid until Gen() changes; object-backed
-// frames additionally require ObjRev() revalidation per use.
+// backing bytes. The frame is valid until the key read before the call
+// (the AS pointer, Gen() and Epoch()) changes.
 //
 // PageFrame has no side effects on the address space beyond the padded-page
 // memo (see tailPage): it never grows the stack, never materializes a page,
-// and never counts a fault.
+// and never counts a fault. It exposes an object-backed page's object.
 func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -108,12 +129,12 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 		if off < 0 {
 			return Frame{}, false
 		}
-		f := Frame{Prot: s.Prot, Obj: rb, Rev: rev}
+		f := Frame{Prot: s.Prot}
 		end := off + int64(as.pagesize)
 		switch {
 		case off >= int64(len(data)):
 			// Wholly past the object: reads see zeros until it grows,
-			// which moves the revision.
+			// which moves the epoch.
 			f.Data = as.zero
 		case end <= int64(cap(data)):
 			// Inside the object, or straddling its end within the zeroed
@@ -264,9 +285,9 @@ func (as *AS) Release() {
 }
 
 // Gen returns the address space's translation generation: it changes every
-// time a cached page translation could have become stale. Caches must
-// revalidate against it (and against the AS identity itself) before every
-// use of a cached frame. The counter is atomic so a vCPU running on one
+// time a mapping change could have made a cached page translation stale.
+// Caches must revalidate against it, the AS identity and Epoch() before
+// every use of a cached frame. The counter is atomic so a vCPU running on one
 // host CPU observes a bump made by a mutator on another without taking the
 // address-space lock — this is the cross-CPU TLB shootdown generation: a
 // per-access load of Gen makes every remote invalidation visible before the

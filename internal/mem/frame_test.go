@@ -91,7 +91,7 @@ func TestPageFrameCases(t *testing.T) {
 	// Private anonymous, unmaterialized: read-only zero frame.
 	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRW, Fixed: true})
 	f, ok := as.PageFrame(0x10000)
-	if !ok || f.Writable || f.Obj != nil {
+	if !ok || f.Writable {
 		t.Fatalf("anon unmaterialized: frame=%+v ok=%v, want read-only zero frame", f, ok)
 	}
 	for _, b := range f.Data {
@@ -105,7 +105,7 @@ func TestPageFrameCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, ok = as.PageFrame(0x10000)
-	if !ok || !f.Writable || f.Obj != nil {
+	if !ok || !f.Writable {
 		t.Fatalf("materialized page: frame=%+v ok=%v, want writable frame", f, ok)
 	}
 	f.Data[8] = 0x55
@@ -132,37 +132,37 @@ func TestPageFrameCases(t *testing.T) {
 		t.Fatal("page still refused after watch cleared")
 	}
 
-	// Private object-backed, page fully inside the object: aliasing frame
-	// carrying the object revision.
+	// Private object-backed, page fully inside the object: a read-only
+	// frame aliasing the object's storage.
 	mustMap(t, as, MapArgs{Base: 0x30000, Len: 8192, Prot: ProtRX, Obj: obj, Fixed: true})
 	f, ok = as.PageFrame(0x30000)
-	if !ok || f.Writable || f.Obj == nil {
+	if !ok || f.Writable {
 		t.Fatalf("object page: frame=%+v ok=%v, want read-only object frame", f, ok)
 	}
 	if &f.Data[0] != &obj.Data[0] {
 		t.Fatal("full object page should alias the object's storage")
 	}
 
-	// Private object-backed, page extending past the object: zero-padded
-	// snapshot, still revision-guarded.
+	// Private object-backed, page extending past the object: a read-only
+	// zero-padded snapshot.
 	short := &ByteObject{Name: "s", Data: []byte{1, 2, 3}}
 	mustMap(t, as, MapArgs{Base: 0x40000, Len: 4096, Prot: ProtRX, Obj: short, Fixed: true})
 	f, ok = as.PageFrame(0x40000)
-	if !ok || f.Obj == nil {
+	if !ok || f.Writable {
 		t.Fatalf("short object page: frame=%+v ok=%v, want padded snapshot", f, ok)
 	}
 	if len(f.Data) != 4096 || !bytes.Equal(f.Data[:3], []byte{1, 2, 3}) || f.Data[3] != 0 {
 		t.Fatal("padded snapshot content wrong")
 	}
 
-	// COW materialization over the object makes the page writable and
-	// drops the object linkage.
+	// COW materialization over the object makes the page a writable
+	// private copy.
 	as.Mprotect(0x30000, 4096, ProtRW)
 	if _, err := as.WriteAt([]byte{9}, 0x30000); err != nil {
 		t.Fatal(err)
 	}
 	f, ok = as.PageFrame(0x30000)
-	if !ok || !f.Writable || f.Obj != nil {
+	if !ok || !f.Writable || &f.Data[0] == &obj.Data[0] {
 		t.Fatalf("post-COW page: frame=%+v ok=%v, want writable private frame", f, ok)
 	}
 }
@@ -209,24 +209,32 @@ func TestWatchesViewStable(t *testing.T) {
 	}
 }
 
-// TestObjectFrameRevalidation pins the revision half of the protocol: a
-// cached object frame must be detectably stale after the object changes,
-// even though the address space's generation does not move.
+// TestObjectFrameRevalidation pins the epoch half of the key: a cached
+// object frame must be detectably stale after the exposed object changes,
+// even though the address space's generation does not move, and handing
+// out a frame moves nothing by itself.
 func TestObjectFrameRevalidation(t *testing.T) {
 	as := NewAS(4096)
-	obj := &ByteObject{Name: "o", Data: bytes.Repeat([]byte{7}, 4096)}
+	obj := &revObj{ByteObject: ByteObject{Name: "o", Data: bytes.Repeat([]byte{7}, 4096)}}
 	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRX, Obj: obj, Fixed: true})
+	gen, epoch := as.Gen(), Epoch()
 	f, ok := as.PageFrame(0x10000)
-	if !ok || f.Obj == nil {
+	if !ok || &f.Data[0] != &obj.Data[0] {
 		t.Fatal("no object frame")
 	}
-	if f.Obj.ObjRev() != f.Rev {
-		t.Fatal("fresh frame already stale")
+	if as.Gen() != gen || Epoch() != epoch {
+		t.Fatal("a fill moved the key")
 	}
-	// ByteObject is immutable (constant revision 0); the mutable-object
-	// revalidation path is exercised end to end by the memfs-backed kernel
-	// tests. Here, check the Dup'd space starts a fresh protocol: frames
-	// from the parent must not validate against the child.
+	obj.set(bytes.Repeat([]byte{8}, 4096))
+	if as.Gen() != gen || Epoch() == epoch {
+		t.Fatalf("object change: gen %d -> %d, epoch %d -> %d; want the epoch alone to move",
+			gen, as.Gen(), epoch, Epoch())
+	}
+	if f, _ := as.PageFrame(0x10000); f.Data[0] != 8 {
+		t.Fatal("a fresh frame under the new epoch serves the old bytes")
+	}
+	// Check the Dup'd space starts a fresh protocol: frames from the
+	// parent must not validate against the child.
 	child := as.Dup()
 	cf, ok := child.PageFrame(0x10000)
 	if !ok {
@@ -238,14 +246,20 @@ func TestObjectFrameRevalidation(t *testing.T) {
 }
 
 // revObj is a mutable RevBytes object: tests change Data and bump rev by
-// hand, the way memfs does on every write.
+// hand, or through set, which also bumps the epoch the way memfs does on
+// every write to an exposed file.
 type revObj struct {
 	ByteObject
 	rev uint64
 }
 
 func (o *revObj) ObjBytes() ([]byte, uint64) { return o.Data, o.rev }
-func (o *revObj) ObjRev() uint64             { return o.rev }
+
+func (o *revObj) set(data []byte) {
+	o.Data = data
+	o.rev++
+	BumpEpoch()
+}
 
 func sameSlice(a, b []byte) bool { return len(a) == len(b) && &a[0] == &b[0] }
 
@@ -259,7 +273,7 @@ func TestPaddedPageMemo(t *testing.T) {
 	seg := mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRX, MaxProt: ProtRWX, Obj: obj, Fixed: true})
 
 	f1, ok := as.PageFrame(0x10000)
-	if !ok || f1.Writable || f1.Obj == nil {
+	if !ok || f1.Writable {
 		t.Fatalf("padded page: frame=%+v ok=%v, want read-only object frame", f1, ok)
 	}
 	f2, _ := as.PageFrame(0x10abc)
@@ -276,8 +290,8 @@ func TestPaddedPageMemo(t *testing.T) {
 	obj.Data = []byte{4, 5, 6, 7}
 	obj.rev++
 	f3, ok := as.PageFrame(0x10000)
-	if !ok || f3.Rev != obj.rev || !bytes.Equal(f3.Data[:5], []byte{4, 5, 6, 7, 0}) {
-		t.Fatalf("after a revision bump: rev=%d data=%v, want rev %d and the new bytes", f3.Rev, f3.Data[:5], obj.rev)
+	if !ok || !bytes.Equal(f3.Data[:5], []byte{4, 5, 6, 7, 0}) {
+		t.Fatalf("after a revision bump: data=%v, want the new bytes", f3.Data[:5])
 	}
 	if sameSlice(f1.Data, f3.Data) || !bytes.Equal(f1.Data[:4], []byte{1, 2, 3, 0}) {
 		t.Fatal("a revision bump rewrote the old padded copy instead of making a new one")
@@ -294,7 +308,7 @@ func TestPaddedPageMemo(t *testing.T) {
 		t.Fatal("copy-on-write left the padded copy memoized")
 	}
 	f4, ok := as.PageFrame(0x10000)
-	if !ok || !f4.Writable || f4.Obj != nil || f4.Data[0] != 9 || f4.Data[1] != 5 {
+	if !ok || !f4.Writable || f4.Data[0] != 9 || f4.Data[1] != 5 {
 		t.Fatalf("post-COW page: frame=%+v ok=%v, want the writable private copy", f4, ok)
 	}
 }
@@ -310,7 +324,7 @@ func TestPaddedPageDup(t *testing.T) {
 
 	child := as.Dup()
 	cf, ok := child.PageFrame(0x10000)
-	if !ok || cf.Writable || cf.Obj == nil {
+	if !ok || cf.Writable || !sameSlice(cf.Data, pf.Data) {
 		t.Fatalf("child frame=%+v ok=%v, want the read-only padded copy", cf, ok)
 	}
 	if _, err := child.WriteAt([]byte{8}, 0x10001); err != nil {
@@ -340,8 +354,8 @@ func TestSharedZeroPage(t *testing.T) {
 	mustMap(t, b, MapArgs{Base: 0x20000, Len: 8192, Prot: ProtRW, Obj: obj, Fixed: true})
 	fa, _ := a.PageFrame(0x10000)
 	fb, ok := b.PageFrame(0x21000)
-	if !ok || fb.Obj == nil || fb.Rev != obj.rev {
-		t.Fatalf("page past the object: frame=%+v ok=%v, want a revision-guarded frame", fb, ok)
+	if !ok {
+		t.Fatalf("page past the object: frame=%+v ok=%v, want the zero page", fb, ok)
 	}
 	if fa.Writable || fb.Writable || !sameSlice(fa.Data, fb.Data) {
 		t.Fatal("zero frames are not the one shared read-only page")

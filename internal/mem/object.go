@@ -146,13 +146,11 @@ func (b *ByteObject) WriteObj(p []byte, off int64) error {
 }
 
 // ObjBytes implements RevBytes: the data is immutable, so the revision is
-// constant and pages over it may be frame-cached indefinitely. The slice is
-// cut at its length: Data's spare capacity is the caller's and need not be
-// zero, so the page straddling the end is a padded copy.
+// constant, the epoch never needs a bump and pages over it may be
+// frame-cached indefinitely. The slice is cut at its length: Data's spare
+// capacity is the caller's and need not be zero, so the page straddling
+// the end is a padded copy.
 func (b *ByteObject) ObjBytes() ([]byte, uint64) { return b.Data[:len(b.Data):len(b.Data)], 0 }
-
-// ObjRev implements RevBytes.
-func (b *ByteObject) ObjRev() uint64 { return 0 }
 
 var (
 	_ Object   = (*ByteObject)(nil)

@@ -10,7 +10,6 @@ package memfs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/types"
@@ -51,13 +50,24 @@ type node struct {
 	data     []byte           // regular files; zeroed slack past the end (withSlack)
 	children map[string]*node // directories
 
-	// rev counts content changes to data (in-place or reallocating). It
-	// backs the mem.RevBytes contract that lets mapped pages of this file
-	// be frame-cached by the vCPU fast path: a cached page is revalidated
-	// against ObjRev before every use, so a write to a mapped file is
-	// visible to a running process exactly as it is on the ReadObj slow
-	// path. Atomic so ObjRev needs no lock on the per-instruction path.
-	rev atomic.Uint64
+	// rev counts content changes to data (in-place or reallocating), and
+	// exposed records that ObjBytes handed data to a frame cache. Together
+	// they back the mem.RevBytes contract that lets mapped pages of this
+	// file be frame-cached by the vCPU fast path: once the file is exposed,
+	// every change also bumps the mem epoch (changed), so a write to a
+	// mapped file is visible to a running process exactly as it is on the
+	// ReadObj slow path. A file never mapped never bumps it.
+	rev     uint64
+	exposed bool
+}
+
+// changed notes a content or size change of data. The caller holds n.mu
+// and has made the change.
+func (n *node) changed() {
+	n.rev++
+	if n.exposed {
+		mem.BumpEpoch()
+	}
 }
 
 // --- vfs.Vnode ---
@@ -96,7 +106,7 @@ func (n *node) VOpen(flags int, c types.Cred) (vfs.Handle, error) {
 	if flags&vfs.OTrunc != 0 && !isDir {
 		n.mu.Lock()
 		n.data = nil
-		n.rev.Add(1)
+		n.changed()
 		n.attr.MTime = n.fs.now()
 		n.mu.Unlock()
 	}
@@ -248,8 +258,21 @@ func (n *node) ReadObj(p []byte, off int64) {
 	}
 }
 
+// MaxFileSize caps the size of a memfs file: a write whose end would pass
+// it fails with vfs.ErrNoSpace, as blockfs's writes do at its own cap. A
+// file lives in host memory, so without the cap one byte written at a high
+// offset would allocate the whole file. The largest file the tests and
+// benchmarks create is a core file of about 45 KB.
+const MaxFileSize = 1 << 20
+
 // WriteObj implements mem.Object: shared mappings write through.
 func (n *node) WriteObj(p []byte, off int64) error {
+	if off < 0 {
+		return vfs.ErrInval
+	}
+	if off > MaxFileSize-int64(len(p)) {
+		return vfs.ErrNoSpace
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	end := off + int64(len(p))
@@ -259,7 +282,7 @@ func (n *node) WriteObj(p []byte, off int64) error {
 		n.data = grown
 	}
 	copy(n.data[off:], p)
-	n.rev.Add(1)
+	n.changed()
 	n.attr.MTime = n.fs.now()
 	return nil
 }
@@ -279,19 +302,16 @@ func withSlack(n int64) []byte {
 	return make([]byte, n, n+slack)
 }
 
-// ObjBytes implements mem.RevBytes: the current file contents plus the
-// revision under which they may be aliased by frame caches. Every write
-// that grows the file reallocates it, so the capacity past the end is
-// always slack and always zero.
+// ObjBytes implements mem.RevBytes: the current file contents plus their
+// revision. It exposes the file, so every later change bumps the mem
+// epoch. Every write that grows the file reallocates it, so the capacity
+// past the end is always slack and always zero.
 func (n *node) ObjBytes() ([]byte, uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.data, n.rev.Load()
+	n.exposed = true
+	return n.data, n.rev
 }
-
-// ObjRev implements mem.RevBytes. It is consulted on every cached access to
-// a mapped page of this file, so it takes no lock.
-func (n *node) ObjRev() uint64 { return n.rev.Load() }
 
 var (
 	_ vfs.DirWriter = (*node)(nil)
@@ -402,7 +422,7 @@ func (fs *FS) WriteFile(path string, data []byte, mode uint16, uid, gid int) err
 	child.mu.Lock()
 	child.data = withSlack(int64(len(data)))
 	copy(child.data, data)
-	child.rev.Add(1)
+	child.changed()
 	child.attr.Mode = mode
 	child.attr.UID = uid
 	child.attr.GID = gid

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/types"
 	"repro/internal/vfs"
 )
@@ -257,5 +258,81 @@ func TestPollOnRegularFile(t *testing.T) {
 	f, _ := cl.Open("/f", vfs.ORead)
 	if f.Poll(vfs.PollIn) != 0 {
 		t.Fatal("regular files do not implement poll; expect 0")
+	}
+}
+
+// TestEpochFollowsExposure pins when a file's changes move the mem epoch:
+// never while no frame cache has been handed its bytes, and on every
+// change (write, truncating open, reinstall, restore) once ObjBytes has.
+func TestEpochFollowsExposure(t *testing.T) {
+	fs, ns := newFixture(t)
+	fs.WriteFile("/data", []byte("abc"), 0o666, 0, 0)
+	cl := &vfs.Client{NS: ns, Cred: types.RootCred()}
+	f, err := cl.Open("/data", vfs.ORead|vfs.OWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := mem.Epoch()
+	if _, err := f.Pwrite([]byte("xyz"), 2); err != nil {
+		t.Fatal(err)
+	}
+	st := fs.SaveState()
+	fs.WriteFile("/data", []byte("def"), 0o666, 0, 0)
+	fs.RestoreState(st)
+	if got := mem.Epoch(); got != epoch {
+		t.Fatalf("changes to a never-exposed file moved the epoch %d times", got-epoch)
+	}
+
+	obj, _ := fs.Object("/data")
+	data, rev := obj.(mem.RevBytes).ObjBytes()
+	if string(data) != "abxyz" {
+		t.Fatalf("ObjBytes = %q", data)
+	}
+	for _, c := range []struct {
+		name string
+		do   func()
+	}{
+		{"write", func() { f.Pwrite([]byte("q"), 0) }},
+		{"O_TRUNC open", func() { cl.Open("/data", vfs.OWrite|vfs.OTrunc) }},
+		{"WriteFile", func() { fs.WriteFile("/data", []byte("ghi"), 0o666, 0, 0) }},
+		{"RestoreState", func() { fs.RestoreState(st) }},
+	} {
+		epoch := mem.Epoch()
+		c.do()
+		if mem.Epoch() == epoch {
+			t.Fatalf("%s of an exposed file left the epoch alone", c.name)
+		}
+		if _, r := obj.(mem.RevBytes).ObjBytes(); r == rev {
+			t.Fatalf("%s of an exposed file left its revision alone", c.name)
+		} else {
+			rev = r
+		}
+	}
+}
+
+// TestWriteCap pins memfs's size cap: a write may end exactly at
+// MaxFileSize, one byte further fails with ErrNoSpace and leaves the file
+// as it was, and a negative or overflowing offset is refused too.
+func TestWriteCap(t *testing.T) {
+	fs, _ := newFixture(t)
+	fs.WriteFile("/f", nil, 0o644, 0, 0)
+	obj, _ := fs.Object("/f")
+	if err := obj.WriteObj([]byte{1}, MaxFileSize-1); err != nil {
+		t.Fatalf("write ending at the cap: %v", err)
+	}
+	for _, c := range []struct {
+		off  int64
+		want error
+	}{
+		{MaxFileSize, vfs.ErrNoSpace},
+		{1<<63 - 1, vfs.ErrNoSpace},
+		{-1, vfs.ErrInval},
+	} {
+		if err := obj.WriteObj([]byte{2}, c.off); err != c.want {
+			t.Fatalf("write at %#x: %v, want %v", c.off, err, c.want)
+		}
+	}
+	if n := obj.ObjSize(); n != MaxFileSize {
+		t.Fatalf("size %d after the refused writes, want %d", n, MaxFileSize)
 	}
 }

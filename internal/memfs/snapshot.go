@@ -49,9 +49,9 @@ func (n *node) save(st *FSState) {
 }
 
 // RestoreState rewinds the tree in place to a state captured by SaveState.
-// The state remains reusable. Every restored file's revision is bumped so
-// frame-cached pages of mapped files revalidate against the restored
-// contents.
+// The state remains reusable. Every restored node counts as changed, so
+// frame caches over an exposed file drop what they hold and refill from
+// the restored contents.
 func (fs *FS) RestoreState(st *FSState) {
 	for n, ns := range st.nodes {
 		n.mu.Lock()
@@ -66,7 +66,7 @@ func (fs *FS) RestoreState(st *FSState) {
 				n.children[name] = c
 			}
 		}
-		n.rev.Add(1)
+		n.changed()
 		n.mu.Unlock()
 	}
 }

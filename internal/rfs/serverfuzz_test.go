@@ -1,11 +1,13 @@
 package rfs_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro"
 	"repro/internal/kernel"
 	"repro/internal/mem"
+	"repro/internal/memfs"
 	"repro/internal/procfs"
 	"repro/internal/rfs"
 	"repro/internal/types"
@@ -25,10 +27,11 @@ word:	.word 0x11223344
 `
 
 // fuzzServer boots a system whose target pauses and a server over a name
-// space holding the flat /proc alone, at "/": a request reaches every /proc
-// operation but no memfs file, which a write at a hostile offset would grow
-// to any size. Waits for a stop are cut to a few thousand scheduler passes,
-// so a PIOCWSTOP on a target that never stops ends quickly.
+// space of a fresh memfs, with the flat /proc at /proc and a world-writable
+// /tmp beside it: a request reaches every /proc operation and every memfs
+// one, down to a write at a hostile offset, which memfs's size cap refuses.
+// Waits for a stop are cut to a few thousand scheduler passes, so a
+// PIOCWSTOP on a target that never stops ends quickly.
 func fuzzServer(t testing.TB) (*rfs.Server, *kernel.Proc) {
 	s := repro.NewSystem(repro.Options{NCPU: 1})
 	t.Cleanup(s.Close)
@@ -38,8 +41,11 @@ func fuzzServer(t testing.TB) (*rfs.Server, *kernel.Proc) {
 		t.Fatal(err)
 	}
 	s.Run(20)
-	ns := vfs.NewNS(s.FS.Root())
-	ns.MountLocked("/", s.Proc.Root(), s.K.GlobalLocker())
+	fs := memfs.New(nil)
+	fs.MkdirAll("/proc", 0o555)
+	fs.MkdirAll("/tmp", 0o777)
+	ns := vfs.NewNS(fs.Root())
+	ns.MountLocked("/proc", s.Proc.Root(), s.K.GlobalLocker())
 	return rfs.NewServer(ns, nil), p
 }
 
@@ -56,13 +62,13 @@ func (r *recordingT) RoundTrip(req []byte) ([]byte, error) {
 
 // clientSession drives a real client through every operation and one ioctl
 // for each remotable command, and returns the requests it sent, each behind
-// a u32 length: the seed of FuzzServerHandle.
+// a u32 length: a seed of FuzzServerHandle.
 func clientSession(t testing.TB) []byte {
 	srv, p := fuzzServer(t)
 	tr := &recordingT{s: srv}
 	cl := rfs.NewClient(tr, types.RootCred())
-	name := "/" + procfs.PidName(p.Pid)
-	if _, err := cl.ReadDir("/"); err != nil {
+	name := "/proc/" + procfs.PidName(p.Pid)
+	if _, err := cl.ReadDir("/proc"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Stat(name); err != nil {
@@ -129,7 +135,7 @@ func clientSession(t testing.TB) []byte {
 		}
 	}
 	f.Close()
-	d, err := cl.Open("/", vfs.ORead)
+	d, err := cl.Open("/proc", vfs.ORead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,20 +146,57 @@ func clientSession(t testing.TB) []byte {
 	if !p.Alive() {
 		t.Fatal("target died during the session")
 	}
+	return tr.seed()
+}
+
+// memfsSession drives a real client through a memfs file's life, up to a
+// write past the size cap, and returns the requests it sent like
+// clientSession. It is a seed of its own: a short seed keeps the fuzzer's
+// minimization of what it finds from it short too.
+func memfsSession(t testing.TB) []byte {
+	srv, _ := fuzzServer(t)
+	tr := &recordingT{s: srv}
+	cl := rfs.NewClient(tr, types.RootCred())
+	m, err := cl.Open("/tmp/f", vfs.ORead|vfs.OWrite|vfs.OCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Pwrite([]byte("data"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Pread(make([]byte, 4), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Pwrite([]byte{1}, memfs.MaxFileSize); !errors.Is(err, vfs.ErrNoSpace) {
+		t.Fatalf("write past the memfs cap: %v, want ErrNoSpace", err)
+	}
+	m.Close()
+	if _, err := cl.Stat("/tmp/f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ReadDir("/tmp"); err != nil {
+		t.Fatal(err)
+	}
+	return tr.seed()
+}
+
+// seed returns the recorded requests, each behind a u32 length.
+func (r *recordingT) seed() []byte {
 	var seed wire.Cursor
-	for _, req := range tr.reqs {
+	for _, req := range r.reqs {
 		seed.PutBytes(req)
 	}
 	return seed.B
 }
 
 // FuzzServerHandle feeds a sequence of length-prefixed requests to one
-// server over a live /proc. No input may panic the server, and every
+// server over a live /proc and a memfs directory. No input may panic the server, and every
 // response must open with a well-formed error header: a code and a
 // length-prefixed message.
 func FuzzServerHandle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(clientSession(f))
+	f.Add(memfsSession(f))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		srv, _ := fuzzServer(t)
 		reqs := wire.Cursor{B: in}

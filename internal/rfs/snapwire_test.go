@@ -167,6 +167,9 @@ func TestSnapRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
+	if lockDebugEnabled {
+		t.Skip("lock-order assertions allocate on every acquire")
+	}
 	s := repro.NewSystem()
 	const n = 64
 	for i := 0; i < n; i++ {

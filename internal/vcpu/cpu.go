@@ -160,17 +160,13 @@ func (c *CPU) store8(addr uint32, v byte) *Trap {
 	return nil
 }
 
-// fetch32 reads the instruction word at pc (execute permission). A pc
-// inside the fetch window is served from it once the window revalidates;
-// otherwise an exec hit in the TLB refills the window.
+// fetch32 reads the instruction word at a pc outside the fetch window
+// (execute permission): an exec hit in the TLB refills the window, and
+// anything else takes the slow path. Step serves a pc inside the window
+// itself, while the TLB's key holds, without a call.
 func (c *CPU) fetch32(pc uint32) (uint32, *Trap) {
-	t := &c.tlb
-	if off := pc - t.win.base; off < uint32(len(t.win.frame)) && t.as == c.AS && t.gen == c.AS.Gen() &&
-		(t.win.obj == nil || t.win.obj.ObjRev() == t.win.rev) {
-		return binary.BigEndian.Uint32(t.win.frame[off : off+4]), nil
-	}
 	if f := c.tlbFrame(pc, mem.ProtExec, false); f != nil {
-		t.fillWindow(pc)
+		c.tlb.fillWindow(pc)
 		off := pc & c.tlb.mask
 		return binary.BigEndian.Uint32(f[off : off+4]), nil
 	}
@@ -268,9 +264,14 @@ func (c *CPU) Step() Trap {
 	if pc%4 != 0 {
 		return fault(types.FLTBOUNDS, pc)
 	}
-	w, ft := c.fetch32(pc)
-	if ft != nil {
-		return *ft
+	var w uint32
+	if t, off := &c.tlb, pc-c.tlb.win.base; off < uint32(len(t.win.frame)) && t.current(c.AS) {
+		w = binary.BigEndian.Uint32(t.win.frame[off : off+4])
+	} else {
+		var ft *Trap
+		if w, ft = c.fetch32(pc); ft != nil {
+			return *ft
+		}
 	}
 	op, ra, rb, imm := Decode(w)
 	// The register fields are 4 bits wide but the machine has NumRegs

@@ -315,7 +315,7 @@ func TestReleaseTLB(t *testing.T) {
 		t.Fatal("release dropped the TLB's key")
 	}
 	for i, e := range ents {
-		if e.tag != tlbNoTag || e.frame != nil || e.obj != nil {
+		if e.tag != tlbNoTag || e.frame != nil {
 			t.Fatalf("released array slot %d still holds %#x", i, e.tag)
 		}
 	}

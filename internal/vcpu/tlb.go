@@ -16,30 +16,30 @@ import (
 // permission faults) is deliberately a miss, so the slow path keeps those
 // behaviors bit-for-bit identical to the unaccelerated interpreter.
 //
-// Validity is the generation protocol of mem/frame.go: the TLB is keyed
-// with the address space pointer and its Gen() at fill time, and the whole
-// TLB is dropped the moment either changes — exec replaces the AS pointer,
-// every mapping mutation (map/unmap/mprotect/brk/stack growth/COW
-// materialization/watchpoint change) bumps the generation, whether it came
-// from the process itself, a /proc as-file write, or ptrace POKE. Frames
-// backed by a mapped object additionally carry the object's revision and
-// are revalidated against it on every hit, so writes to a mapped file are
-// never served stale. Dropping costs O(occupied slots): an occupancy mask
-// records which slots were filled since the last reset, and only those are
-// cleared — the generation moves on every brk and every fresh-page store,
-// often with only a few slots in use.
+// Validity is the one key of mem/frame.go: the TLB is keyed with the
+// address space pointer, its Gen() and mem.Epoch(), read before any fill,
+// and the whole TLB is dropped the moment any of them changes. Exec
+// replaces the AS pointer. Every mapping mutation (map/unmap/mprotect/brk/
+// stack growth/COW materialization/watchpoint change) bumps the
+// generation, whether it came from the process itself, a /proc as-file
+// write, or ptrace POKE. A content change to a mapped object (a write to a
+// mapped file, a truncate, a checkpoint restore) bumps the epoch, so
+// frames aliasing the object's storage are never served stale. A hit
+// compares the key and nothing else. Dropping costs O(occupied slots): an
+// occupancy mask records which slots were filled since the last reset, and
+// only those are cleared — the generation moves on every brk and every
+// fresh-page store, often with only a few slots in use.
 //
 // In front of the entries sits the fetch window: the translation of the
 // text page that served the last instruction fetch, so straight-line code
 // and loops skip the index, the tag compare and the permission check. It
-// is part of the TLB and shares its key: a PC inside the window is served
-// only after the checks a TLB hit makes — the same AS pointer, an
-// unchanged Gen() and, for an object-backed frame, an unchanged ObjRev() —
-// and a reset or FlushTLB drops it with the entries. Like them it caches a
-// translation, never data: the frame aliases live storage, so a store or
-// an as-file write to an already private text page is fetched at once. A
-// fetch outside the window falls through to the entries, whose exec hit
-// refills it; NoTLB never fills it.
+// is part of the TLB and shares its key: Step serves a PC inside the
+// window only under the key a TLB hit needs, and a reset or FlushTLB drops
+// it with the entries. Like them it caches a translation, never data: the
+// frame aliases live storage, so a store or an as-file write to an already
+// private text page is fetched at once. A fetch outside the window falls
+// through to the entries (fetch32), whose exec hit refills it; NoTLB never
+// fills it.
 
 // The entry array is most of an LWP's size, and most LWPs of a large table
 // are asleep, so a TLB holds one only while its LWP can run (ReleaseTLB,
@@ -60,12 +60,10 @@ var _ [64 - tlbSize]struct{}
 
 // tlbEntry caches one page translation.
 type tlbEntry struct {
-	tag      uint32       // page base address, or tlbNoTag
-	prot     mem.Prot     // effective permissions of the mapping
-	writable bool         // stores may write the frame directly
-	rev      uint64       // object revision at fill time (obj != nil)
-	frame    []byte       // one page of live storage
-	obj      mem.RevBytes // non-nil: revalidate every hit against ObjRev
+	tag      uint32   // page base address, or tlbNoTag
+	prot     mem.Prot // effective permissions of the mapping
+	writable bool     // stores may write the frame directly
+	frame    []byte   // one page of live storage
 }
 
 // tlbEnts is one entry array. Every array outside a TLB is empty: every
@@ -76,6 +74,7 @@ type tlbEnts [tlbSize]tlbEntry
 type tlb struct {
 	as    *mem.AS  // address space the entries describe
 	gen   uint64   // its Gen() when they were filled
+	epoch uint64   // mem.Epoch() when they were filled
 	shift uint32   // page shift
 	mask  uint32   // page size - 1
 	used  uint64   // bit i set: ents[i] filled since the last reset
@@ -87,10 +86,8 @@ type tlb struct {
 // the entry it was filled from held it, valid under the TLB's key. An
 // empty window has no frame, so no PC lies inside it.
 type fetchWin struct {
-	base  uint32       // page base address
-	frame []byte       // one page of live storage
-	obj   mem.RevBytes // non-nil: revalidate every fetch against ObjRev
-	rev   uint64       // object revision at fill time (obj != nil)
+	base  uint32 // page base address
+	frame []byte // one page of live storage
 }
 
 // entsCap bounds the free list of entry arrays: eight arrays, about 30 KB.
@@ -141,12 +138,20 @@ func (t *tlb) clearUsed() {
 	t.used = 0
 }
 
-// reset re-keys the TLB to the address space's current generation and
-// drops every entry and the fetch window. Called whenever the AS pointer
-// or generation moves. Slots outside the occupancy mask are already empty.
+// current reports whether the TLB is keyed to as under its current
+// generation and the current epoch.
+func (t *tlb) current(as *mem.AS) bool {
+	return t.as == as && t.gen == as.Gen() && t.epoch == mem.Epoch()
+}
+
+// reset re-keys the TLB to the address space's current generation and the
+// current epoch, and drops every entry and the fetch window. Called
+// whenever any part of the key moves. Slots outside the occupancy mask are
+// already empty.
 func (t *tlb) reset(as *mem.AS) {
 	t.as = as
 	t.gen = as.Gen()
+	t.epoch = mem.Epoch()
 	ps := as.PageSize()
 	t.mask = ps - 1
 	t.shift = uint32(bits.TrailingZeros32(ps))
@@ -171,8 +176,7 @@ func (c *CPU) ReleaseTLB() {
 // FlushTLB drops every cached translation and un-keys the TLB; the next
 // access re-keys it against the current address space. Checkpoint restore
 // calls it: cached frames may describe an address space the restore just
-// discarded, and pointer+generation revalidation is not trusted across a
-// rewind.
+// discarded, and the key is not trusted across a rewind.
 func (c *CPU) FlushTLB() {
 	c.ReleaseTLB()
 	c.tlb = tlb{}
@@ -182,7 +186,7 @@ func (c *CPU) FlushTLB() {
 // the fetch window.
 func (t *tlb) fillWindow(pc uint32) {
 	e := &t.ents[(pc>>t.shift)&(tlbSize-1)]
-	t.win = fetchWin{base: e.tag, frame: e.frame, obj: e.obj, rev: e.rev}
+	t.win = fetchWin{base: e.tag, frame: e.frame}
 }
 
 // tlbFrame returns the direct frame for an access needing permissions want
@@ -196,7 +200,7 @@ func (c *CPU) tlbFrame(addr uint32, want mem.Prot, write bool) []byte {
 		return nil
 	}
 	t := &c.tlb
-	if t.as != c.AS || t.gen != c.AS.Gen() {
+	if !t.current(c.AS) {
 		t.reset(c.AS)
 	}
 	if t.ents == nil {
@@ -206,16 +210,13 @@ func (c *CPU) tlbFrame(addr uint32, want mem.Prot, write bool) []byte {
 	e := &t.ents[i]
 	tag := addr &^ t.mask
 	if e.tag == tag {
-		if e.obj != nil && e.obj.ObjRev() != e.rev {
-			e.tag = tlbNoTag // the mapped object changed under the entry
-		} else if e.prot&want == want && (!write || e.writable) {
+		if e.prot&want == want && (!write || e.writable) {
 			return e.frame
-		} else {
-			// The translation is valid but this access needs the slow
-			// path: a permission fault, or a store that must do
-			// copy-on-write first. Keep the entry.
-			return nil
 		}
+		// The translation is valid but this access needs the slow path:
+		// a permission fault, or a store that must do copy-on-write
+		// first. Keep the entry.
+		return nil
 	}
 	f, ok := c.AS.PageFrame(tag)
 	t.used |= 1 << i
@@ -228,8 +229,7 @@ func (c *CPU) tlbFrame(addr uint32, want mem.Prot, write bool) []byte {
 		*e = tlbEntry{tag: tag}
 		return nil
 	}
-	e.tag, e.prot, e.writable, e.frame, e.obj, e.rev =
-		tag, f.Prot, f.Writable, f.Data, f.Obj, f.Rev
+	e.tag, e.prot, e.writable, e.frame = tag, f.Prot, f.Writable, f.Data
 	if f.Prot&want != want || (write && !f.Writable) {
 		return nil
 	}

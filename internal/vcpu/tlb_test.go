@@ -1,6 +1,7 @@
 package vcpu
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"strings"
 	"testing"
@@ -90,5 +91,48 @@ func TestCheckTLBCatchesUnmaskedSlot(t *testing.T) {
 	}
 	if err := c.CheckTLB(); err == nil {
 		t.Fatal("CheckTLB passed an unmasked slot at a stale generation")
+	}
+}
+
+// CheckTLB holds object-backed entries and the fetch window to the frame
+// PageFrame returns under the current key. A writer that moves an exposed
+// object's bytes without bumping the epoch leaves both aliasing the old
+// storage, and CheckTLB says so; once the epoch moves, the cache is under
+// an old key, which is legal, and the next fetch refills it from the new
+// bytes.
+func TestCheckTLBCatchesUnannouncedObjectChange(t *testing.T) {
+	text := make([]byte, 4096)
+	for i, w := range spinWords(3) {
+		binary.BigEndian.PutUint32(text[4*i:], w)
+	}
+	obj := &mem.ByteObject{Name: "text", Data: text}
+	as := mem.NewAS(4096)
+	if _, err := as.Map(mem.MapArgs{Base: 0x1000, Len: 4096, Prot: mem.ProtRX, Obj: obj, Fixed: true}); err != nil {
+		t.Fatal(err)
+	}
+	c := &CPU{AS: as}
+	c.Regs.PC = 0x1000
+	stepOK(t, c)
+	stepOK(t, c)
+	if c.tlb.win.frame == nil {
+		t.Fatal("no fetch window over the object's text")
+	}
+	if err := c.CheckTLB(); err != nil {
+		t.Fatal(err)
+	}
+	obj.Data = append([]byte(nil), text...)
+	if err := c.CheckTLB(); err == nil || !strings.Contains(err.Error(), "wrong frame") {
+		t.Fatalf("CheckTLB = %v after an unannounced change, want a wrong-frame violation", err)
+	}
+	mem.BumpEpoch()
+	if err := c.CheckTLB(); err != nil {
+		t.Fatalf("CheckTLB under an old epoch: %v", err)
+	}
+	stepOK(t, c)
+	if err := c.CheckTLB(); err != nil {
+		t.Fatalf("CheckTLB after the refill: %v", err)
+	}
+	if &c.tlb.win.frame[0] != &obj.Data[0] {
+		t.Fatal("the refilled window does not alias the object's new bytes")
 	}
 }
