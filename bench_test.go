@@ -408,22 +408,40 @@ func BenchmarkASRead64K_Ptrace(b *testing.B) {
 	}
 }
 
-// --- C4: the ps sweep, one PIOCPSINFO per process ---
+// --- C4 and C18: the ps sweep, per pid (readdir, then one open +
+// PIOCPSINFO + close per process: the paper's protocol) and batched (one
+// PIOCSNAP on the /proc directory), over the 23-process system of C4 and
+// the 1000-process table of C18 ---
 
 func BenchmarkPsSweep(b *testing.B) {
-	s := bootBench(b)
-	for i := 0; i < 20; i++ {
-		spawnBench(b, s, fmt.Sprintf("w%d", i), benchSpin)
-	}
-	s.Run(5)
-	cl := s.Client(types.RootCred())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tools.PS(cl, io.Discard); err != nil {
-			b.Fatal(err)
+	modes := []struct {
+		name string
+		ps   func(tools.ProcClient, io.Writer) error
+	}{{"per-pid", tools.PSLegacy}, {"batched", tools.PS}}
+	for _, m := range modes {
+		for _, procs := range []int{23, 1000} {
+			b.Run(fmt.Sprintf("mode=%s/procs=%d", m.name, procs), func(b *testing.B) {
+				s := bootBench(b)
+				if err := s.Install("/bin/w", benchSpin, 0o755, 0, 0); err != nil {
+					b.Fatal(err)
+				}
+				for i := len(s.K.Procs()); i < procs; i++ {
+					if _, err := s.Spawn("/bin/w", []string{fmt.Sprintf("w%d", i)}, types.UserCred(100, 10)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s.Run(5)
+				cl := s.Client(types.RootCred())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := m.ps(cl, io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(s.K.Procs())), "procs/sweep")
+			})
 		}
 	}
-	b.ReportMetric(23, "procs/sweep")
 }
 
 // --- C5: truss overhead: a syscall-heavy program traced vs untraced ---

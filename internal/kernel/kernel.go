@@ -36,8 +36,8 @@ type Config struct {
 	PageSize int // address-space page size (default mem.DefaultPageSize)
 	Quantum  int // instructions per scheduling quantum (default 50)
 	// NoTLB disables the vCPU translation fast path on every LWP: the
-	// reference interpreter for differential testing. The REPRO_NOTLB
-	// environment variable forces it for a whole test or benchmark run.
+	// reference interpreter for differential testing
+	// (TestDifferentialTLBvsNoTLB).
 	NoTLB bool
 	// NCPU is the number of scheduler CPUs, each with its own run queue.
 	// 0 or 1 (the default) runs the one CPU inline on the goroutine that
@@ -148,9 +148,6 @@ func New(ns *vfs.NS, cfg Config) *Kernel {
 	}
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 50
-	}
-	if os.Getenv("REPRO_NOTLB") != "" {
-		cfg.NoTLB = true
 	}
 	if cfg.NCPU == 0 {
 		if v := os.Getenv("REPRO_NCPU"); v != "" {

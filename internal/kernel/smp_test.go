@@ -70,6 +70,65 @@ func TestShootdownBarrier(t *testing.T) {
 	w.curAS.Store(nil)
 }
 
+// TestStealSkipsEmptyVictim guards the work-stealing stampede fix. A CPU
+// that has drained its own queue steals from the others; when every thief
+// took the lock of every victim, however empty, the thieves serialized on
+// the same near-empty queues and fork_storm's slowest operations ran about
+// 19 times its median. runPass must read a victim's avail count first and
+// pass an empty victim by without touching its lock. Here the lock of an
+// empty victim is held while another CPU runs a pass: the pass must still
+// return, having stolen the one runnable process from its home queue.
+func TestStealSkipsEmptyVictim(t *testing.T) {
+	fs := memfs.New(nil)
+	k := New(vfs.NewNS(fs.Root()), Config{NCPU: 4})
+	defer k.Shutdown()
+	img, err := asm.Assemble("\tmovi r0, SYS_pause\n\tsyscall\n", &asm.Options{Predef: Predefs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/pause", img.Marshal(), 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.Spawn("/pause", nil, types.UserCred(100, 10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Arm the queues for a pass, as stepSMP does.
+	k.smp.pass++
+	for i := range k.queues {
+		q := &k.queues[i]
+		q.lock()
+		q.next = 0
+		q.avail.Store(int32(len(q.procs)))
+		q.unlock()
+	}
+	home := int(uint(p.Pid) % uint(len(k.queues)))
+	thief := k.cpus[(home+1)%4]
+	victim := &k.queues[(home+2)%4]
+	if n := victim.avail.Load(); n != 0 {
+		t.Fatalf("victim queue has %d unclaimed entries, want 0", n)
+	}
+
+	victim.lock()
+	done := make(chan struct{})
+	go func() {
+		k.runPass(thief)
+		close(done)
+	}()
+	select {
+	case <-done:
+		victim.unlock()
+	case <-time.After(5 * time.Second):
+		victim.unlock()
+		<-done
+		t.Fatal("the pass blocked on the lock of an empty victim queue")
+	}
+	if !thief.ran {
+		t.Fatal("the pass did not steal the runnable process from its home queue")
+	}
+}
+
 // TestOneCPUStepsInline pins the NCPU=1 shape of the single phase machine:
 // Step drives the kernel's one CPU on the caller's goroutine, so a run that
 // spins, grows and shrinks its break (every brk reaches shootdown) starts

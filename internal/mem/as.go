@@ -100,7 +100,6 @@ type Seg struct {
 	Kind    SegKind
 
 	priv map[uint32][]byte // page base -> private page (copy-on-write state)
-	tail *tailPage         // memoized padded page straddling Obj's end (frame.go)
 }
 
 // End returns the first address past the mapping.
@@ -141,7 +140,7 @@ type Stats struct {
 // another CPU mutating the same space through a /proc write or a vfork
 // sibling's brk — without a global memory lock. The TLB fast path never
 // takes mu: it revalidates each cached frame against the atomic generation
-// (Gen) and the backing object's revision instead. Read-only reporting views
+// (Gen) and the exposed-object epoch (Epoch) instead. Read-only reporting views
 // (Segs, SegsView, FindSeg, VirtSize, MapString, Watches) stay lock-free;
 // they are only called from contexts already serialized against mutation of
 // that space (the owning process's own syscalls, or a kernel that has
@@ -559,9 +558,6 @@ func (as *AS) Dup() *AS {
 	n := NewAS(int(as.pagesize))
 	n.stackLim = as.stackLim
 	n.adopt(copySegs(as.segs, as.stack, as.brk))
-	for i, s := range as.segs {
-		n.segs[i].tail = s.tail // immutable and never exposed writable
-	}
 	// Watchpoints are per-address-space state and do not survive fork.
 	return n
 }

@@ -56,27 +56,21 @@ func BumpEpoch() { epoch.n.Add(1) }
 // RevBytes is an optional Object extension for backing stores whose entire
 // content lives in one in-memory byte slice. It lets the address space hand
 // out direct page frames over the object's storage. ObjBytes returns the
-// current slice and a revision counter, and exposes the object: from that
-// call on, every content or size change (in-place or reallocating) must
-// call BumpEpoch, so frame caches drop what may alias the old bytes. An
-// object whose bytes were never handed out need not bump it.
-//
-// The revision must change on every content or size change and must never
-// repeat for different contents — not even across a rewind to saved
-// contents: the address space memoizes padded copies keyed by revision
-// (tailPage), and that memo outlives the frame key.
+// current slice and exposes the object: from that call on, every content
+// or size change (in-place or reallocating) must call BumpEpoch, so frame
+// caches drop what may alias the old bytes. An object whose bytes were
+// never handed out need not bump it.
 //
 // The bytes between the slice's length and its capacity must read zero.
 // They are the zero padding of the page that straddles the object's end:
 // when the capacity covers that whole page, PageFrame aliases it like any
 // other page, so every mapping of the object shares one padded page (memfs
-// keeps a page of such slack past every file's end). An object without
-// enough slack gets a zero-padded copy per mapping instead (tailPage).
+// keeps a page of such slack past every file's end). Without enough slack
+// the straddling page has no frame and takes the slow path.
 type RevBytes interface {
 	Object
-	// ObjBytes exposes the object and returns its current backing bytes
-	// and their revision.
-	ObjBytes() ([]byte, uint64)
+	// ObjBytes exposes the object and returns its current backing bytes.
+	ObjBytes() []byte
 }
 
 // Frame is a directly addressable page exposed to the vCPU fast path by
@@ -93,12 +87,13 @@ type Frame struct {
 // false means accesses to the page must take the slow path: the page is
 // unmapped (possibly pending automatic stack growth, which only the slow
 // path performs), shared, watched, or private-unmaterialized without stable
-// backing bytes. The frame is valid until the key read before the call
-// (the AS pointer, Gen() and Epoch()) changes.
+// backing bytes (including the page that straddles the end of an object
+// without zeroed slack to cover it). The frame is valid until the key read
+// before the call (the AS pointer, Gen() and Epoch()) changes.
 //
-// PageFrame has no side effects on the address space beyond the padded-page
-// memo (see tailPage): it never grows the stack, never materializes a page,
-// and never counts a fault. It exposes an object-backed page's object.
+// PageFrame has no side effects on the address space: it never grows the
+// stack, never materializes a page, and never counts a fault. It exposes an
+// object-backed page's object.
 func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -124,55 +119,27 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 		return Frame{Data: as.zero, Prot: s.Prot}, true
 	}
 	if rb, ok := s.Obj.(RevBytes); ok {
-		data, rev := rb.ObjBytes()
+		data := rb.ObjBytes()
 		off := s.Off + int64(pb) - int64(s.Base)
 		if off < 0 {
 			return Frame{}, false
 		}
-		f := Frame{Prot: s.Prot}
 		end := off + int64(as.pagesize)
 		switch {
 		case off >= int64(len(data)):
 			// Wholly past the object: reads see zeros until it grows,
 			// which moves the epoch.
-			f.Data = as.zero
+			return Frame{Data: as.zero, Prot: s.Prot}, true
 		case end <= int64(cap(data)):
 			// Inside the object, or straddling its end within the zeroed
 			// slack the RevBytes contract guarantees: alias it.
-			f.Data = data[off:end:end]
-		default:
-			// The page straddles the end of an object without the slack
-			// to cover it: reads zero-fill beyond its size, so
-			// alias-by-slice is impossible. Serve a zero-padded copy,
-			// memoized per mapping until the revision moves.
-			t := s.tail
-			if t == nil || t.obj != rb || t.off != off || t.rev != rev {
-				cp := make([]byte, as.pagesize)
-				copy(cp, data[off:])
-				t = &tailPage{obj: rb, off: off, rev: rev, data: cp}
-				s.tail = t
-			}
-			f.Data = t.data
+			return Frame{Data: data[off:end:end], Prot: s.Prot}, true
 		}
-		return f, true
+		// The page straddles the end of an object without the slack to
+		// cover it: reads zero-fill beyond its size, which the slow path
+		// does.
 	}
 	return Frame{}, false
-}
-
-// tailPage memoizes the zero-padded copy of the page of a private object
-// mapping that straddles the end of an object without zeroed slack to
-// cover it (a ByteObject). The record is immutable and its
-// data is only ever exposed read-only, so a forked child may share it. The
-// key is the object, the page's object offset and the object revision: a
-// RevBytes revision never repeats for different contents, so a matching key
-// means matching bytes however many generations have passed. writeChunk
-// drops the memo when it privatizes the page, so a copied-on-write page
-// does not pin a dead copy.
-type tailPage struct {
-	obj  RevBytes
-	off  int64
-	rev  uint64
-	data []byte
 }
 
 // zeroPages holds one read-only zero page per page size, shared by every

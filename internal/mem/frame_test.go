@@ -143,16 +143,32 @@ func TestPageFrameCases(t *testing.T) {
 		t.Fatal("full object page should alias the object's storage")
 	}
 
-	// Private object-backed, page extending past the object: a read-only
-	// zero-padded snapshot.
+	// Private object-backed, page straddling the end of an object without
+	// zeroed slack to cover it (a ByteObject cuts its slice at its
+	// length): no frame, and the slow path reads zeros past the end.
+	// Copy-on-write (a breakpoint plant) then makes it a private page.
 	short := &ByteObject{Name: "s", Data: []byte{1, 2, 3}}
 	mustMap(t, as, MapArgs{Base: 0x40000, Len: 4096, Prot: ProtRX, Obj: short, Fixed: true})
-	f, ok = as.PageFrame(0x40000)
-	if !ok || f.Writable {
-		t.Fatalf("short object page: frame=%+v ok=%v, want padded snapshot", f, ok)
+	if f, ok = as.PageFrame(0x40000); ok {
+		t.Fatalf("short object page: frame=%+v, want the slow path", f)
 	}
-	if len(f.Data) != 4096 || !bytes.Equal(f.Data[:3], []byte{1, 2, 3}) || f.Data[3] != 0 {
-		t.Fatal("padded snapshot content wrong")
+	padded := []byte{1, 2, 3, 0, 0}
+	buf := make([]byte, len(padded))
+	if err := as.AccessRead(0x40000, buf); err != nil || !bytes.Equal(buf, padded) {
+		t.Fatalf("short object page: AccessRead = %v, %v; want %v", buf, err, padded)
+	}
+	clear(buf)
+	if _, err := as.ReadAt(buf, 0x40000); err != nil || !bytes.Equal(buf, padded) {
+		t.Fatalf("short object page: ReadAt = %v, %v; want %v", buf, err, padded)
+	}
+	if _, err := as.WriteAt([]byte{9}, 0x40000); err != nil {
+		t.Fatal(err)
+	}
+	f, ok = as.PageFrame(0x40000)
+	if !ok || !f.Writable || !bytes.Equal(f.Data[:4], []byte{9, 2, 3, 0}) ||
+		!bytes.Equal(short.Data, []byte{1, 2, 3}) {
+		t.Fatalf("post-COW short page: ok=%v writable=%v object=%v, want a writable private copy of 9 2 3 0",
+			ok, f.Writable, short.Data)
 	}
 
 	// COW materialization over the object makes the page a writable
@@ -245,104 +261,21 @@ func TestObjectFrameRevalidation(t *testing.T) {
 	}
 }
 
-// revObj is a mutable RevBytes object: tests change Data and bump rev by
-// hand, or through set, which also bumps the epoch the way memfs does on
-// every write to an exposed file.
+// revObj is a mutable RevBytes object whose whole capacity is exposed:
+// tests change Data through set, which bumps the epoch the way memfs does
+// on every write to an exposed file.
 type revObj struct {
 	ByteObject
-	rev uint64
 }
 
-func (o *revObj) ObjBytes() ([]byte, uint64) { return o.Data, o.rev }
+func (o *revObj) ObjBytes() []byte { return o.Data }
 
 func (o *revObj) set(data []byte) {
 	o.Data = data
-	o.rev++
 	BumpEpoch()
 }
 
 func sameSlice(a, b []byte) bool { return len(a) == len(b) && &a[0] == &b[0] }
-
-// TestPaddedPageMemo pins the memo of the page straddling an object's end:
-// a refill at an unchanged revision returns the same slice and allocates
-// nothing, a revision bump yields the new bytes, and copy-on-write of the
-// page drops the memo so the dead copy is not kept.
-func TestPaddedPageMemo(t *testing.T) {
-	as := NewAS(4096)
-	obj := &revObj{ByteObject: ByteObject{Name: "text", Data: []byte{1, 2, 3}}}
-	seg := mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRX, MaxProt: ProtRWX, Obj: obj, Fixed: true})
-
-	f1, ok := as.PageFrame(0x10000)
-	if !ok || f1.Writable {
-		t.Fatalf("padded page: frame=%+v ok=%v, want read-only object frame", f1, ok)
-	}
-	f2, _ := as.PageFrame(0x10abc)
-	if !sameSlice(f1.Data, f2.Data) {
-		t.Fatal("refill at an unchanged revision built a new padded copy")
-	}
-	if !raceEnabled {
-		if n := testing.AllocsPerRun(100, func() { as.PageFrame(0x10000) }); n != 0 {
-			t.Fatalf("refill at an unchanged revision: %.1f allocs, want 0", n)
-		}
-	}
-
-	// The object changes and grows, still short of the page end.
-	obj.Data = []byte{4, 5, 6, 7}
-	obj.rev++
-	f3, ok := as.PageFrame(0x10000)
-	if !ok || !bytes.Equal(f3.Data[:5], []byte{4, 5, 6, 7, 0}) {
-		t.Fatalf("after a revision bump: data=%v, want the new bytes", f3.Data[:5])
-	}
-	if sameSlice(f1.Data, f3.Data) || !bytes.Equal(f1.Data[:4], []byte{1, 2, 3, 0}) {
-		t.Fatal("a revision bump rewrote the old padded copy instead of making a new one")
-	}
-
-	// Copy-on-write of the page (a breakpoint plant) drops the memo.
-	if seg.tail == nil {
-		t.Fatal("no memo before copy-on-write")
-	}
-	if _, err := as.WriteAt([]byte{9}, 0x10000); err != nil {
-		t.Fatal(err)
-	}
-	if seg.tail != nil {
-		t.Fatal("copy-on-write left the padded copy memoized")
-	}
-	f4, ok := as.PageFrame(0x10000)
-	if !ok || !f4.Writable || f4.Data[0] != 9 || f4.Data[1] != 5 {
-		t.Fatalf("post-COW page: frame=%+v ok=%v, want the writable private copy", f4, ok)
-	}
-}
-
-// TestPaddedPageDup pins that a forked child may share the parent's padded
-// copy but never gets it as a writable frame: the child's first store
-// copies, and neither the parent's frame nor the object sees it.
-func TestPaddedPageDup(t *testing.T) {
-	as := NewAS(4096)
-	obj := &revObj{ByteObject: ByteObject{Name: "text", Data: []byte{1, 2, 3}}}
-	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRW, Obj: obj, Fixed: true})
-	pf, _ := as.PageFrame(0x10000)
-
-	child := as.Dup()
-	cf, ok := child.PageFrame(0x10000)
-	if !ok || cf.Writable || !sameSlice(cf.Data, pf.Data) {
-		t.Fatalf("child frame=%+v ok=%v, want the read-only padded copy", cf, ok)
-	}
-	if _, err := child.WriteAt([]byte{8}, 0x10001); err != nil {
-		t.Fatal(err)
-	}
-	cf, ok = child.PageFrame(0x10000)
-	if !ok || !cf.Writable || sameSlice(cf.Data, pf.Data) {
-		t.Fatal("child's writable frame aliases the shared padded copy")
-	}
-	if !bytes.Equal(cf.Data[:4], []byte{1, 8, 3, 0}) {
-		t.Fatalf("child page = %v", cf.Data[:4])
-	}
-	pf2, _ := as.PageFrame(0x10000)
-	if !sameSlice(pf.Data, pf2.Data) || !bytes.Equal(pf2.Data[:4], []byte{1, 2, 3, 0}) ||
-		!bytes.Equal(obj.Data, []byte{1, 2, 3}) {
-		t.Fatal("the child's store reached the parent's padded copy or the object")
-	}
-}
 
 // TestSharedZeroPage pins that address spaces of one page size share one
 // read-only zero page, for anonymous pages and for object pages wholly past

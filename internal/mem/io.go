@@ -151,7 +151,7 @@ func (as *AS) peekChunk(s *Seg, addr uint32, n int) []byte {
 	case nil:
 		return as.zero[:n]
 	case RevBytes:
-		data, _ := o.ObjBytes()
+		data := o.ObjBytes()
 		off := s.Off + int64(addr) - int64(s.Base)
 		if off >= int64(len(data)) {
 			return as.zero[:n]
@@ -361,13 +361,8 @@ func (as *AS) writeChunk(s *Seg, addr uint32, p []byte) error {
 		// every byte (the ReadObj contract), and zero-fill clears it.
 		pg = takeFrame(as.pagesize)
 		if s.Obj != nil {
-			off := s.Off + int64(pb) - int64(s.Base)
-			s.Obj.ReadObj(pg, off)
+			s.Obj.ReadObj(pg, s.Off+int64(pb)-int64(s.Base))
 			as.Stats.COWFaults++
-			if s.tail != nil && s.tail.off == off {
-				// The memoized padded copy of this page is dead now.
-				s.tail = nil
-			}
 		} else {
 			clear(pg)
 			as.Stats.MinorFaults++

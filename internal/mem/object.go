@@ -145,12 +145,11 @@ func (b *ByteObject) WriteObj(p []byte, off int64) error {
 	return fmt.Errorf("mem: object %s is read-only", b.Name)
 }
 
-// ObjBytes implements RevBytes: the data is immutable, so the revision is
-// constant, the epoch never needs a bump and pages over it may be
-// frame-cached indefinitely. The slice is cut at its length: Data's spare
-// capacity is the caller's and need not be zero, so the page straddling
-// the end is a padded copy.
-func (b *ByteObject) ObjBytes() ([]byte, uint64) { return b.Data[:len(b.Data):len(b.Data)], 0 }
+// ObjBytes implements RevBytes: the data is immutable, so the epoch never
+// needs a bump and pages over it may be frame-cached indefinitely. The
+// slice is cut at its length: Data's spare capacity is the caller's and
+// need not be zero, so the page straddling the end takes the slow path.
+func (b *ByteObject) ObjBytes() []byte { return b.Data[:len(b.Data):len(b.Data)] }
 
 var (
 	_ Object   = (*ByteObject)(nil)

@@ -50,21 +50,19 @@ type node struct {
 	data     []byte           // regular files; zeroed slack past the end (withSlack)
 	children map[string]*node // directories
 
-	// rev counts content changes to data (in-place or reallocating), and
-	// exposed records that ObjBytes handed data to a frame cache. Together
-	// they back the mem.RevBytes contract that lets mapped pages of this
-	// file be frame-cached by the vCPU fast path: once the file is exposed,
-	// every change also bumps the mem epoch (changed), so a write to a
-	// mapped file is visible to a running process exactly as it is on the
-	// ReadObj slow path. A file never mapped never bumps it.
-	rev     uint64
+	// exposed records that ObjBytes handed data to a frame cache. It backs
+	// the mem.RevBytes contract that lets mapped pages of this file be
+	// frame-cached by the vCPU fast path: once the file is exposed, every
+	// change to data (in-place or reallocating) bumps the mem epoch
+	// (changed), so a write to a mapped file is visible to a running
+	// process exactly as it is on the ReadObj slow path. A file never
+	// mapped never bumps it.
 	exposed bool
 }
 
 // changed notes a content or size change of data. The caller holds n.mu
 // and has made the change.
 func (n *node) changed() {
-	n.rev++
 	if n.exposed {
 		mem.BumpEpoch()
 	}
@@ -290,7 +288,7 @@ func (n *node) WriteObj(p []byte, off int64) error {
 // slack is the zeroed capacity a non-empty file keeps past its end: one
 // page, so the page straddling the end of a mapped file is an alias of the
 // file's storage that every mapping shares (the mem.RevBytes contract),
-// not a padded copy per mapping.
+// and the fast path serves it.
 const slack = mem.DefaultPageSize
 
 // withSlack returns a zeroed slice of length n with slack spare capacity,
@@ -302,15 +300,15 @@ func withSlack(n int64) []byte {
 	return make([]byte, n, n+slack)
 }
 
-// ObjBytes implements mem.RevBytes: the current file contents plus their
-// revision. It exposes the file, so every later change bumps the mem
-// epoch. Every write that grows the file reallocates it, so the capacity
-// past the end is always slack and always zero.
-func (n *node) ObjBytes() ([]byte, uint64) {
+// ObjBytes implements mem.RevBytes: the current file contents. It exposes
+// the file, so every later change bumps the mem epoch. Every write that
+// grows the file reallocates it, so the capacity past the end is always
+// slack and always zero.
+func (n *node) ObjBytes() []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.exposed = true
-	return n.data, n.rev
+	return n.data
 }
 
 var (

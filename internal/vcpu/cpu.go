@@ -73,7 +73,7 @@ type CPU struct {
 
 	// NoTLB disables the translation fast path: every access takes the
 	// full segment-walk slow path. The reference interpreter for
-	// differential testing (and the REPRO_NOTLB ablation).
+	// differential testing.
 	NoTLB bool
 
 	tlb   tlb     // software TLB and fetch window (tlb.go)

@@ -153,29 +153,29 @@ data:	.space 512
 `, writes, rounds, id)
 }
 
-// runFSChurn measures the persistent-filesystem path from inside the
+// runFSChurn drives the persistent-filesystem path from inside the
 // simulation: a fleet of processes each milling creat/write/fsync/unlink on
-// its own /disk file. One operation is one scheduler pass, so the samples
-// capture the mill's full mix (journal commits, checkpoint flushes, block
+// its own /disk file. One operation is one scheduler pass, so the run
+// covers the mill's full mix (journal commits, checkpoint flushes, block
 // allocation and free). After the fleet drains, the disk must be empty and
 // structurally clean.
-func runFSChurn(s *repro.System, cfg Config, h *hist) error {
+func runFSChurn(s *repro.System, cfg Config) (int, error) {
 	rng := cfg.rng()
 	procs := orDefault(cfg.Procs, 4)
 	rounds := orDefault(cfg.Ops, 6)
 	if s.Disk == nil {
-		return fmt.Errorf("fs_churn: system booted without a disk")
+		return 0, fmt.Errorf("fs_churn: system booted without a disk")
 	}
 	fleet := make([]*kernel.Proc, 0, procs)
 	for i := 0; i < procs; i++ {
 		path := fmt.Sprintf("/bin/churn%d", i)
 		writes := 2 + rng.Intn(6)
 		if err := s.Install(path, progChurn(i, rounds, writes), 0o755, 0, 0); err != nil {
-			return err
+			return 0, err
 		}
 		p, err := s.Spawn(path, []string{fmt.Sprintf("churn%d", i)}, types.UserCred(100+i%8, 10))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		fleet = append(fleet, p)
 	}
@@ -187,77 +187,84 @@ func runFSChurn(s *repro.System, cfg Config, h *hist) error {
 		}
 		return false
 	}
-	for passes := 0; alive(); passes++ {
+	passes := 0
+	for ; alive(); passes++ {
 		if passes > 4_000_000 {
-			return fmt.Errorf("fs_churn: fleet did not drain")
+			return passes, fmt.Errorf("fs_churn: fleet did not drain")
 		}
-		h.op(func() { s.Step() })
+		s.Step()
 	}
 	// Every churner unlinked its file, so the disk must come back empty —
 	// and the image must pass the structural checker.
 	ents, err := s.Client(types.RootCred()).ReadDir("/disk")
 	if err != nil {
-		return err
+		return passes, err
 	}
 	if len(ents) != 0 {
-		return fmt.Errorf("fs_churn: %d files left on /disk after drain", len(ents))
+		return passes, fmt.Errorf("fs_churn: %d files left on /disk after drain", len(ents))
 	}
 	if bad := s.Disk.Fsck(); len(bad) != 0 {
-		return fmt.Errorf("fs_churn: fsck reported %d violations: %v", len(bad), bad)
+		return passes, fmt.Errorf("fs_churn: fsck reported %d violations: %v", len(bad), bad)
 	}
-	return nil
+	return passes, nil
 }
 
-// runForkStorm measures process creation and reaping: one operation spawns
+// runForkStorm drives process creation and reaping: one operation spawns
 // a forker (family size chosen by the seeded stream) and runs its whole
 // family to completion.
-func runForkStorm(s *repro.System, cfg Config, h *hist) error {
+func runForkStorm(s *repro.System, cfg Config) (int, error) {
 	rng := cfg.rng()
 	ops := orDefault(cfg.Ops, 40)
 	variants := []string{"/bin/storm2", "/bin/storm3", "/bin/storm4"}
 	for i, path := range variants {
 		if err := s.Install(path, progForkStorm(i+2), 0o755, 0, 0); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	for i := 0; i < ops; i++ {
 		path := variants[rng.Intn(len(variants))]
 		cred := types.UserCred(100+rng.Intn(4), 10)
-		var err error
-		h.op(func() {
-			var p *kernel.Proc
-			p, err = s.Spawn(path, []string{fmt.Sprintf("storm%d", i)}, cred)
-			if err != nil {
-				return
-			}
-			_, err = s.WaitExit(p)
-		})
-		if err != nil {
-			return err
+		if err := spawnAndWait(s, path, fmt.Sprintf("storm%d", i), cred); err != nil {
+			return i, err
 		}
 	}
-	return nil
+	return ops, nil
 }
 
-// runSyscallMill spawns a fleet grinding getpid and measures scheduler
-// passes: one operation is one Step of the whole system.
-func runSyscallMill(s *repro.System, cfg Config, h *hist) error {
+// spawnAndWait spawns path and runs it, and its whole family, to exit.
+func spawnAndWait(s *repro.System, path, name string, cred types.Cred) error {
+	p, err := s.Spawn(path, []string{name}, cred)
+	if err != nil {
+		return err
+	}
+	_, err = s.WaitExit(p)
+	return err
+}
+
+// runSyscallMill spawns a fleet grinding getpid and runs scheduler passes:
+// one operation is one Step of the whole system.
+func runSyscallMill(s *repro.System, cfg Config) (int, error) {
 	procs := orDefault(cfg.Procs, 8)
 	ops := orDefault(cfg.Ops, 400)
 	if err := s.Install("/bin/mill", progMill, 0o755, 0, 0); err != nil {
-		return err
+		return 0, err
 	}
 	fleet := make([]*kernel.Proc, 0, procs)
 	for i := 0; i < procs; i++ {
 		p, err := s.Spawn("/bin/mill", []string{fmt.Sprintf("mill%d", i)}, types.UserCred(100+i%8, 10))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		fleet = append(fleet, p)
 	}
 	for i := 0; i < ops; i++ {
-		h.op(func() { s.Step() })
+		s.Step()
 	}
+	return ops, killAll(s, fleet)
+}
+
+// killAll sends SIGKILL to every process of a fleet and waits for each.
+func killAll(s *repro.System, fleet []*kernel.Proc) error {
 	for _, p := range fleet {
 		s.K.PostSignal(p, types.SIGKILL)
 	}
@@ -269,52 +276,43 @@ func runSyscallMill(s *repro.System, cfg Config, h *hist) error {
 	return nil
 }
 
-// runPipePipeline measures the blocking-I/O path: one operation spawns a
+// runPipePipeline drives the blocking-I/O path: one operation spawns a
 // fork+pipe pair and runs the transfer (blocked reads, wakeups, the reap)
 // to completion.
-func runPipePipeline(s *repro.System, cfg Config, h *hist) error {
+func runPipePipeline(s *repro.System, cfg Config) (int, error) {
 	rng := cfg.rng()
 	ops := orDefault(cfg.Ops, 30)
 	variants := []string{"/bin/pipefast", "/bin/pipeslow"}
 	for i, path := range variants {
 		if err := s.Install(path, progPipe(60+i*140), 0o755, 0, 0); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	for i := 0; i < ops; i++ {
 		path := variants[rng.Intn(len(variants))]
 		cred := types.UserCred(100+rng.Intn(4), 10)
-		var err error
-		h.op(func() {
-			var p *kernel.Proc
-			p, err = s.Spawn(path, []string{fmt.Sprintf("pipe%d", i)}, cred)
-			if err != nil {
-				return
-			}
-			_, err = s.WaitExit(p)
-		})
-		if err != nil {
-			return err
+		if err := spawnAndWait(s, path, fmt.Sprintf("pipe%d", i), cred); err != nil {
+			return i, err
 		}
 	}
-	return nil
+	return ops, nil
 }
 
-// runDebuggerFleet measures attach/detach churn over a fleet of targets:
+// runDebuggerFleet drives attach/detach churn over a fleet of targets:
 // one operation opens a seeded-random target's /proc file, stops it, reads
 // its registers, sets it running and closes — the truss/dbg hot loop.
-func runDebuggerFleet(s *repro.System, cfg Config, h *hist) error {
+func runDebuggerFleet(s *repro.System, cfg Config) (int, error) {
 	rng := cfg.rng()
 	procs := orDefault(cfg.Procs, 6)
 	ops := orDefault(cfg.Ops, 80)
 	if err := s.Install("/bin/target", progSpin, 0o755, 0, 0); err != nil {
-		return err
+		return 0, err
 	}
 	fleet := make([]*kernel.Proc, 0, procs)
 	for i := 0; i < procs; i++ {
 		p, err := s.Spawn("/bin/target", []string{fmt.Sprintf("target%d", i)}, types.UserCred(100+i%8, 10))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		fleet = append(fleet, p)
 	}
@@ -325,75 +323,57 @@ func runDebuggerFleet(s *repro.System, cfg Config, h *hist) error {
 		for n := rng.Intn(3); n > 0; n-- {
 			s.Step()
 		}
-		var err error
-		h.op(func() {
-			var f *vfs.File
-			f, err = s.OpenProc(p.Pid, vfs.ORead|vfs.OWrite, types.RootCred())
-			if err != nil {
-				return
-			}
-			defer f.Close()
-			if err = f.Ioctl(procfs.PIOCSTOP, nil); err != nil {
-				return
-			}
-			var regs vcpu.Regs
-			if err = f.Ioctl(procfs.PIOCGREG, &regs); err != nil {
-				return
-			}
-			err = f.Ioctl(procfs.PIOCRUN, nil)
-		})
-		if err != nil {
-			return err
+		if err := attachOnce(s, p); err != nil {
+			return i, err
 		}
 	}
-	for _, p := range fleet {
-		s.K.PostSignal(p, types.SIGKILL)
+	return ops, killAll(s, fleet)
+}
+
+// attachOnce opens p's /proc file, stops p, reads its registers, sets it
+// running and closes.
+func attachOnce(s *repro.System, p *kernel.Proc) error {
+	f, err := s.OpenProc(p.Pid, vfs.ORead|vfs.OWrite, types.RootCred())
+	if err != nil {
+		return err
 	}
-	for _, p := range fleet {
-		if _, err := s.WaitExit(p); err != nil {
-			return err
-		}
+	defer f.Close()
+	if err := f.Ioctl(procfs.PIOCSTOP, nil); err != nil {
+		return err
 	}
-	return nil
+	var regs vcpu.Regs
+	if err := f.Ioctl(procfs.PIOCGREG, &regs); err != nil {
+		return err
+	}
+	return f.Ioctl(procfs.PIOCRUN, nil)
 }
 
 // runProcScan populates the system with a large fleet of parked processes
-// and measures whole-table sweeps: one operation is one ps or usage sweep
-// (mix chosen by the seeded stream), batched through PIOCSNAP or per-pid
-// with -legacy semantics.
-func runProcScan(s *repro.System, cfg Config, h *hist) error {
+// and runs whole-table sweeps: one operation is one ps or usage sweep (mix
+// chosen by the seeded stream), batched through PIOCSNAP.
+func runProcScan(s *repro.System, cfg Config) (int, error) {
 	rng := cfg.rng()
 	procs := orDefault(cfg.Procs, 1000)
 	ops := orDefault(cfg.Ops, 12)
 	if err := s.Install("/bin/parked", progPause, 0o755, 0, 0); err != nil {
-		return err
+		return 0, err
 	}
 	for i := 0; i < procs; i++ {
 		if _, err := s.Spawn("/bin/parked", []string{fmt.Sprintf("parked%d", i)}, types.UserCred(100+i%16, 10)); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	// Park the population: everyone runs to its pause(2) and blocks.
 	s.Run(procs + 50)
 	cl := s.Client(types.RootCred())
 	for i := 0; i < ops; i++ {
-		psSweep := rng.Intn(10) < 7
-		var err error
-		h.op(func() {
-			switch {
-			case psSweep && cfg.Legacy:
-				err = tools.PSLegacy(cl, io.Discard)
-			case psSweep:
-				err = tools.PS(cl, io.Discard)
-			case cfg.Legacy:
-				err = tools.FleetUsageLegacy(cl, io.Discard)
-			default:
-				err = tools.FleetUsage(cl, io.Discard)
-			}
-		})
-		if err != nil {
-			return err
+		sweep := tools.FleetUsage
+		if rng.Intn(10) < 7 {
+			sweep = tools.PS
+		}
+		if err := sweep(cl, io.Discard); err != nil {
+			return i, err
 		}
 	}
-	return nil
+	return ops, nil
 }

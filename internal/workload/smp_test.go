@@ -7,13 +7,12 @@ import (
 )
 
 // TestWorkloadSMPSmoke runs every scenario on the SMP scheduler at NCPU=4
-// and checks three things the deterministic smoke cannot: the scenarios
+// and checks two things the deterministic smoke cannot: the scenarios
 // complete correctly when scheduling passes fan out to the persistent
 // worker goroutines (make verify-smp runs this under the race detector),
-// Close retires the workers so the goroutine count returns to its baseline,
-// and fork_storm's tail stays in line with its median — the regression
-// check for the PR7 work-stealing stampede, whose p99 ran ~19x the median
-// when every thief serialized on the same near-empty queue.
+// and Close retires the workers so the goroutine count returns to its
+// baseline. The work-stealing stampede has its own guard in the kernel
+// (TestStealSkipsEmptyVictim).
 func TestWorkloadSMPSmoke(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, name := range Names() {
@@ -21,7 +20,7 @@ func TestWorkloadSMPSmoke(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := smokeConfig(name)
 			cfg.NCPU = 4
-			res, s, err := Run(name, cfg)
+			ops, s, err := Run(name, cfg)
 			if s != nil {
 				defer s.Close()
 			}
@@ -31,24 +30,8 @@ func TestWorkloadSMPSmoke(t *testing.T) {
 			if got := s.K.NCPU(); got != 4 {
 				t.Fatalf("NCPU() = %d, want 4", got)
 			}
-			if res.Ops == 0 {
-				t.Fatal("no operations measured")
-			}
-			if !(res.P50Ns <= res.P95Ns && res.P95Ns <= res.P99Ns && res.P99Ns <= res.MaxNs) {
-				t.Fatalf("percentiles out of order: p50=%v p95=%v p99=%v max=%v",
-					res.P50Ns, res.P95Ns, res.P99Ns, res.MaxNs)
-			}
-			if name == "fork_storm" {
-				// The stampede fix (steal backoff via the avail probe plus
-				// pass-keyed victim rotation) must keep the tail bounded.
-				// The ratio is scale-free, so the check holds under -race
-				// and on slow hosts; 15x leaves generous headroom over the
-				// ~3-5x observed after the fix while still failing at the
-				// ~19x the stampede produced.
-				if res.P50Ns > 0 && res.P99Ns > 15*res.P50Ns {
-					t.Fatalf("fork_storm tail regression: p99=%v > 15*p50 (p50=%v)",
-						res.P99Ns, res.P50Ns)
-				}
+			if ops == 0 {
+				t.Fatal("no operations ran")
 			}
 		})
 	}

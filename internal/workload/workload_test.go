@@ -1,12 +1,9 @@
 package workload
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // smokeConfig shrinks each scenario to a few seconds of work while still
-// exercising its full machinery: spawn, measure, drain.
+// exercising its full machinery: spawn, run, drain.
 func smokeConfig(name string) Config {
 	cfg := Config{Seed: 7}
 	switch name {
@@ -31,50 +28,22 @@ func smokeConfig(name string) Config {
 }
 
 // TestWorkloadSmoke runs every registered scenario at smoke size and checks
-// the report is well-formed: operations happened, the percentiles are
-// ordered, and a rate was computed.
+// it ran its operations and returned the system it ran on.
 func TestWorkloadSmoke(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			res, s, err := Run(name, smokeConfig(name))
+			ops, s, err := Run(name, smokeConfig(name))
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			if s == nil {
 				t.Fatal("no system returned")
 			}
-			if res.Scenario != name {
-				t.Fatalf("scenario name %q, want %q", res.Scenario, name)
-			}
-			if res.Ops == 0 {
-				t.Fatal("no operations measured")
-			}
-			if res.OpsPerSec <= 0 {
-				t.Fatalf("ops/s = %v, want > 0", res.OpsPerSec)
-			}
-			if res.MeanNs <= 0 {
-				t.Fatalf("mean = %v ns, want > 0", res.MeanNs)
-			}
-			if !(res.P50Ns <= res.P95Ns && res.P95Ns <= res.P99Ns && res.P99Ns <= res.MaxNs) {
-				t.Fatalf("percentiles out of order: p50=%v p95=%v p99=%v max=%v",
-					res.P50Ns, res.P95Ns, res.P99Ns, res.MaxNs)
+			if ops == 0 {
+				t.Fatal("no operations ran")
 			}
 		})
-	}
-}
-
-// TestWorkloadProcScanLegacy exercises the per-pid sweep variant of the
-// /proc scan so both code paths stay alive under the smoke target.
-func TestWorkloadProcScanLegacy(t *testing.T) {
-	cfg := smokeConfig("proc_scan")
-	cfg.Legacy = true
-	res, _, err := Run("proc_scan", cfg)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Ops != cfg.Ops {
-		t.Fatalf("ops = %d, want %d", res.Ops, cfg.Ops)
 	}
 }
 
@@ -82,37 +51,5 @@ func TestWorkloadProcScanLegacy(t *testing.T) {
 func TestWorkloadUnknownScenario(t *testing.T) {
 	if _, _, err := Run("no_such_scenario", Config{Seed: 1}); err == nil {
 		t.Fatal("want error for unknown scenario")
-	}
-}
-
-// TestPercentiles pins the nearest-rank arithmetic on a known distribution.
-func TestPercentiles(t *testing.T) {
-	h := &hist{}
-	for i := int64(1); i <= 100; i++ {
-		h.record(i)
-	}
-	res := h.result("pin", time.Second)
-	if res.Ops != 100 {
-		t.Fatalf("ops = %d, want 100", res.Ops)
-	}
-	for _, c := range []struct {
-		name string
-		got  float64
-		want float64
-	}{
-		{"p50", res.P50Ns, 50},
-		{"p95", res.P95Ns, 95},
-		{"p99", res.P99Ns, 99},
-		{"max", res.MaxNs, 100},
-		{"mean", res.MeanNs, 50.5},
-		{"ops/s", res.OpsPerSec, 100},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
-		}
-	}
-	empty := (&hist{}).result("empty", time.Second)
-	if empty.Ops != 0 || empty.P99Ns != 0 {
-		t.Fatalf("empty hist: %+v", empty)
 	}
 }
