@@ -277,6 +277,112 @@ func (o *revObj) set(data []byte) {
 
 func sameSlice(a, b []byte) bool { return len(a) == len(b) && &a[0] == &b[0] }
 
+// TestPaddedPageMemo pins that the page straddling an object's end is never
+// copied into a memo. With zeroed slack covering the page, the frame
+// aliases the object's own storage, so refills allocate nothing and every
+// mapping shares one padded page. Without slack, the page has no frame and
+// the slow path reads the object's current bytes, zero-padded, with no
+// stale copy left behind when the object changes.
+func TestPaddedPageMemo(t *testing.T) {
+	as := NewAS(4096)
+	store := make([]byte, 4096)
+	copy(store, []byte{1, 2, 3})
+	slack := &revObj{ByteObject: ByteObject{Name: "slack", Data: store[:3]}}
+	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRX, Obj: slack, Fixed: true})
+	mustMap(t, as, MapArgs{Base: 0x20000, Len: 4096, Prot: ProtRX, Obj: slack, Fixed: true})
+
+	f1, ok := as.PageFrame(0x10000)
+	if !ok || f1.Writable || !sameSlice(f1.Data, store) {
+		t.Fatalf("page within slack: frame writable=%v ok=%v, want a read-only alias of the storage", f1.Writable, ok)
+	}
+	f2, ok := as.PageFrame(0x20abc)
+	if !ok || !sameSlice(f1.Data, f2.Data) {
+		t.Fatal("two mappings of the object do not share one padded page")
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { as.PageFrame(0x10000) }); n != 0 {
+			t.Fatalf("refill of a padded page within slack: %.1f allocs, want 0", n)
+		}
+	}
+
+	// No slack: the slow path, which follows the object as it changes.
+	short := &revObj{ByteObject: ByteObject{Name: "short", Data: []byte{1, 2, 3}}}
+	seg := mustMap(t, as, MapArgs{Base: 0x30000, Len: 4096, Prot: ProtRX, MaxProt: ProtRWX, Obj: short, Fixed: true})
+	if f, ok := as.PageFrame(0x30000); ok {
+		t.Fatalf("page without slack: frame=%+v, want the slow path", f)
+	}
+	buf := make([]byte, 5)
+	if err := as.AccessRead(0x30000, buf); err != nil || !bytes.Equal(buf, []byte{1, 2, 3, 0, 0}) {
+		t.Fatalf("page without slack: AccessRead = %v, %v", buf, err)
+	}
+	short.set([]byte{4, 5, 6, 7})
+	if err := as.AccessRead(0x30000, buf); err != nil || !bytes.Equal(buf, []byte{4, 5, 6, 7, 0}) {
+		t.Fatalf("after the object changed: AccessRead = %v, %v; want the new bytes", buf, err)
+	}
+	if len(seg.priv) != 0 {
+		t.Fatal("reads of the padded page materialized a private copy")
+	}
+
+	// Copy-on-write (a breakpoint plant) makes a writable private copy of
+	// the current bytes and leaves the object alone.
+	if _, err := as.WriteAt([]byte{9}, 0x30000); err != nil {
+		t.Fatal(err)
+	}
+	f4, ok := as.PageFrame(0x30000)
+	if !ok || !f4.Writable || !bytes.Equal(f4.Data[:5], []byte{9, 5, 6, 7, 0}) ||
+		!bytes.Equal(short.Data, []byte{4, 5, 6, 7}) {
+		t.Fatalf("post-COW page: ok=%v writable=%v object=%v, want a writable private copy of 9 5 6 7 0",
+			ok, f4.Writable, short.Data)
+	}
+}
+
+// TestPaddedPageDup pins that a forked child never gets the padded page as
+// a writable frame: with slack it shares the parent's read-only alias,
+// without slack both take the slow path, and in both cases the child's
+// first store copies, so neither the parent nor the object sees it.
+func TestPaddedPageDup(t *testing.T) {
+	store := make([]byte, 4096)
+	copy(store, []byte{1, 2, 3})
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		frame bool
+	}{
+		{"slack", store[:3], true},
+		{"no-slack", []byte{1, 2, 3}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			as := NewAS(4096)
+			obj := &revObj{ByteObject: ByteObject{Name: "text", Data: tc.data}}
+			mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRW, Obj: obj, Fixed: true})
+			pf, pok := as.PageFrame(0x10000)
+
+			child := as.Dup()
+			cf, ok := child.PageFrame(0x10000)
+			if ok != tc.frame || pok != tc.frame || cf.Writable ||
+				(tc.frame && !sameSlice(cf.Data, pf.Data)) {
+				t.Fatalf("child frame ok=%v writable=%v, parent ok=%v; want ok=%v and a read-only shared page",
+					ok, cf.Writable, pok, tc.frame)
+			}
+			if _, err := child.WriteAt([]byte{8}, 0x10001); err != nil {
+				t.Fatal(err)
+			}
+			cf, ok = child.PageFrame(0x10000)
+			if !ok || !cf.Writable || (tc.frame && sameSlice(cf.Data, pf.Data)) {
+				t.Fatal("child's store did not give it a writable private copy")
+			}
+			if !bytes.Equal(cf.Data[:4], []byte{1, 8, 3, 0}) {
+				t.Fatalf("child page = %v", cf.Data[:4])
+			}
+			got := make([]byte, 4)
+			if err := as.AccessRead(0x10000, got); err != nil || !bytes.Equal(got, []byte{1, 2, 3, 0}) ||
+				!bytes.Equal(obj.Data, []byte{1, 2, 3}) || store[1] != 2 {
+				t.Fatalf("the child's store reached the parent (%v, %v) or the object", got, err)
+			}
+		})
+	}
+}
+
 // TestSharedZeroPage pins that address spaces of one page size share one
 // read-only zero page, for anonymous pages and for object pages wholly past
 // the object's end, and that it is never handed out writable.
