@@ -50,6 +50,8 @@ workload-smoke:
 # a thief passing an empty victim queue by without its lock (the stampede
 # guard), the recycled-frame scribblers and checkers, breakpoints planted
 # under a running LWP's fetch window and a held pending signal at both
+# widths, system calls copying under the caller's own access rules (EFAULT
+# on a protected page, stack growth, watched areas left alone) at both
 # widths, the fork/wait/signal storm and brk-shootdown programs at NCPU=4,
 # every workload scenario at NCPU=4 with the worker goroutine-leak check,
 # host-side /proc controllers racing the scheduler, and the
@@ -66,7 +68,7 @@ workload-smoke:
 # CPUs publishing their spaces under rank checks — and then the whole suite
 # runs at NCPU=2.
 verify-smp:
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate|TestFetchWindowSeesPlantedBreakpoints|TestHeldSignalClearsIntr|TestSigsuspendPendingUnblocked|TestStealSkipsEmptyVictim' ./internal/kernel/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestOneCPUStepsInline|TestExecRepublishesNewSpace|TestRunLWPNoChargeWhenNothingRan|TestWakeAllPidOrder|TestRunQueueChurn|TestRecycledFramesStayPrivate|TestFetchWindowSeesPlantedBreakpoints|TestHeldSignalClearsIntr|TestSigsuspendPendingUnblocked|TestStealSkipsEmptyVictim|TestReadIntoTextIsEFAULT|TestWriteFromProtNoneIsEFAULT|TestReadIntoStackGrowthGrows|TestOpenPathInProtNoneIsEFAULT|TestSyscallCopyLeavesWatchpointsAlone' ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestConcurrentControllers' ./internal/procfs/
@@ -104,9 +106,10 @@ crash-smoke:
 # seed corpus (testdata/fuzz): the snapshot decoder, both halves of the
 # PIOCSNAP ioctl codec, the trace decoder, the replay artifact decoder,
 # both halves of every ioctl codec, the rfs server fed request sequences
-# over a live /proc, the xout loader and the core file parser. Each input
-# that finds new coverage is minimized for at most 100 executions, so the
-# seconds go to fuzzing (the default allows a minute of minimizing).
+# over a live /proc, the xout loader, the core file parser and the
+# /procx/faults line protocol. Each input that finds new coverage is
+# minimized for at most 100 executions, so the seconds go to fuzzing (the
+# default allows a minute of minimizing).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnap$$' -fuzztime 3s -fuzzminimizetime 100x ./internal/procfs2/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapCodec$$' -fuzztime 3s -fuzzminimizetime 100x ./internal/rfs/
@@ -116,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServerHandle$$' -fuzztime 3s -fuzzminimizetime 100x ./internal/rfs/
 	$(GO) test -run '^$$' -fuzz '^FuzzXoutUnmarshal$$' -fuzztime 3s -fuzzminimizetime 100x ./internal/xout/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCore$$' -fuzztime 3s -fuzzminimizetime 100x ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultsExec$$' -fuzztime 3s -fuzzminimizetime 100x ./internal/fault/
 
 # verify runs the gofmt check and the tier-1 gate (build + test) plus the
 # race detector, vet, the fault-matrix smoke, the workload smoke, the SMP

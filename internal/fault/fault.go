@@ -342,49 +342,64 @@ func ParseSpec(args string) (Spec, error) {
 //
 // Blank lines and #-comments are ignored.
 func (r *Registry) Exec(line string) error {
+	cmd, err := r.parse(line)
+	if cmd != nil {
+		cmd()
+	}
+	return err
+}
+
+// ExecAll runs a batch of newline-separated commands all or nothing: it
+// parses every line before it applies any, so a batch with a bad line
+// changes nothing.
+func (r *Registry) ExecAll(text string) error {
+	var cmds []func()
+	for _, line := range strings.Split(text, "\n") {
+		cmd, err := r.parse(line)
+		if err != nil {
+			return err
+		}
+		if cmd != nil {
+			cmds = append(cmds, cmd)
+		}
+	}
+	for _, cmd := range cmds {
+		cmd()
+	}
+	return nil
+}
+
+// parse parses one command line into the action that applies it, or nil
+// for a blank or comment line.
+func (r *Registry) parse(line string) (func(), error) {
 	line = strings.TrimSpace(line)
 	if line == "" || strings.HasPrefix(line, "#") {
-		return nil
+		return nil, nil
 	}
 	name, rest, _ := strings.Cut(line, " ")
 	switch name {
 	case "clear":
 		rest = strings.TrimSpace(rest)
 		if rest == "" {
-			r.DisarmAll()
-			return nil
+			return r.DisarmAll, nil
 		}
 		s := r.Lookup(rest)
 		if s == nil {
-			return fmt.Errorf("%w: %q", ErrUnknownSite, rest)
+			return nil, fmt.Errorf("%w: %q", ErrUnknownSite, rest)
 		}
-		s.Disarm()
-		return nil
+		return s.Disarm, nil
 	case "reset":
-		r.Reset()
-		return nil
+		return r.Reset, nil
 	}
 	s := r.Lookup(name)
 	if s == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownSite, name)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownSite, name)
 	}
 	sp, err := ParseSpec(rest)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.Arm(sp)
-	return nil
-}
-
-// ExecAll runs a batch of newline-separated commands, stopping at the first
-// failure.
-func (r *Registry) ExecAll(text string) error {
-	for _, line := range strings.Split(text, "\n") {
-		if err := r.Exec(line); err != nil {
-			return err
-		}
-	}
-	return nil
+	return func() { s.Arm(sp) }, nil
 }
 
 // Seq is the deterministic ordinal-and-count core shared by fault plans: it

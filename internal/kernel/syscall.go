@@ -297,6 +297,12 @@ func Predefs() map[string]uint32 {
 	return m
 }
 
+// The user-copy helpers below go through mem.AS.CString, CopyIn and
+// CopyOut, which apply the process's own access rules: each page must
+// grant the access, and a reference in the stack's growth region grows the
+// stack. Any failure is EFAULT. /proc, ptrace and core dumps go through
+// ReadAt/WriteAt instead, which ignore protection.
+
 // copyinStr reads a NUL-terminated string from user memory, straight from
 // the address space into the returned string. With its NUL, the string
 // must fit in maxPathLen bytes.
@@ -316,8 +322,7 @@ const maxPathLen = 4096
 
 // copyin fills dst from user memory at addr.
 func (k *Kernel) copyin(l *LWP, addr uint32, dst []byte) Errno {
-	got, err := l.CPU.AS.ReadAt(dst, int64(addr))
-	if err != nil || got != len(dst) {
+	if l.CPU.AS.CopyIn(addr, dst) != nil {
 		return EFAULT
 	}
 	return 0
@@ -359,8 +364,7 @@ func (k *Kernel) putStage(b []byte) {
 
 // copyout writes bytes to user memory.
 func (k *Kernel) copyout(l *LWP, addr uint32, b []byte) Errno {
-	n, err := l.CPU.AS.WriteAt(b, int64(addr))
-	if err != nil || n != len(b) {
+	if l.CPU.AS.CopyOut(addr, b) != nil {
 		return EFAULT
 	}
 	return 0

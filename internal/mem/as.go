@@ -133,8 +133,9 @@ type Stats struct {
 //
 // Locking: mu is the per-address-space lock. Every exported mutator (Map,
 // Unmap, Mprotect, Brk, Dup, Release, Reclaim, the watchpoint setters) and
-// every exported multi-step access path (CheckAccess, ReadAt, WriteAt,
-// AccessRead, AccessFetch, AccessWrite, PageFrame) takes it; unexported
+// every exported multi-step access path (ReadAt, WriteAt, AccessRead,
+// AccessFetch, AccessWrite, CopyIn, CopyOut, CString, PageFrame) takes it;
+// unexported
 // helpers assume it is held. This is what lets an SMP kernel run one
 // process's user code (whose vCPU slow path lands here) concurrently with
 // another CPU mutating the same space through a /proc write or a vfork

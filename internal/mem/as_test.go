@@ -227,12 +227,12 @@ func TestMprotect(t *testing.T) {
 	if err := as.Mprotect(0x10000, 4096, ProtRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.CheckAccess(0x10000, 4, ProtWrite); err == nil {
+	if err := as.AccessWrite(0x10000, make([]byte, 4)); err == nil {
 		t.Fatal("write to read-only page should fault")
 	} else if ae := err.(*AccessError); ae.Fault != types.FLTACCESS {
 		t.Fatalf("fault = %s, want FLTACCESS", types.FltName(ae.Fault))
 	}
-	if err := as.CheckAccess(0x11000, 4, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x11000, make([]byte, 4)); err != nil {
 		t.Fatalf("second page should still be writable: %v", err)
 	}
 	// Restoring within MaxProt works; exceeding it fails.
@@ -255,17 +255,17 @@ func TestMprotectUnmappedFails(t *testing.T) {
 func TestCheckAccessFaults(t *testing.T) {
 	as := newTestAS()
 	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRX, Fixed: true})
-	if err := as.CheckAccess(0x50000, 4, ProtRead); err == nil {
+	if err := as.AccessRead(0x50000, make([]byte, 4)); err == nil {
 		t.Fatal("unmapped access should fault")
 	} else if err.(*AccessError).Fault != types.FLTBOUNDS {
 		t.Fatal("unmapped access should be FLTBOUNDS")
 	}
-	if err := as.CheckAccess(0x10000, 4, ProtWrite); err == nil {
+	if err := as.AccessWrite(0x10000, make([]byte, 4)); err == nil {
 		t.Fatal("write to text should fault")
 	} else if err.(*AccessError).Fault != types.FLTACCESS {
 		t.Fatal("protection violation should be FLTACCESS")
 	}
-	if err := as.CheckAccess(0x10000, 4, ProtExec); err != nil {
+	if err := as.AccessFetch(0x10000, make([]byte, 4)); err != nil {
 		t.Fatalf("exec of text should be fine: %v", err)
 	}
 }
@@ -275,7 +275,7 @@ func TestStackGrowth(t *testing.T) {
 	stk := mustMap(t, as, MapArgs{Base: 0x7FFF0000, Len: 4096, Prot: ProtRW, Kind: KindStack, Fixed: true})
 	as.SetStack(stk, 0x7FF00000)
 	// An access below the stack grows it automatically.
-	if err := as.CheckAccess(0x7FFEE000, 4, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x7FFEE000, make([]byte, 4)); err != nil {
 		t.Fatalf("stack growth access failed: %v", err)
 	}
 	if stk.Base != 0x7FFEE000 {
@@ -285,7 +285,7 @@ func TestStackGrowth(t *testing.T) {
 		t.Fatalf("GrowStack = %d", as.Stats.GrowStack)
 	}
 	// Below the limit it does not grow.
-	if err := as.CheckAccess(0x7FE00000, 4, ProtWrite); err == nil {
+	if err := as.AccessWrite(0x7FE00000, make([]byte, 4)); err == nil {
 		t.Fatal("access below stack limit should fault")
 	}
 }

@@ -107,39 +107,19 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 		// implies the whole page is mapped; never expose a short frame.
 		return Frame{}, false
 	}
-	if pg, ok := s.priv[pb]; ok {
-		// A materialized private page: the one case stores may hit
-		// directly (no copy-on-write left to do, no write-through).
-		return Frame{Data: pg, Prot: s.Prot, Writable: true}, true
+	// A materialized private page is the one case stores may hit directly
+	// (no copy-on-write left to do, no write-through). The zero page serves
+	// an untouched anonymous page's reads, and an exposed object's storage
+	// its pages' reads, the straddling page too when the object's zeroed
+	// slack covers it; the first store takes the slow path to materialize
+	// (and count) the page. A short slice is a page straddling the end of an
+	// object without the slack to cover it: the slow path zero-fills past
+	// the object's end.
+	b, private, ok := as.pageBytes(s, pb)
+	if !ok || len(b) < int(as.pagesize) {
+		return Frame{}, false
 	}
-	if s.Obj == nil {
-		// Private anonymous, never written: reads see zeros. The shared
-		// zero page serves reads; the first store must take the slow path
-		// to materialize (and count) the page.
-		return Frame{Data: as.zero, Prot: s.Prot}, true
-	}
-	if rb, ok := s.Obj.(RevBytes); ok {
-		data := rb.ObjBytes()
-		off := s.Off + int64(pb) - int64(s.Base)
-		if off < 0 {
-			return Frame{}, false
-		}
-		end := off + int64(as.pagesize)
-		switch {
-		case off >= int64(len(data)):
-			// Wholly past the object: reads see zeros until it grows,
-			// which moves the epoch.
-			return Frame{Data: as.zero, Prot: s.Prot}, true
-		case end <= int64(cap(data)):
-			// Inside the object, or straddling its end within the zeroed
-			// slack the RevBytes contract guarantees: alias it.
-			return Frame{Data: data[off:end:end], Prot: s.Prot}, true
-		}
-		// The page straddles the end of an object without the slack to
-		// cover it: reads zero-fill beyond its size, which the slow path
-		// does.
-	}
-	return Frame{}, false
+	return Frame{Data: b, Prot: s.Prot, Writable: private}, true
 }
 
 // zeroPages holds one read-only zero page per page size, shared by every

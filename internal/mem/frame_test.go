@@ -70,7 +70,7 @@ func TestGenBumpPerOp(t *testing.T) {
 	stack := mustMap(t, as, MapArgs{Base: 0x80000, Len: 4096, Prot: ProtRW, Fixed: true})
 	as.SetStack(stack, 0x70000)
 	genStep(t, as, "stack growth", true, func() {
-		if err := as.CheckAccess(0x7f000, 4, ProtWrite); err != nil {
+		if err := as.AccessWrite(0x7f000, make([]byte, 4)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -49,7 +49,7 @@ func TestQuickMprotectAtomic(t *testing.T) {
 			return false
 		}
 		for a := uint32(0x10000); a < 0x10000+4*4096; a += 4096 {
-			if err := as.CheckAccess(a, 4, ProtWrite); err != nil {
+			if err := as.AccessWrite(a, make([]byte, 4)); err != nil {
 				return false // a page lost its write permission
 			}
 		}
@@ -101,7 +101,7 @@ func TestQuickWatchpointPrecision(t *testing.T) {
 		wAddr := 0x10000 + uint32(wOff)
 		aAddr := 0x10000 + uint32(aOff)
 		as.SetWatch(wAddr, wl, ProtWrite)
-		err := as.CheckAccess(aAddr, al, ProtWrite)
+		err := as.AccessWrite(aAddr, make([]byte, al))
 		overlaps := uint64(aAddr) < uint64(wAddr)+uint64(wl) &&
 			uint64(aAddr)+uint64(al) > uint64(wAddr)
 		if overlaps {

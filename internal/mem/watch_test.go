@@ -12,7 +12,7 @@ func TestWatchpointFires(t *testing.T) {
 	as.SetWatch(0x10100, 1, ProtWrite) // watch a single byte
 
 	// Write to the watched byte fires FLTWATCH.
-	err := as.CheckAccess(0x10100, 1, ProtWrite)
+	err := as.AccessWrite(0x10100, make([]byte, 1))
 	if err == nil {
 		t.Fatal("watched write should fault")
 	}
@@ -20,12 +20,12 @@ func TestWatchpointFires(t *testing.T) {
 		t.Fatalf("got %v", ae)
 	}
 	// A 4-byte store overlapping the watched byte fires too.
-	if err := as.CheckAccess(0x100FE, 4, ProtWrite); err == nil {
+	if err := as.AccessWrite(0x100FE, make([]byte, 4)); err == nil {
 		t.Fatal("overlapping write should fault")
 	}
 	// A read does not fire a write watchpoint, but is a same-page recovery.
 	before := as.Stats.WatchRecover
-	if err := as.CheckAccess(0x10100, 1, ProtRead); err != nil {
+	if err := as.AccessRead(0x10100, make([]byte, 1)); err != nil {
 		t.Fatalf("read of write-watched byte should not fault: %v", err)
 	}
 	if as.Stats.WatchRecover != before+1 {
@@ -41,7 +41,7 @@ func TestWatchpointSamePageRecovery(t *testing.T) {
 	// Unwatched data in the same page: access succeeds but is counted as a
 	// recovered fault (the paper: the system recovers from machine faults
 	// taken due to references to unwatched data in the same page).
-	if err := as.CheckAccess(0x10000, 4, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x10000, make([]byte, 4)); err != nil {
 		t.Fatalf("unwatched same-page write should succeed: %v", err)
 	}
 	if as.Stats.WatchRecover != 1 {
@@ -49,7 +49,7 @@ func TestWatchpointSamePageRecovery(t *testing.T) {
 	}
 	// A different page entirely: no recovery cost.
 	mustMap(t, as, MapArgs{Base: 0x20000, Len: 4096, Prot: ProtRW, Fixed: true})
-	if err := as.CheckAccess(0x20000, 4, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x20000, make([]byte, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if as.Stats.WatchRecover != 1 {
@@ -61,10 +61,10 @@ func TestWatchpointModes(t *testing.T) {
 	as := newTestAS()
 	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRW, Fixed: true})
 	as.SetWatch(0x10200, 8, ProtRead)
-	if err := as.CheckAccess(0x10204, 1, ProtRead); err == nil {
+	if err := as.AccessRead(0x10204, make([]byte, 1)); err == nil {
 		t.Fatal("read watchpoint should fire on read")
 	}
-	if err := as.CheckAccess(0x10204, 1, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x10204, make([]byte, 1)); err != nil {
 		t.Fatal("read watchpoint should not fire on write")
 	}
 }
@@ -75,14 +75,14 @@ func TestWatchpointClear(t *testing.T) {
 	as.SetWatch(0x10100, 4, ProtWrite)
 	as.SetWatch(0x10200, 4, ProtWrite)
 	as.ClearWatch(0x10100)
-	if err := as.CheckAccess(0x10100, 4, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x10100, make([]byte, 4)); err != nil {
 		t.Fatal("cleared watchpoint should not fire")
 	}
-	if err := as.CheckAccess(0x10200, 4, ProtWrite); err == nil {
+	if err := as.AccessWrite(0x10200, make([]byte, 4)); err == nil {
 		t.Fatal("remaining watchpoint should still fire")
 	}
 	as.ClearAllWatches()
-	if err := as.CheckAccess(0x10200, 4, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x10200, make([]byte, 4)); err != nil {
 		t.Fatal("ClearAllWatches should drop everything")
 	}
 	if len(as.Watches()) != 0 {
@@ -94,11 +94,11 @@ func TestWatchpointSpansPages(t *testing.T) {
 	as := newTestAS()
 	mustMap(t, as, MapArgs{Base: 0x10000, Len: 3 * 4096, Prot: ProtRW, Fixed: true})
 	as.SetWatch(0x10FFC, 8, ProtWrite) // straddles a page boundary
-	if err := as.CheckAccess(0x11002, 1, ProtWrite); err == nil {
+	if err := as.AccessWrite(0x11002, make([]byte, 1)); err == nil {
 		t.Fatal("watch spanning pages should fire on second page")
 	}
 	// Both touched pages count as watched for recovery purposes.
-	if err := as.CheckAccess(0x11800, 1, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x11800, make([]byte, 1)); err != nil {
 		t.Fatal("unwatched byte on second page should recover")
 	}
 	if as.Stats.WatchRecover != 1 {
@@ -117,10 +117,10 @@ func TestWatchpointHugeRange(t *testing.T) {
 	if _, ok := as.PageFrame(0x10000); ok {
 		t.Fatal("a page under a watch was frame-cached")
 	}
-	if err := as.CheckAccess(0x10010, 4, ProtRead); err == nil {
+	if err := as.AccessRead(0x10010, make([]byte, 4)); err == nil {
 		t.Fatal("read under the whole-space watch should fault")
 	}
-	if err := as.CheckAccess(0x10010, 4, ProtWrite); err != nil {
+	if err := as.AccessWrite(0x10010, make([]byte, 4)); err != nil {
 		t.Fatalf("write under a read watch should recover: %v", err)
 	}
 	if err := as.CheckInvariants(); err != nil {

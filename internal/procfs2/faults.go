@@ -1,8 +1,6 @@
 package procfs2
 
 import (
-	"strings"
-
 	"repro/internal/fault"
 	"repro/internal/types"
 	"repro/internal/vfs"
@@ -56,15 +54,14 @@ func (h *rootFaultsHandle) HRead(b []byte, off int64) (int, error) {
 }
 
 // HWrite implements vfs.Handle: each line of the write is one control
-// command. Like the ctl files, a failed command rejects the whole write.
+// command. Like the ctl files, a failed command rejects the whole write:
+// no line of it is applied.
 func (h *rootFaultsHandle) HWrite(b []byte, off int64) (int, error) {
 	if h.closed {
 		return 0, vfs.ErrBadFD
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if err := fault.Default.Exec(line); err != nil {
-			return 0, vfs.Errorf("procfs2: faults: %w", err)
-		}
+	if err := fault.Default.ExecAll(string(b)); err != nil {
+		return 0, vfs.Errorf("procfs2: faults: %w", err)
 	}
 	return len(b), nil
 }
